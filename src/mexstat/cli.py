@@ -42,6 +42,14 @@ def _precision_cap() -> int:
     return cap
 
 
+def _check_precision(precision: int) -> None:
+    cap = _precision_cap()
+    if precision > cap:
+        raise CapacityError(
+            f"series precision {precision} exceeds the cap {cap} (set {PRECISION_CAP_ENV})"
+        )
+
+
 def _parse_partition(text: str) -> tuple[int, ...]:
     try:
         parts = [int(x) for x in text.split(",") if x.strip() != ""]
@@ -82,6 +90,7 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
         elif method == "series":
             if args.n < 0:
                 raise ValueError("n must be non-negative for the series method")
+            _check_precision(args.n)
             row = (mexcount.pbar_mex_series if barred else mexcount.p_mex_series)(params, args.n)
             value = row[args.n]
             method_name = "series"
@@ -171,9 +180,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _build_series(args: argparse.Namespace) -> tuple[str, TruncatedSeries]:
     precision = args.precision
-    cap = _precision_cap()
-    if precision > cap:
-        raise ValueError(f"precision {precision} exceeds the cap {cap} (set {PRECISION_CAP_ENV})")
+    _check_precision(precision)
     if precision < 0:
         raise ValueError("precision must be non-negative")
     expr = args.expr

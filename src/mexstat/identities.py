@@ -5,6 +5,15 @@ Each check pairs two independent evaluators of a quantity indexed by n
 is verified over a configurable range.  Multi-part statements compare
 tuples.  Checks that enumerate partitions are flagged so callers can cap
 them separately from pure series checks.
+
+Each side of a check is an evaluator factory.  ``make_lhs(n_max)`` builds
+every row the side needs for n = 0..n_max once -- generating-series rows,
+restricted-part DP rows, recurrence values tabulated over the range -- and
+returns an evaluator that only looks values up in them; sides backed by
+partition enumeration read the per-n census, which is cached.  The catalog
+in :func:`build_registry` is a declaration over a few family helpers:
+signed shifted mex terms (:data:`Term`) by series or recurrence,
+restricted-part DP rows, series rows and grid sweeps.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from . import mexcount, partitions, statistics
@@ -50,7 +60,12 @@ SHIFT_A_MAX = 8
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One verifiable identity: two evaluator factories plus its n range."""
+    """One verifiable identity: two evaluator factories plus its n range.
+
+    ``make_lhs(n_max)`` and ``make_rhs(n_max)`` are called once per
+    verification and build their rows for n = 0..n_max there; the evaluator
+    each returns is a lookup, called once for every n in [valid_from, n_max].
+    """
 
     check_id: str
     description: str
@@ -110,43 +125,117 @@ def _fmt(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluator helpers
+# family helpers: each builds its rows once per n_max; evaluators read them
 # ---------------------------------------------------------------------------
 
-
-def _legal_even_i(k: int) -> list[int]:
-    # i = k would make the classes +i and -i mod 2k coincide, doubling a
-    # product factor; the partition-count reading only holds for i != k.
-    return [i for i in range(1, 2 * k) if i != k]
-
-
-def _not_congruent_count(n: int, modulus: int, classes: frozenset[int]) -> int:
-    cond = ResidueCondition(modulus, classes, mode="exclude")
-    return partitions.count_parts_restricted(n, cond)
+# A signed, shifted mex count: (sign, kind, A, a, shift) is
+# sign * p_{A,a}(n - shift) for kind "p" and sign * pbar_{A,a}(n - shift) for
+# kind "pbar"; both are 0 for n < shift.
+Term = tuple[int, str, int, int, int]
 
 
-def _series_eval(build: Callable[[int], TruncatedSeries]) -> EvaluatorFactory:
+def _row(build: Callable[[int], Sequence[int]]) -> EvaluatorFactory:
+    """A scalar side: ``build(n_max)`` gives its values at n = 0..n_max."""
+
     def factory(n_max: int) -> Evaluator:
-        s = build(n_max)
-        return lambda n: s.coeff(n)
+        row = build(n_max)
+        return lambda n: row[n]
 
     return factory
 
 
-def _series_tuple_eval(build: Callable[[int], Sequence[TruncatedSeries]]) -> EvaluatorFactory:
+def _table(build: Callable[[int], Sequence[Sequence[int]]]) -> EvaluatorFactory:
+    """A tuple side: ``build(n_max)`` gives one row over n = 0..n_max per component."""
+
     def factory(n_max: int) -> Evaluator:
-        ss = list(build(n_max))
-        return lambda n: tuple(s.coeff(n) for s in ss)
+        columns = list(zip(*build(n_max)))
+        return lambda n: columns[n]
 
     return factory
 
 
-def _pbar_recurrence(A: int, a: int, n: int) -> int:
-    return mexcount.pbar_mex_recurrence(MexParams(A, a), n)
+def _mex_row(route: str, terms: Sequence[Term], n_max: int) -> list[int]:
+    """The sum of ``terms`` at n = 0..n_max, each term read off its generating-series
+    row (route "series") or tabulated by the shifted-p(n) recurrence (route "recurrence")."""
+    out = [0] * (n_max + 1)
+    for sign, kind, A, a, shift in terms:
+        params = MexParams(A, a)
+        barred = kind == "pbar"
+        if route == "series":
+            row = (mexcount.pbar_mex_series if barred else mexcount.p_mex_series)(params, n_max)
+        elif route == "recurrence":
+            point = mexcount.pbar_mex_recurrence if barred else mexcount.p_mex_recurrence
+            row = [point(params, n) for n in range(n_max + 1 - shift)]
+        else:
+            raise ValueError(f"unknown route {route!r}")
+        for n in range(shift, n_max + 1):
+            out[n] += sign * row[n - shift]
+    return out
 
 
-def _p_recurrence(A: int, a: int, n: int) -> int:
-    return mexcount.p_mex_recurrence(MexParams(A, a), n)
+def _mex(route: str, terms: Sequence[Term]) -> EvaluatorFactory:
+    return _row(lambda n_max: _mex_row(route, terms, n_max))
+
+
+def _mex_each(route: str, components: Sequence[Sequence[Term]]) -> EvaluatorFactory:
+    return _table(lambda n_max: [_mex_row(route, terms, n_max) for terms in components])
+
+
+def _odd_weighted_row(
+    scale: int, last: int, terms_of: Callable[[int], Sequence[Term]], n_max: int
+) -> list[int]:
+    """Entry n is scale * sum_{r=0}^{n-last} (2r+1) * (the terms_of(r) sum at n), by recurrence."""
+    rows = [_mex_row("recurrence", terms_of(r), n_max) for r in range(n_max - last + 1)]
+    return [
+        scale * sum((2 * r + 1) * rows[r][n] for r in range(n - last + 1))
+        for n in range(n_max + 1)
+    ]
+
+
+def _dp(*conditions: ResidueCondition) -> EvaluatorFactory:
+    return _row(lambda n_max: partitions.count_parts_restricted_row(n_max, *conditions))
+
+
+def _series(build: Callable[[int], TruncatedSeries]) -> EvaluatorFactory:
+    return _row(lambda n_max: build(n_max).coeffs)
+
+
+def _series_each(build: Callable[[int], Sequence[TruncatedSeries]]) -> EvaluatorFactory:
+    return _table(lambda n_max: [s.coeffs for s in build(n_max)])
+
+
+def _signed_counts(count_series: Callable[[int, int], TruncatedSeries]) -> EvaluatorFactory:
+    """The tuple (count(m, n) for |m| <= n) from the series rows m = 0..n_max."""
+
+    def factory(n_max: int) -> Evaluator:
+        rows = [count_series(m, n_max).coeffs for m in range(n_max + 1)]
+        return lambda n: tuple(rows[abs(m)][n] for m in range(-n, n + 1))
+
+    return factory
+
+
+def _theta_difference(c2: int, c1: int) -> EvaluatorFactory:
+    # sum_{n>=1} (-1)^n (q^(c2*n^2-1) - q^(c1*n^2-1))
+    return _series(
+        lambda n_max: alternating_theta(lambda n: c2 * n * n - 1, 1, n_max)
+        - alternating_theta(lambda n: c1 * n * n - 1, 1, n_max)
+    )
+
+
+def _congruence_classes(cases: Sequence[tuple[int, int]]) -> tuple[EvaluatorFactory, ...]:
+    """Thm 3.10 at modulus M: p_{M,M-i}(n) - pbar_{M,i}(n) against the DP over parts != 0, +-i."""
+    lhs = _mex_each(
+        "recurrence", [[(1, "p", M, M - i, 0), (-1, "pbar", M, i, 0)] for M, i in cases]
+    )
+    rhs = _table(
+        lambda n_max: [
+            partitions.count_parts_restricted_row(
+                n_max, ResidueCondition(M, frozenset({0, i % M, -i % M}), mode="exclude")
+            )
+            for M, i in cases
+        ]
+    )
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -156,30 +245,33 @@ def _p_recurrence(A: int, a: int, n: int) -> int:
 
 def build_registry() -> dict[str, IdentityCheck]:
     """Construct the full catalog of checks, keyed by id."""
-    checks: list[IdentityCheck] = []
-
-    def add(check: IdentityCheck) -> None:
-        checks.append(check)
-
-    # -- direct counting relations -----------------------------------------
-
-    def thm31_lhs(n_max: int) -> Evaluator:
-        row1 = mexcount.p_mex_series(MexParams(3, 1), n_max)
-        row2 = mexcount.p_mex_series(MexParams(3, 2), n_max)
-        return lambda n: row1[n] + row2[n]
-
-    add(
-        IdentityCheck(
-            "thm-3.1",
-            "p_{3,1}(n) + p_{3,2}(n) = p(n) for n >= 1",
-            1,
-            thm31_lhs,
-            lambda n_max: partitions.p_count,
-            notes="lhs: generating-series rows; rhs: pentagonal recurrence",
-        )
-    )
-
     grid = [(A, a) for A in range(1, SWEEP_A_MAX + 1) for a in range(1, SWEEP_a_MAX + 1)]
+    js = range(0, RANK_CRANK_J_MAX + 1)
+    crank_js = range(1, RANK_CRANK_J_MAX + 1)
+    # i = k would make the classes +i and -i mod 2k coincide, doubling a
+    # product factor; the partition-count reading only holds for i != k.
+    even_cases = [
+        (2 * k, i) for k in range(1, CONGRUENCE_K_MAX + 1) for i in range(1, 2 * k) if i != k
+    ]
+    odd_cases = [
+        (2 * k + 1, i) for k in range(1, CONGRUENCE_K_MAX + 1) for i in range(1, 2 * k + 1)
+    ]
+    shift_pairs = [
+        (A, a) for A in range(1, SHIFT_A_MAX + 1) for a in range(A + 1, SWEEP_a_MAX + 1)
+    ]
+    jtp_odd = [(k, i) for k in range(1, JTP_K_MAX + 1) for i in range(1, 2 * k + 1)]
+    jtp_even = [(k, i) for k in range(1, JTP_K_MAX + 1) for i in range(1, 2 * k)]
+    cauchy_cases = [(j, False) for j in range(1, CAUCHY_T_EXPONENT_MAX + 1)] + [(1, True)]
+
+    mod32 = symmetric_residues(32, (2, 8, 12, 14))
+    mod24 = symmetric_residues(24, (1, 4, 6, 8, 10, 11))
+    mod40_excluded = ResidueCondition(
+        40, symmetric_residues(40, (3, 4, 7, 10, 13, 17)) | {0, 20}, mode="exclude"
+    )
+    mod40_distinct = ResidueCondition(40, symmetric_residues(40, (8, 12)), sign="plus")
+    thm311 = [(1, "p", 2, 3, 0), (-1, "p", 4, 6, 1)]
+    thm312 = [(1, "p", 2, 3, 0), (-1, "p", 6, 9, 2)]
+    thm313 = [(1, "p", 2, 3, 0), (-1, "p", 10, 15, 4)]
 
     def thm32_enum(n_max: int) -> Evaluator:
         def ev(n: int):
@@ -188,455 +280,30 @@ def build_registry() -> dict[str, IdentityCheck]:
 
         return ev
 
-    def thm32_rec(n_max: int) -> Evaluator:
-        return lambda n: tuple(_p_recurrence(A, a, n) for A, a in grid)
+    def cor37_rhs(n_max: int) -> list[list[int]]:
+        at_least = [statistics.crank_count_at_least_row(j, n_max) for j in crank_js]
+        return [[partitions.p_count(n) - c for n, c in enumerate(row)] for row in at_least]
 
-    add(
-        IdentityCheck(
-            "thm-3.2",
-            "p_{A,a}(n) recurrence over shifted p(n) agrees with direct enumeration "
-            f"(A <= {SWEEP_A_MAX}, a <= {SWEEP_a_MAX})",
-            0,
-            thm32_enum,
-            thm32_rec,
-            requires_enumeration=True,
-            notes="lhs: enumeration census; rhs: recurrence",
-        )
-    )
+    def cor39_rhs(n_max: int) -> list[list[int]]:
+        barred = lambda r: [(1, "pbar", 1, r + 1, 0), (-1, "pbar", 3, r + 2, 0)]
+        unbarred = lambda r: [(1, "p", 3, r + 2, 0), (-1, "p", 1, r + 1, 0)]
+        return [_odd_weighted_row(1, 1, barred, n_max), _odd_weighted_row(1, 1, unbarred, n_max)]
 
-    # -- rank relations ------------------------------------------------------
-
-    js = list(range(0, RANK_CRANK_J_MAX + 1))
-
-    def thm33_lhs(n_max: int) -> Evaluator:
-        rows = [mexcount.pbar_mex_series(MexParams(3, j + 1), n_max) for j in js]
-        return lambda n: tuple(row[n] for row in rows)
-
-    add(
-        IdentityCheck(
-            "thm-3.3",
-            f"pbar_{{3,j+1}}(n) counts partitions of n with rank >= j (j = 0..{RANK_CRANK_J_MAX})",
-            1,
-            thm33_lhs,
-            lambda n_max: lambda n: tuple(statistics.rank_count_at_least(j, n) for j in js),
-            requires_enumeration=True,
-            notes="lhs: generating-series rows; rhs: enumerated rank histogram",
-        )
-    )
-
-    def cor34_lhs(n_max: int) -> Evaluator:
-        row = mexcount.pbar_mex_series(MexParams(3, 3), n_max)
-        return lambda n: row[n]
-
-    add(
-        IdentityCheck(
-            "cor-3.4",
-            "pbar_{3,3}(n) counts the Garden-of-Eden partitions of n (rank <= -2)",
-            1,
-            cor34_lhs,
-            lambda n_max: statistics.goe_count,
-            requires_enumeration=True,
-            notes="lhs: generating-series row; rhs: enumerated rank histogram",
-        )
-    )
-
-    def cor35_lhs(n_max: int) -> Evaluator:
-        rows = [mexcount.p_mex_series(MexParams(3, j + 1), n_max) for j in js]
-        return lambda n: tuple(row[n] for row in rows)
-
-    add(
-        IdentityCheck(
-            "cor-3.5",
-            f"p_{{3,j+1}}(n) counts partitions of n with rank < j (j = 0..{RANK_CRANK_J_MAX})",
-            1,
-            cor35_lhs,
-            lambda n_max: lambda n: tuple(statistics.rank_count_below(j, n) for j in js),
-            requires_enumeration=True,
-            notes="lhs: generating-series rows; rhs: enumerated rank histogram",
-        )
-    )
-
-    # -- crank relations (series-defined crank counts) -----------------------
-
-    crank_js = list(range(1, RANK_CRANK_J_MAX + 1))
-
-    def crank_rows(n_max: int) -> list[tuple[int, ...]]:
-        return [crank_generating_series(m, n_max).coeffs for m in range(0, n_max + 1)]
-
-    def crank_at_least_fn(n_max: int):
-        rows = crank_rows(n_max)
-
-        def at_least(j: int, n: int) -> int:
-            # only needed for j >= 0; the crank of a partition of n is <= n
-            return sum(rows[m][n] for m in range(j, n + 1))
-
-        return at_least
-
-    def thm36_lhs(n_max: int) -> Evaluator:
-        return lambda n: tuple(_pbar_recurrence(1, j, n) for j in crank_js)
-
-    def thm36_rhs(n_max: int) -> Evaluator:
-        at_least = crank_at_least_fn(n_max)
-        return lambda n: tuple(at_least(j, n) for j in crank_js)
-
-    add(
-        IdentityCheck(
-            "thm-3.6",
-            f"pbar_{{1,j}}(n) counts partitions of n with crank >= j (j = 1..{RANK_CRANK_J_MAX})",
-            1,
-            thm36_lhs,
-            thm36_rhs,
-            notes="lhs: recurrence; rhs: crank series counts; j = 0 needs a = 0 and is out of range",
-        )
-    )
-
-    def cor37_lhs(n_max: int) -> Evaluator:
-        return lambda n: tuple(_p_recurrence(1, j, n) for j in crank_js)
-
-    def cor37_rhs(n_max: int) -> Evaluator:
-        at_least = crank_at_least_fn(n_max)
-        return lambda n: tuple(partitions.p_count(n) - at_least(j, n) for j in crank_js)
-
-    add(
-        IdentityCheck(
-            "cor-3.7",
-            f"p_{{1,j}}(n) counts partitions of n with crank < j (j = 1..{RANK_CRANK_J_MAX})",
-            1,
-            cor37_lhs,
-            cor37_rhs,
-            notes="lhs: recurrence; rhs: crank series counts complemented against p(n)",
-        )
-    )
-
-    def thm11_rhs(n_max: int) -> Evaluator:
-        at_least = crank_at_least_fn(n_max)
-        return lambda n: at_least(0, n)
-
-    add(
-        IdentityCheck(
-            "thm-1.1",
-            "p_{1,1}(n) counts partitions of n with crank >= 0",
-            1,
-            lambda n_max: lambda n: _p_recurrence(1, 1, n),
-            thm11_rhs,
-            notes="lhs: recurrence; rhs: crank series counts",
-        )
-    )
-
-    add(
-        IdentityCheck(
-            "thm-1.2",
-            "p_{3,3}(n) counts partitions of n with rank >= -1",
-            1,
-            lambda n_max: lambda n: _p_recurrence(3, 3, n),
-            lambda n_max: lambda n: statistics.rank_count_at_least(-1, n),
-            requires_enumeration=True,
-            notes="lhs: recurrence; rhs: enumerated rank histogram",
-        )
-    )
-
-    def thm13_lhs(n_max: int) -> Evaluator:
-        row = mexcount.p_mex_series(MexParams(2, 1), n_max)
-        row_bar = mexcount.pbar_mex_series(MexParams(2, 1), n_max)
-        return lambda n: (row[n], row_bar[n])
-
-    def thm13_rhs(n_max: int) -> Evaluator:
-        even, odd = partitions.parts_parity_counts(n_max)
-        return lambda n: (even[n], odd[n])
-
-    add(
-        IdentityCheck(
-            "thm-1.3",
-            "p_{2,1}(n) = p_e(n) and pbar_{2,1}(n) = p_o(n) (partitions by parity of #parts)",
-            0,
-            thm13_lhs,
-            thm13_rhs,
-            notes="lhs: generating-series rows; rhs: parity-tracking part DP",
-        )
-    )
-
-    # -- second moments and spt ----------------------------------------------
-
-    def weighted_pbar_sum(A_step: int, a_of_r: Callable[[int], int], r_top: Callable[[int], int]):
-        def ev(n: int) -> int:
-            return 2 * sum(
-                (2 * r + 1) * _pbar_recurrence(A_step, a_of_r(r), n)
-                for r in range(0, r_top(n) + 1)
-            )
-
-        return ev
-
-    add(
-        IdentityCheck(
-            "thm-3.8-rank",
-            "sum_m m^2 N(m,n) = 2 * sum_{r=0}^{n-2} (2r+1) pbar_{3,r+2}(n)",
-            1,
-            lambda n_max: lambda n: statistics.rank_moment(2, n),
-            lambda n_max: weighted_pbar_sum(3, lambda r: r + 2, lambda n: n - 2),
-            requires_enumeration=True,
-            notes="lhs: enumerated rank moment; rhs: recurrence-weighted sum",
-        )
-    )
-
-    add(
-        IdentityCheck(
-            "thm-3.8-crank",
-            "sum_m m^2 M(m,n) = 2 * sum_{r=0}^{n-1} (2r+1) pbar_{1,r+1}(n)",
-            1,
-            lambda n_max: lambda n: statistics.crank_moment(2, n),
-            lambda n_max: weighted_pbar_sum(1, lambda r: r + 1, lambda n: n - 1),
-            notes="lhs: crank series moment; rhs: recurrence-weighted sum",
-        )
-    )
-
-    def cor39_rhs(n_max: int) -> Evaluator:
-        def ev(n: int):
-            barred = sum(
-                (2 * r + 1) * (_pbar_recurrence(1, r + 1, n) - _pbar_recurrence(3, r + 2, n))
-                for r in range(0, n)
-            )
-            unbarred = sum(
-                (2 * r + 1) * (_p_recurrence(3, r + 2, n) - _p_recurrence(1, r + 1, n))
-                for r in range(0, n)
-            )
-            return (barred, unbarred)
-
-        return ev
-
-    add(
-        IdentityCheck(
-            "cor-3.9",
-            "spt(n) = sum_r (2r+1)[pbar_{1,r+1}(n) - pbar_{3,r+2}(n)] "
-            "= sum_r (2r+1)[p_{3,r+2}(n) - p_{1,r+1}(n)]",
-            1,
-            lambda n_max: lambda n: (statistics.spt_direct(n), statistics.spt_direct(n)),
-            cor39_rhs,
-            requires_enumeration=True,
-            notes="lhs: direct smallest-part tally; rhs: recurrence-weighted sums",
-        )
-    )
-
-    # -- congruence-class part counts ----------------------------------------
-
-    even_cases = [(k, i) for k in range(1, CONGRUENCE_K_MAX + 1) for i in _legal_even_i(k)]
-    odd_cases = [(k, i) for k in range(1, CONGRUENCE_K_MAX + 1) for i in range(1, 2 * k + 1)]
-
-    def thm310_even_lhs(n_max: int) -> Evaluator:
-        return lambda n: tuple(
-            _p_recurrence(2 * k, 2 * k - i, n) - _pbar_recurrence(2 * k, i, n)
-            for k, i in even_cases
+    def jtp(parity: str, side: str, cases: list[tuple[int, int]]) -> EvaluatorFactory:
+        return _series_each(
+            lambda n_max: [jtp_specialized(k, i, parity, side, n_max) for k, i in cases]
         )
 
-    def thm310_even_rhs(n_max: int) -> Evaluator:
-        conds = [(2 * k, frozenset({0, i % (2 * k), (-i) % (2 * k)})) for k, i in even_cases]
-        return lambda n: tuple(_not_congruent_count(n, m, cls) for m, cls in conds)
-
-    add(
-        IdentityCheck(
-            "thm-3.10-even",
-            "p_{2k,2k-i}(n) - pbar_{2k,i}(n) counts partitions into parts != 0, +-i (mod 2k) "
-            f"(k = 1..{CONGRUENCE_K_MAX}, 1 <= i <= 2k-1, i != k)",
-            0,
-            thm310_even_lhs,
-            thm310_even_rhs,
-            notes="lhs: recurrence difference; rhs: restricted-part DP; "
-            "i = k excluded (the +-i classes coincide there)",
-        )
-    )
-
-    def thm310_odd_lhs(n_max: int) -> Evaluator:
-        return lambda n: tuple(
-            _p_recurrence(2 * k + 1, 2 * k + 1 - i, n) - _pbar_recurrence(2 * k + 1, i, n)
-            for k, i in odd_cases
-        )
-
-    def thm310_odd_rhs(n_max: int) -> Evaluator:
-        conds = [
-            (2 * k + 1, frozenset({0, i % (2 * k + 1), (-i) % (2 * k + 1)})) for k, i in odd_cases
-        ]
-        return lambda n: tuple(_not_congruent_count(n, m, cls) for m, cls in conds)
-
-    add(
-        IdentityCheck(
-            "thm-3.10-odd",
-            "p_{2k+1,2k+1-i}(n) - pbar_{2k+1,i}(n) counts partitions into parts != 0, +-i "
-            f"(mod 2k+1) (k = 1..{CONGRUENCE_K_MAX}, 1 <= i <= 2k)",
-            0,
-            thm310_odd_lhs,
-            thm310_odd_rhs,
-            notes="lhs: recurrence difference; rhs: restricted-part DP",
-        )
-    )
-
-    add(
-        IdentityCheck(
-            "psi-minus-q",
-            "p_{4,1}(n) - pbar_{4,3}(n) counts partitions into parts == 2 (mod 4)",
-            0,
-            lambda n_max: lambda n: _p_recurrence(4, 1, n) - _pbar_recurrence(4, 3, n),
-            lambda n_max: lambda n: partitions.count_parts_restricted(
-                n, ResidueCondition(4, frozenset({2}))
-            ),
-            notes="lhs: recurrence difference; rhs: restricted-part DP",
-        )
-    )
-
-    # -- shifted identities ----------------------------------------------------
-
-    mod32 = symmetric_residues(32, (2, 8, 12, 14))
-    mod24 = symmetric_residues(24, (1, 4, 6, 8, 10, 11))
-    mod40_excluded = symmetric_residues(40, (3, 4, 7, 10, 13, 17)) | {0, 20}
-    mod40_distinct = symmetric_residues(40, (8, 12))
-
-    add(
-        IdentityCheck(
-            "thm-3.11",
-            "p_{2,3}(n) - p_{4,6}(n-1) counts partitions into parts == +-2, +-8, +-12, +-14 (mod 32)",
-            0,
-            lambda n_max: lambda n: _p_recurrence(2, 3, n) - _p_recurrence(4, 6, n - 1),
-            lambda n_max: lambda n: partitions.count_parts_restricted(
-                n, ResidueCondition(32, mod32)
-            ),
-            notes="lhs: recurrence difference; rhs: restricted-part DP",
-        )
-    )
-
-    add(
-        IdentityCheck(
-            "thm-3.12",
-            "p_{2,3}(n) - p_{6,9}(n-2) counts partitions into parts == +-1, +-4, +-6, +-8, "
-            "+-10, +-11 (mod 24)",
-            0,
-            lambda n_max: lambda n: _p_recurrence(2, 3, n) - _p_recurrence(6, 9, n - 2),
-            lambda n_max: lambda n: partitions.count_parts_restricted(
-                n, ResidueCondition(24, mod24)
-            ),
-            notes="lhs: recurrence difference; rhs: restricted-part DP",
-        )
-    )
-
-    add(
-        IdentityCheck(
-            "thm-3.13",
-            "p_{2,3}(n) - p_{10,15}(n-4) counts partitions into parts outside "
-            "0, +-3, +-4, +-7, +-10, +-13, +-17, 20 (mod 40) with extra distinct parts "
-            "== +-8, +-12 (mod 40)",
-            0,
-            lambda n_max: lambda n: _p_recurrence(2, 3, n) - _p_recurrence(10, 15, n - 4),
-            lambda n_max: lambda n: partitions.count_parts_restricted(
-                n,
-                ResidueCondition(40, mod40_excluded, mode="exclude"),
-                ResidueCondition(40, mod40_distinct, sign="plus"),
-            ),
-            notes="lhs: recurrence difference; rhs: mixed distinct/unrestricted DP",
-        )
-    )
-
-    # pure series forms of the shifted identities
-
-    def mexdiff_series(A2: int, a2: int, shift: int) -> Callable[[int], TruncatedSeries]:
-        def build(n_max: int) -> TruncatedSeries:
-            lead = TruncatedSeries(mexcount.p_mex_series(MexParams(2, 3), n_max))
-            trail = mexcount.p_mex_series(MexParams(A2, a2), n_max)
-            shifted = [0] * (n_max + 1)
-            for e in range(shift, n_max + 1):
-                shifted[e] = trail[e - shift]
-            return lead - TruncatedSeries(shifted)
-
-        return build
-
-    add(
-        IdentityCheck(
-            "thm-3.11-series",
-            "series form: F_{2,3}(q) - q*F_{4,6}(q) equals 1/prod(1-q^n) over "
-            "n == +-2, +-8, +-12, +-14 (mod 32)",
-            0,
-            _series_eval(mexdiff_series(4, 6, 1)),
-            _series_eval(
-                lambda n_max: residue_product(ResidueCondition(32, mod32), n_max).invert()
-            ),
-            notes="lhs: theta-quotient rows; rhs: inverted congruence product",
-        )
-    )
-
-    add(
-        IdentityCheck(
-            "thm-3.12-series",
-            "series form: F_{2,3}(q) - q^2*F_{6,9}(q) equals 1/prod(1-q^n) over "
-            "n == +-1, +-4, +-6, +-8, +-10, +-11 (mod 24)",
-            0,
-            _series_eval(mexdiff_series(6, 9, 2)),
-            _series_eval(
-                lambda n_max: residue_product(ResidueCondition(24, mod24), n_max).invert()
-            ),
-            notes="lhs: theta-quotient rows; rhs: inverted congruence product",
-        )
-    )
-
-    def thm313_quotient(n_max: int) -> TruncatedSeries:
-        numerator = residue_product(
-            ResidueCondition(40, mod40_distinct, sign="plus"), n_max
-        )
-        denominator = residue_product(
-            ResidueCondition(40, mod40_excluded, mode="exclude"), n_max
-        )
-        return numerator * denominator.invert()
-
-    add(
-        IdentityCheck(
-            "thm-3.13-series",
-            "series form: F_{2,3}(q) - q^4*F_{10,15}(q) equals "
-            "prod(1+q^n)[n == +-8, +-12 (40)] / prod(1-q^n)[n not== 0, +-3, +-4, +-7, "
-            "+-10, +-13, +-17, 20 (40)]",
-            0,
-            _series_eval(mexdiff_series(10, 15, 4)),
-            _series_eval(thm313_quotient),
-            notes="lhs: theta-quotient rows; rhs: congruence-product quotient",
-        )
-    )
-
-    # -- product/theta identities ---------------------------------------------
-
-    def theta_difference(c2: int, c1: int) -> Callable[[int], TruncatedSeries]:
-        # sum_{n>=1} (-1)^n (q^(c2*n^2-1) - q^(c1*n^2-1))
-        def build(n_max: int) -> TruncatedSeries:
-            big = alternating_theta(lambda n: c2 * n * n - 1, 1, n_max)
-            small = alternating_theta(lambda n: c1 * n * n - 1, 1, n_max)
-            return big - small
-
-        return build
-
-    add(
-        IdentityCheck(
-            "thm-2.10a",
-            "prod(1-q^n) over n not== +-2, +-8, +-12, +-14 (mod 32) equals "
-            "sum_{n>=1} (-1)^n (q^{2n^2-1} - q^{n^2-1})",
-            0,
-            _series_eval(
-                lambda n_max: residue_product(
-                    ResidueCondition(32, mod32, mode="exclude"), n_max
-                )
-            ),
-            _series_eval(theta_difference(2, 1)),
-            notes="lhs: congruence product; rhs: alternating theta difference",
-        )
-    )
-
-    add(
-        IdentityCheck(
-            "thm-2.10b",
-            "prod(1-q^n) over n not== +-1, +-4, +-6, +-8, +-10, +-11 (mod 24) equals "
-            "sum_{n>=1} (-1)^n (q^{3n^2-1} - q^{n^2-1})",
-            0,
-            _series_eval(
-                lambda n_max: residue_product(
-                    ResidueCondition(24, mod24, mode="exclude"), n_max
-                )
-            ),
-            _series_eval(theta_difference(3, 1)),
-            notes="lhs: congruence product; rhs: alternating theta difference",
-        )
-    )
+    def cauchy_rhs(n_max: int) -> list[TruncatedSeries]:
+        out = []
+        for j, neg in cauchy_cases:
+            cond = ResidueCondition(1, frozenset({0}), sign="plus" if neg else "minus")
+            prod = residue_product(cond, n_max)
+            if j > 1:
+                # strip the factors below q^j: divide them back out
+                prod = prod * pochhammer_finite(j - 1, n_max).invert()
+            out.append(prod.invert())
+        return out
 
     def thm211_product(n_max: int) -> TruncatedSeries:
         p1 = residue_product(ResidueCondition(10, frozenset({0, 3, 7})), n_max)
@@ -644,263 +311,373 @@ def build_registry() -> dict[str, IdentityCheck]:
         p3 = residue_product(ResidueCondition(20, frozenset({8, 12}), sign="plus"), n_max)
         return p1 * p2 * p3
 
-    add(
+    def p_rec(A: int, a: int, n: int) -> int:
+        # thm-5.3 and thm-5.4 move the parameters with n, so there is no row
+        return mexcount.p_mex_recurrence(MexParams(A, a), n)
+
+    def thm54_lhs(n_max: int) -> Evaluator:
+        def ev(n: int):
+            second = p_rec(3, n + 1, n) - p_rec(1, n, n)
+            return (second,) if n < 2 else (p_rec(3, n, n) - p_rec(1, n - 1, n), second)
+
+        return ev
+
+    def above(n: int) -> list[tuple[int, int]]:
+        # the grid pairs with a > n
+        return [(A, a) for A in range(1, SWEEP_A_MAX + 1) for a in range(n + 1, SWEEP_a_MAX + 1)]
+
+    def lemma_lhs(n_max: int) -> Evaluator:
+        p_rows = {pair: mexcount.p_mex_series(MexParams(*pair), n_max) for pair in grid}
+        pbar_rows = {pair: mexcount.pbar_mex_series(MexParams(*pair), n_max) for pair in grid}
+        return lambda n: tuple(p_rows[pair][n] for pair in above(n)) + tuple(
+            pbar_rows[pair][n] for pair in above(n)
+        )
+
+    def lemma_rhs(n_max: int) -> Evaluator:
+        return lambda n: (partitions.p_count(n),) * len(above(n)) + (0,) * len(above(n))
+
+    checks = [
+        # -- direct counting relations ---------------------------------------
+        IdentityCheck(
+            "thm-3.1",
+            "p_{3,1}(n) + p_{3,2}(n) = p(n) for n >= 1",
+            1,
+            _mex("series", [(1, "p", 3, 1, 0), (1, "p", 3, 2, 0)]),
+            lambda n_max: partitions.p_count,
+            notes="lhs: generating-series rows; rhs: pentagonal recurrence",
+        ),
+        IdentityCheck(
+            "thm-3.2",
+            "p_{A,a}(n) recurrence over shifted p(n) agrees with direct enumeration "
+            f"(A <= {SWEEP_A_MAX}, a <= {SWEEP_a_MAX})",
+            0,
+            thm32_enum,
+            _mex_each("recurrence", [[(1, "p", A, a, 0)] for A, a in grid]),
+            requires_enumeration=True,
+            notes="lhs: enumeration census; rhs: recurrence",
+        ),
+        # -- rank relations ----------------------------------------------------
+        IdentityCheck(
+            "thm-3.3",
+            f"pbar_{{3,j+1}}(n) counts partitions of n with rank >= j (j = 0..{RANK_CRANK_J_MAX})",
+            1,
+            _mex_each("series", [[(1, "pbar", 3, j + 1, 0)] for j in js]),
+            lambda n_max: lambda n: tuple(statistics.rank_count_at_least(j, n) for j in js),
+            requires_enumeration=True,
+            notes="lhs: generating-series rows; rhs: enumerated rank histogram",
+        ),
+        IdentityCheck(
+            "cor-3.4",
+            "pbar_{3,3}(n) counts the Garden-of-Eden partitions of n (rank <= -2)",
+            1,
+            _mex("series", [(1, "pbar", 3, 3, 0)]),
+            lambda n_max: statistics.goe_count,
+            requires_enumeration=True,
+            notes="lhs: generating-series row; rhs: enumerated rank histogram",
+        ),
+        IdentityCheck(
+            "cor-3.5",
+            f"p_{{3,j+1}}(n) counts partitions of n with rank < j (j = 0..{RANK_CRANK_J_MAX})",
+            1,
+            _mex_each("series", [[(1, "p", 3, j + 1, 0)] for j in js]),
+            lambda n_max: lambda n: tuple(statistics.rank_count_below(j, n) for j in js),
+            requires_enumeration=True,
+            notes="lhs: generating-series rows; rhs: enumerated rank histogram",
+        ),
+        # -- crank relations (series-defined crank counts) ---------------------
+        IdentityCheck(
+            "thm-3.6",
+            f"pbar_{{1,j}}(n) counts partitions of n with crank >= j (j = 1..{RANK_CRANK_J_MAX})",
+            1,
+            _mex_each("recurrence", [[(1, "pbar", 1, j, 0)] for j in crank_js]),
+            _table(lambda n_max: [statistics.crank_count_at_least_row(j, n_max) for j in crank_js]),
+            notes="lhs: recurrence; rhs: crank series counts; j = 0 needs a = 0 and is out of range",
+        ),
+        IdentityCheck(
+            "cor-3.7",
+            f"p_{{1,j}}(n) counts partitions of n with crank < j (j = 1..{RANK_CRANK_J_MAX})",
+            1,
+            _mex_each("recurrence", [[(1, "p", 1, j, 0)] for j in crank_js]),
+            _table(cor37_rhs),
+            notes="lhs: recurrence; rhs: crank series counts complemented against p(n)",
+        ),
+        IdentityCheck(
+            "thm-1.1",
+            "p_{1,1}(n) counts partitions of n with crank >= 0",
+            1,
+            _mex("recurrence", [(1, "p", 1, 1, 0)]),
+            _row(lambda n_max: statistics.crank_count_at_least_row(0, n_max)),
+            notes="lhs: recurrence; rhs: crank series counts",
+        ),
+        IdentityCheck(
+            "thm-1.2",
+            "p_{3,3}(n) counts partitions of n with rank >= -1",
+            1,
+            _mex("recurrence", [(1, "p", 3, 3, 0)]),
+            lambda n_max: lambda n: statistics.rank_count_at_least(-1, n),
+            requires_enumeration=True,
+            notes="lhs: recurrence; rhs: enumerated rank histogram",
+        ),
+        IdentityCheck(
+            "thm-1.3",
+            "p_{2,1}(n) = p_e(n) and pbar_{2,1}(n) = p_o(n) (partitions by parity of #parts)",
+            0,
+            _mex_each("series", [[(1, "p", 2, 1, 0)], [(1, "pbar", 2, 1, 0)]]),
+            _table(partitions.parts_parity_counts),
+            notes="lhs: generating-series rows; rhs: parity-tracking part DP",
+        ),
+        # -- second moments and spt --------------------------------------------
+        IdentityCheck(
+            "thm-3.8-rank",
+            "sum_m m^2 N(m,n) = 2 * sum_{r=0}^{n-2} (2r+1) pbar_{3,r+2}(n)",
+            1,
+            lambda n_max: lambda n: statistics.rank_moment(2, n),
+            _row(partial(_odd_weighted_row, 2, 2, lambda r: [(1, "pbar", 3, r + 2, 0)])),
+            requires_enumeration=True,
+            notes="lhs: enumerated rank moment; rhs: recurrence-weighted sum",
+        ),
+        IdentityCheck(
+            "thm-3.8-crank",
+            "sum_m m^2 M(m,n) = 2 * sum_{r=0}^{n-1} (2r+1) pbar_{1,r+1}(n)",
+            1,
+            _row(lambda n_max: statistics.crank_moment_row(2, n_max)),
+            _row(partial(_odd_weighted_row, 2, 1, lambda r: [(1, "pbar", 1, r + 1, 0)])),
+            notes="lhs: crank series moment; rhs: recurrence-weighted sum",
+        ),
+        IdentityCheck(
+            "cor-3.9",
+            "spt(n) = sum_r (2r+1)[pbar_{1,r+1}(n) - pbar_{3,r+2}(n)] "
+            "= sum_r (2r+1)[p_{3,r+2}(n) - p_{1,r+1}(n)]",
+            1,
+            lambda n_max: lambda n: (statistics.spt_direct(n), statistics.spt_direct(n)),
+            _table(cor39_rhs),
+            requires_enumeration=True,
+            notes="lhs: direct smallest-part tally; rhs: recurrence-weighted sums",
+        ),
+        # -- congruence-class part counts --------------------------------------
+        IdentityCheck(
+            "thm-3.10-even",
+            "p_{2k,2k-i}(n) - pbar_{2k,i}(n) counts partitions into parts != 0, +-i (mod 2k) "
+            f"(k = 1..{CONGRUENCE_K_MAX}, 1 <= i <= 2k-1, i != k)",
+            0,
+            *_congruence_classes(even_cases),
+            notes="lhs: recurrence difference; rhs: restricted-part DP; "
+            "i = k excluded (the +-i classes coincide there)",
+        ),
+        IdentityCheck(
+            "thm-3.10-odd",
+            "p_{2k+1,2k+1-i}(n) - pbar_{2k+1,i}(n) counts partitions into parts != 0, +-i "
+            f"(mod 2k+1) (k = 1..{CONGRUENCE_K_MAX}, 1 <= i <= 2k)",
+            0,
+            *_congruence_classes(odd_cases),
+            notes="lhs: recurrence difference; rhs: restricted-part DP",
+        ),
+        IdentityCheck(
+            "psi-minus-q",
+            "p_{4,1}(n) - pbar_{4,3}(n) counts partitions into parts == 2 (mod 4)",
+            0,
+            _mex("recurrence", [(1, "p", 4, 1, 0), (-1, "pbar", 4, 3, 0)]),
+            _dp(ResidueCondition(4, frozenset({2}))),
+            notes="lhs: recurrence difference; rhs: restricted-part DP",
+        ),
+        # -- shifted identities, by recurrence and as series -------------------
+        IdentityCheck(
+            "thm-3.11",
+            "p_{2,3}(n) - p_{4,6}(n-1) counts partitions into parts == +-2, +-8, +-12, +-14 (mod 32)",
+            0,
+            _mex("recurrence", thm311),
+            _dp(ResidueCondition(32, mod32)),
+            notes="lhs: recurrence difference; rhs: restricted-part DP",
+        ),
+        IdentityCheck(
+            "thm-3.12",
+            "p_{2,3}(n) - p_{6,9}(n-2) counts partitions into parts == +-1, +-4, +-6, +-8, "
+            "+-10, +-11 (mod 24)",
+            0,
+            _mex("recurrence", thm312),
+            _dp(ResidueCondition(24, mod24)),
+            notes="lhs: recurrence difference; rhs: restricted-part DP",
+        ),
+        IdentityCheck(
+            "thm-3.13",
+            "p_{2,3}(n) - p_{10,15}(n-4) counts partitions into parts outside "
+            "0, +-3, +-4, +-7, +-10, +-13, +-17, 20 (mod 40) with extra distinct parts "
+            "== +-8, +-12 (mod 40)",
+            0,
+            _mex("recurrence", thm313),
+            _dp(mod40_excluded, mod40_distinct),
+            notes="lhs: recurrence difference; rhs: mixed distinct/unrestricted DP",
+        ),
+        IdentityCheck(
+            "thm-3.11-series",
+            "series form: F_{2,3}(q) - q*F_{4,6}(q) equals 1/prod(1-q^n) over "
+            "n == +-2, +-8, +-12, +-14 (mod 32)",
+            0,
+            _mex("series", thm311),
+            _series(lambda n_max: residue_product(ResidueCondition(32, mod32), n_max).invert()),
+            notes="lhs: theta-quotient rows; rhs: inverted congruence product",
+        ),
+        IdentityCheck(
+            "thm-3.12-series",
+            "series form: F_{2,3}(q) - q^2*F_{6,9}(q) equals 1/prod(1-q^n) over "
+            "n == +-1, +-4, +-6, +-8, +-10, +-11 (mod 24)",
+            0,
+            _mex("series", thm312),
+            _series(lambda n_max: residue_product(ResidueCondition(24, mod24), n_max).invert()),
+            notes="lhs: theta-quotient rows; rhs: inverted congruence product",
+        ),
+        IdentityCheck(
+            "thm-3.13-series",
+            "series form: F_{2,3}(q) - q^4*F_{10,15}(q) equals "
+            "prod(1+q^n)[n == +-8, +-12 (40)] / prod(1-q^n)[n not== 0, +-3, +-4, +-7, "
+            "+-10, +-13, +-17, 20 (40)]",
+            0,
+            _mex("series", thm313),
+            _series(
+                lambda n_max: residue_product(mod40_distinct, n_max)
+                * residue_product(mod40_excluded, n_max).invert()
+            ),
+            notes="lhs: theta-quotient rows; rhs: congruence-product quotient",
+        ),
+        # -- product/theta identities ------------------------------------------
+        IdentityCheck(
+            "thm-2.10a",
+            "prod(1-q^n) over n not== +-2, +-8, +-12, +-14 (mod 32) equals "
+            "sum_{n>=1} (-1)^n (q^{2n^2-1} - q^{n^2-1})",
+            0,
+            _series(lambda n: residue_product(ResidueCondition(32, mod32, mode="exclude"), n)),
+            _theta_difference(2, 1),
+            notes="lhs: congruence product; rhs: alternating theta difference",
+        ),
+        IdentityCheck(
+            "thm-2.10b",
+            "prod(1-q^n) over n not== +-1, +-4, +-6, +-8, +-10, +-11 (mod 24) equals "
+            "sum_{n>=1} (-1)^n (q^{3n^2-1} - q^{n^2-1})",
+            0,
+            _series(lambda n: residue_product(ResidueCondition(24, mod24, mode="exclude"), n)),
+            _theta_difference(3, 1),
+            notes="lhs: congruence product; rhs: alternating theta difference",
+        ),
         IdentityCheck(
             "thm-2.11",
             "prod(1-q^n)[n == 0, +-3 (10)] * prod(1-q^n)[n == +-4 (40)] * "
             "prod(1+q^n)[n == +-8 (20)] equals sum_{n>=1} (-1)^n (q^{5n^2-1} - q^{n^2-1})",
             0,
-            _series_eval(thm211_product),
-            _series_eval(theta_difference(5, 1)),
+            _series(thm211_product),
+            _theta_difference(5, 1),
             notes="lhs: three congruence products; rhs: alternating theta difference",
-        )
-    )
-
-    # -- classical series-engine identities -------------------------------------
-
-    add(
+        ),
+        # -- classical series-engine identities ----------------------------------
         IdentityCheck(
             "thm-2.1",
             "the pentagonal-number expansion of prod(1-q^n) matches the literal product",
             0,
-            _series_eval(euler_product),
-            _series_eval(
-                lambda n_max: residue_product(
-                    ResidueCondition(1, frozenset({0})), n_max
-                )
-            ),
+            _series(euler_product),
+            _series(lambda n: residue_product(ResidueCondition(1, frozenset({0})), n)),
             notes="lhs: pentagonal exponent table; rhs: factor-by-factor product",
-        )
-    )
-
-    jtp_odd_cases = [
-        (k, i) for k in range(1, JTP_K_MAX + 1) for i in range(1, 2 * k + 1)
-    ]
-    jtp_even_cases = [
-        (k, i) for k in range(1, JTP_K_MAX + 1) for i in range(1, 2 * k)
-    ]
-
-    add(
+        ),
         IdentityCheck(
             "thm-2.8",
             f"odd-modulus triple-product specialization: sum side = product side "
             f"(k = 1..{JTP_K_MAX}, 1 <= i <= 2k)",
             0,
-            _series_tuple_eval(
-                lambda n_max: [
-                    jtp_specialized(k, i, "odd", "sum", n_max) for k, i in jtp_odd_cases
-                ]
-            ),
-            _series_tuple_eval(
-                lambda n_max: [
-                    jtp_specialized(k, i, "odd", "product", n_max) for k, i in jtp_odd_cases
-                ]
-            ),
+            jtp("odd", "sum", jtp_odd),
+            jtp("odd", "product", jtp_odd),
             notes="lhs: bilateral theta sums; rhs: triple products",
-        )
-    )
-
-    add(
+        ),
         IdentityCheck(
             "jtp-even-lemma",
             f"even-modulus triple-product specialization: sum side = product side "
             f"(k = 1..{JTP_K_MAX}, 1 <= i <= 2k-1)",
             0,
-            _series_tuple_eval(
-                lambda n_max: [
-                    jtp_specialized(k, i, "even", "sum", n_max) for k, i in jtp_even_cases
-                ]
-            ),
-            _series_tuple_eval(
-                lambda n_max: [
-                    jtp_specialized(k, i, "even", "product", n_max) for k, i in jtp_even_cases
-                ]
-            ),
+            jtp("even", "sum", jtp_even),
+            jtp("even", "product", jtp_even),
             notes="lhs: bilateral theta sums; rhs: triple products",
-        )
-    )
-
-    cauchy_cases: list[tuple[int, bool]] = [
-        (j, False) for j in range(1, CAUCHY_T_EXPONENT_MAX + 1)
-    ] + [(1, True)]
-
-    def cauchy_lhs(n_max: int) -> list[TruncatedSeries]:
-        return [cauchy_sum_specialized(j, neg, n_max) for j, neg in cauchy_cases]
-
-    def cauchy_rhs(n_max: int) -> list[TruncatedSeries]:
-        out = []
-        for j, neg in cauchy_cases:
-            sign = "plus" if neg else "minus"
-            cond = ResidueCondition(1, frozenset({0}), sign=sign)
-            prod = residue_product(cond, n_max)
-            if j > 1:
-                # strip the factors below q^j: divide them back out
-                head = pochhammer_finite(j - 1, n_max)
-                prod = prod * head.invert()
-            out.append(prod.invert())
-        return out
-
-    add(
+        ),
         IdentityCheck(
             "thm-2.9",
             "sum_{n>=0} t^n/(q)_n = 1/((1-t)(1-tq)(1-tq^2)...) at t = q^j "
             f"(j = 1..{CAUCHY_T_EXPONENT_MAX}) and t = -q",
             0,
-            _series_tuple_eval(cauchy_lhs),
-            _series_tuple_eval(cauchy_rhs),
+            _series_each(
+                lambda n_max: [cauchy_sum_specialized(j, neg, n_max) for j, neg in cauchy_cases]
+            ),
+            _series_each(cauchy_rhs),
             notes="lhs: termwise sums with running 1/(q)_n; rhs: inverted products",
-        )
-    )
-
-    add(
+        ),
         IdentityCheck(
             "thm-2.4",
             "second rank moment generating series matches the enumerated moments",
             1,
-            _series_eval(second_rank_moment_series),
+            _series(second_rank_moment_series),
             lambda n_max: lambda n: statistics.rank_moment(2, n),
             requires_enumeration=True,
             notes="lhs: weighted theta quotient; rhs: enumerated rank histogram",
-        )
-    )
-
-    add(
+        ),
         IdentityCheck(
             "thm-2.5",
             "second crank moment generating series matches the enumerated moments (n >= 2)",
             2,
-            _series_eval(second_crank_moment_series),
+            _series(second_crank_moment_series),
             lambda n_max: lambda n: statistics.crank_moment_enumerated(2, n),
             requires_enumeration=True,
             notes="lhs: weighted theta quotient; rhs: enumerated crank histogram; "
             "n = 1 differs by the documented crank anomaly",
-        )
-    )
-
-    def rank_rows_eval(n_max: int) -> Evaluator:
-        rows = [rank_generating_series(m, n_max).coeffs for m in range(0, n_max + 1)]
-        return lambda n: tuple(rows[abs(m)][n] for m in range(-n, n + 1))
-
-    add(
+        ),
         IdentityCheck(
             "thm-2.2",
             "rank generating series N(m,n) matches enumerated rank counts for |m| <= n",
             1,
-            rank_rows_eval,
-            lambda n_max: lambda n: tuple(
-                statistics.rank_count(m, n) for m in range(-n, n + 1)
-            ),
+            _signed_counts(rank_generating_series),
+            lambda n_max: lambda n: tuple(statistics.rank_count(m, n) for m in range(-n, n + 1)),
             requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated rank histogram",
-        )
-    )
-
-    def crank_rows_eval(n_max: int) -> Evaluator:
-        rows = crank_rows(n_max)
-        return lambda n: tuple(rows[abs(m)][n] for m in range(-n, n + 1))
-
-    add(
+        ),
         IdentityCheck(
             "thm-2.3",
             "crank generating series M(m,n) matches enumerated crank counts for |m| <= n, n >= 2",
             2,
-            crank_rows_eval,
-            lambda n_max: lambda n: tuple(
-                statistics.crank_count(m, n) for m in range(-n, n + 1)
-            ),
+            _signed_counts(crank_generating_series),
+            lambda n_max: lambda n: tuple(statistics.crank_count(m, n) for m in range(-n, n + 1)),
             requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated crank histogram; "
             "n = 1 differs by the documented crank anomaly",
-        )
-    )
-
-    def pepo_rhs(n_max: int) -> Evaluator:
-        even, odd = partitions.parts_parity_counts(n_max)
-        return lambda n: (even[n], odd[n])
-
-    add(
+        ),
         IdentityCheck(
             "pe-po-genfun",
             "sum_j q^(2j)/(q)_(2j) and sum_j q^(2j+1)/(q)_(2j+1) generate p_e(n) and p_o(n)",
             0,
-            _series_tuple_eval(
-                lambda n_max: [
-                    parts_parity_series("even", n_max),
-                    parts_parity_series("odd", n_max),
-                ]
-            ),
-            pepo_rhs,
+            _series_each(lambda n: [parts_parity_series("even", n), parts_parity_series("odd", n)]),
+            _table(partitions.parts_parity_counts),
             notes="lhs: running 1/(q)_j sums; rhs: parity-tracking part DP",
-        )
-    )
-
-    # -- auxiliary relations ----------------------------------------------------
-
-    shift_pairs = [
-        (A, a)
-        for A in range(1, SHIFT_A_MAX + 1)
-        for a in range(A + 1, SWEEP_a_MAX + 1)
-    ]
-
-    def thm51_lhs(n_max: int) -> Evaluator:
-        return lambda n: tuple(_p_recurrence(A, a, n - (a - A)) for A, a in shift_pairs)
-
-    def thm51_rhs(n_max: int) -> Evaluator:
-        rows = {
-            (A, a): mexcount.pbar_mex_series(MexParams(A, a - A), n_max)
-            for A, a in shift_pairs
-        }
-        return lambda n: tuple(rows[pair][n] for pair in shift_pairs)
-
-    add(
+        ),
+        # -- auxiliary relations -------------------------------------------------
         IdentityCheck(
             "thm-5.1",
             "p_{A,a}(n-(a-A)) = pbar_{A,a-A}(n) for a > A "
             f"(A <= {SHIFT_A_MAX}, a <= {SWEEP_a_MAX})",
             0,
-            thm51_lhs,
-            thm51_rhs,
+            _mex_each("recurrence", [[(1, "p", A, a, a - A)] for A, a in shift_pairs]),
+            _mex_each("series", [[(1, "pbar", A, a - A, 0)] for A, a in shift_pairs]),
             notes="lhs: recurrence at shifted argument; rhs: generating-series rows",
-        )
-    )
-
-    add(
+        ),
         IdentityCheck(
             "cor-5.2",
             "p_{3,6}(n-3) counts the Garden-of-Eden partitions of n",
             1,
-            lambda n_max: lambda n: _p_recurrence(3, 6, n - 3),
+            _mex("recurrence", [(1, "p", 3, 6, 3)]),
             lambda n_max: statistics.goe_count,
             requires_enumeration=True,
             notes="lhs: recurrence at shifted argument; rhs: enumerated rank histogram",
-        )
-    )
-
-    add(
+        ),
         IdentityCheck(
             "thm-5.3",
             "p_{k,k}(k) = p_{k,k-1}(k) = p(k) - 1 for k >= 2 (checked at n = k)",
             2,
-            lambda n_max: lambda k: (_p_recurrence(k, k, k), _p_recurrence(k, k - 1, k)),
-            lambda n_max: lambda k: (
-                partitions.p_count(k) - 1,
-                partitions.p_count(k) - 1,
-            ),
+            lambda n_max: lambda k: (p_rec(k, k, k), p_rec(k, k - 1, k)),
+            lambda n_max: lambda k: (partitions.p_count(k) - 1, partitions.p_count(k) - 1),
             notes="lhs: recurrence; rhs: pentagonal p(k) minus one",
-        )
-    )
-
-    def thm54_lhs(n_max: int) -> Evaluator:
-        def ev(n: int):
-            second = _p_recurrence(3, n + 1, n) - _p_recurrence(1, n, n)
-            if n < 2:
-                return (second,)
-            first = _p_recurrence(3, n, n) - _p_recurrence(1, n - 1, n)
-            return (first, second)
-
-        return ev
-
-    add(
+        ),
         IdentityCheck(
             "thm-5.4",
             "p_{3,n}(n) - p_{1,n-1}(n) = 0 (n >= 2) and p_{3,n+1}(n) - p_{1,n}(n) = 1 (n >= 1)",
@@ -908,42 +685,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             thm54_lhs,
             lambda n_max: lambda n: (1,) if n < 2 else (0, 1),
             notes="lhs: recurrence differences; rhs: stated constants",
-        )
-    )
-
-    def lemma_pairs(n: int) -> list[tuple[int, int]]:
-        return [
-            (A, a)
-            for A in range(1, SWEEP_A_MAX + 1)
-            for a in range(n + 1, SWEEP_a_MAX + 1)
-        ]
-
-    def lemma_lhs(n_max: int) -> Evaluator:
-        p_rows = {
-            (A, a): mexcount.p_mex_series(MexParams(A, a), n_max)
-            for A in range(1, SWEEP_A_MAX + 1)
-            for a in range(1, SWEEP_a_MAX + 1)
-        }
-        pbar_rows = {
-            pair: mexcount.pbar_mex_series(MexParams(*pair), n_max) for pair in p_rows
-        }
-
-        def ev(n: int):
-            pairs = lemma_pairs(n)
-            return tuple(p_rows[pair][n] for pair in pairs) + tuple(
-                pbar_rows[pair][n] for pair in pairs
-            )
-
-        return ev
-
-    def lemma_rhs(n_max: int) -> Evaluator:
-        def ev(n: int):
-            pairs = lemma_pairs(n)
-            return (partitions.p_count(n),) * len(pairs) + (0,) * len(pairs)
-
-        return ev
-
-    add(
+        ),
         IdentityCheck(
             "lemma-a-gt-n",
             "p_{A,a}(n) = p(n) and pbar_{A,a}(n) = 0 whenever a > n "
@@ -952,8 +694,8 @@ def build_registry() -> dict[str, IdentityCheck]:
             lemma_lhs,
             lemma_rhs,
             notes="lhs: generating-series rows; rhs: pentagonal p(n) and zero",
-        )
-    )
+        ),
+    ]
 
     registry = {}
     for check in checks:

@@ -134,6 +134,39 @@ def p_count(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def count_parts_restricted_row(
+    n_max: int,
+    allowed: ResidueCondition,
+    distinct: ResidueCondition | None = None,
+) -> tuple[int, ...]:
+    """Restricted counts for n = 0..n_max from one DP pass.
+
+    Every part size admitted by ``allowed`` may repeat freely.  When
+    ``distinct`` is given, each part size it admits additionally contributes
+    an at-most-once factor (1 + q^m) on top of whatever ``allowed`` grants
+    it, i.e. entry n is the q^n coefficient of
+
+        prod_{allowed m} 1/(1-q^m) * prod_{distinct m} (1+q^m).
+
+    With disjoint conditions this is the plain "parts from ``distinct``
+    appear at most once" count.
+    """
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
+    ways = [0] * (n_max + 1)
+    ways[0] = 1
+    for part in range(1, n_max + 1):
+        if allowed.admits(part):
+            for j in range(part, n_max + 1):
+                ways[j] += ways[j - part]
+    if distinct is not None:
+        for part in range(1, n_max + 1):
+            if distinct.admits(part):
+                for j in range(n_max, part - 1, -1):
+                    ways[j] += ways[j - part]
+    return tuple(ways)
+
+
 def count_parts_restricted(
     n: int,
     allowed: ResidueCondition,
@@ -141,30 +174,10 @@ def count_parts_restricted(
 ) -> int:
     """Partitions of n whose parts satisfy ``allowed``, with optional distinct marks.
 
-    Every part size admitted by ``allowed`` may repeat freely.  When
-    ``distinct`` is given, each part size it admits additionally contributes
-    an at-most-once factor (1 + q^m) on top of whatever ``allowed`` grants
-    it, i.e. the count expands
-
-        prod_{allowed m} 1/(1-q^m) * prod_{distinct m} (1+q^m).
-
-    With disjoint conditions this is the plain "parts from ``distinct``
-    appear at most once" count.
+    Entry n of :func:`count_parts_restricted_row`; the DP fills the whole
+    row anyway, so read it there when many n are needed.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for part in range(1, n + 1):
-        if allowed.admits(part):
-            for j in range(part, n + 1):
-                ways[j] += ways[j - part]
-    if distinct is not None:
-        for part in range(1, n + 1):
-            if distinct.admits(part):
-                for j in range(n, part - 1, -1):
-                    ways[j] += ways[j - part]
-    return ways[n]
+    return count_parts_restricted_row(n, allowed, distinct)[n]
 
 
 # ---------------------------------------------------------------------------

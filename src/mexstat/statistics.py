@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 from . import partitions
 from .series import crank_generating_series, rank_generating_series
@@ -72,7 +72,11 @@ def crank(parts: Iterable[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _stat_census(n: int) -> tuple[dict[int, int], dict[int, int], int]:
-    # returns (rank histogram, crank histogram, spt total)
+    # returns (rank histogram, crank histogram, spt total); every
+    # combinatorial aggregate comes through here, so the n range is checked here
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    partitions._check_enumeration_cap(n, None)
     rank_hist: dict[int, int] = {}
     crank_hist: dict[int, int] = {}
     spt_total = 0
@@ -93,18 +97,49 @@ def _stat_census(n: int) -> tuple[dict[int, int], dict[int, int], int]:
 
 def rank_histogram(n: int) -> dict[int, int]:
     """Map rank value -> number of partitions of n with that rank."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    partitions._check_enumeration_cap(n, None)
     return dict(_stat_census(n)[0])
 
 
 def crank_histogram(n: int) -> dict[int, int]:
     """Map crank value -> number of partitions of n with that crank."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    partitions._check_enumeration_cap(n, None)
     return dict(_stat_census(n)[1])
+
+
+# ---------------------------------------------------------------------------
+# series crank aggregates: one row over n = 0..n_max from the M(m, .) series
+# ---------------------------------------------------------------------------
+
+
+def _crank_series_row(n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
+    # entry n is sum over m in [-n, n] of weight(m) * M(m, n); M(-m, n) = M(m, n),
+    # so the pair +-m contributes (weight(m) + weight(-m)) * M(m, n) for n >= m
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
+    out = [0] * (n_max + 1)
+    for m in range(n_max + 1):
+        w = weight(m) + weight(-m) if m else weight(0)
+        if w:
+            row = crank_generating_series(m, n_max).coeffs
+            for n in range(m, n_max + 1):
+                out[n] += w * row[n]
+    return tuple(out)
+
+
+def crank_moment_row(k: int, n_max: int) -> tuple[int, ...]:
+    """Series crank moments sum_m m^k M(m, n) for n = 0..n_max."""
+    if not 0 <= k <= MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
+    return _crank_series_row(n_max, lambda m: m**k)
+
+
+def crank_count_at_least_row(j: int, n_max: int) -> tuple[int, ...]:
+    """Series counts of partitions of n with crank >= j, for n = 0..n_max."""
+    return _crank_series_row(n_max, lambda m: m >= j)
+
+
+def crank_count_below_row(j: int, n_max: int) -> tuple[int, ...]:
+    """Series counts of partitions of n with crank < j, for n = 0..n_max."""
+    return _crank_series_row(n_max, lambda m: m < j)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +150,6 @@ def crank_histogram(n: int) -> dict[int, int]:
 def rank_count(m: int, n: int, method: Method = "combinatorial") -> int:
     """N(m, n): partitions of n with rank exactly m."""
     if method == "combinatorial":
-        if n < 1:
-            raise ValueError("combinatorial rank counts need n >= 1")
-        partitions._check_enumeration_cap(n, None)
         return _stat_census(n)[0].get(m, 0)
     if method == "series":
         if n < 0:
@@ -133,9 +165,6 @@ def crank_count(m: int, n: int, method: Method = "combinatorial") -> int:
     (-1, 1, 1) at m = (0, +-1) while the per-partition crank of [1] is -1.
     """
     if method == "combinatorial":
-        if n < 1:
-            raise ValueError("combinatorial crank counts need n >= 1")
-        partitions._check_enumeration_cap(n, None)
         return _stat_census(n)[1].get(m, 0)
     if method == "series":
         if n < 0:
@@ -157,21 +186,16 @@ def rank_count_below(j: int, n: int) -> int:
 
 
 def crank_count_at_least(j: int, n: int, method: Method = "series") -> int:
-    """Partitions of n with crank >= j.
-
-    The crank of a partition of n lies in [-n, n], so the sum is finite.
-    """
-    if j < -n:
-        j = -n
+    """Partitions of n with crank >= j (entry n of :func:`crank_count_at_least_row`)."""
     if method == "series":
-        return sum(crank_count(m, n, "series") for m in range(j, n + 1))
+        return crank_count_at_least_row(j, n)[n]
     return sum(c for m, c in _stat_census(n)[1].items() if m >= j)
 
 
 def crank_count_below(j: int, n: int, method: Method = "series") -> int:
-    """Partitions of n with crank < j."""
+    """Partitions of n with crank < j (entry n of :func:`crank_count_below_row`)."""
     if method == "series":
-        return sum(crank_count(m, n, "series") for m in range(-n, min(j, n + 1)))
+        return crank_count_below_row(j, n)[n]
     return sum(c for m, c in _stat_census(n)[1].items() if m < j)
 
 
@@ -184,8 +208,6 @@ def rank_moment(k: int, n: int) -> int:
     """k-th rank moment: sum over m of m^k N(m, n)."""
     if not 0 <= k <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     return sum(m**k * c for m, c in _stat_census(n)[0].items())
 
 
@@ -196,43 +218,26 @@ def crank_moment(k: int, n: int) -> int:
     n = 1 (e.g. the second moment equals 2*n*p(n) for all n >= 1).  For
     n >= 2 it coincides with the enumerated distribution; see
     :func:`crank_moment_enumerated` for the per-partition version.
+    Entry n of :func:`crank_moment_row`.
     """
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    total = 0
-    for m in range(0, n + 1):
-        cnt = crank_generating_series(m, n).coeff(n)
-        if cnt:
-            if m == 0:
-                total += (m**k) * cnt
-            elif k % 2 == 0:
-                total += 2 * (m**k) * cnt
-            # odd k: m^k + (-m)^k cancels
-    return total
+    return crank_moment_row(k, n)[n]
 
 
 def crank_moment_enumerated(k: int, n: int) -> int:
     """k-th crank moment over the enumerated (per-partition) distribution."""
     if not 0 <= k <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
     return sum(m**k * c for m, c in _stat_census(n)[1].items())
 
 
 def spt_direct(n: int) -> int:
     """Total appearances of the smallest part over all partitions of n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    partitions._check_enumeration_cap(n, None)
     return _stat_census(n)[2]
 
 
 def goe_count(n: int) -> int:
     """Partitions of n with rank <= -2 (Garden-of-Eden partitions)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     hist = _stat_census(n)[0]
     return sum(c for m, c in hist.items() if m <= -2)

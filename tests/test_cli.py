@@ -1,6 +1,8 @@
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,57 @@ class TestCompute:
         )
         assert code == 0
         assert "= 20" in out
+
+
+class DeadlinePassed(BaseException):
+    """Raised by SIGALRM; a BaseException so the CLI's error handling lets it through."""
+
+
+class TestOverLimitInputs:
+    """Inputs past a documented cap exit 2 at once instead of running unbounded.
+
+    A SIGALRM deadline stops the call if a cap goes missing, so a regression
+    fails in half a second instead of running the over-limit input.
+    """
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        def expire(signum, frame):
+            raise DeadlinePassed
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "goe", "--n", "120"],
+            ["compute", "moment", "--stat", "rank", "--k", "2", "--n", "120"],
+            ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "300000"],
+            ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "5000"],
+            ["compute", "pbar_aa", "--A", "2", "--a", "3", "--n", "2001", "--method", "series"],
+        ],
+    )
+    def test_rejected_fast(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("MEXSTAT_MAX_PRECISION", raising=False)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert time.perf_counter() - start < 0.5
+        assert "cap" in err
+
+    def test_series_route_follows_the_precision_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("MEXSTAT_MAX_PRECISION", "80")
+        argv = ["compute", "p_aa", "--A", "2", "--a", "3", "--n"]
+        code, out, _ = run_cli(capsys, *argv, "80")
+        assert code == 0 and "method: series" in out
+        code, _, err = run_cli(capsys, *argv, "81")
+        assert code == 2 and "cap 80" in err
 
 
 class TestTables:

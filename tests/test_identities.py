@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,17 @@ class TestVerify:
         b = verify("cor-3.9", 12)
         assert a.to_json_dict()["failures"] == b.to_json_dict()["failures"]
         assert a.status == b.status == "pass"
+
+
+def test_catalog_matches_golden():
+    # list_identities() and verify_all(12, 60) without timings, recorded
+    # before the catalog was declared over row evaluators
+    golden = json.loads((Path(__file__).parent / "golden" / "catalog.json").read_text())
+    reports = [r.to_json_dict() for r in verify_all(12, 60)]
+    for record in reports:
+        del record["elapsed_ms"]
+    assert list_identities() == golden["catalog"]
+    assert reports == golden["reports"]
 
 
 class TestReportSerialization:

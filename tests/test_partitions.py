@@ -1,3 +1,6 @@
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from mexstat.partitions import (
     as_partition,
     ascending_partitions,
     count_parts_restricted,
+    count_parts_restricted_row,
     enumerate_partitions,
     p_count,
     p_even_parts,
@@ -171,3 +175,51 @@ class TestCanonicalization:
 @settings(max_examples=30, deadline=None)
 def test_enumeration_count_matches_p(n):
     assert sum(1 for _ in enumerate_partitions(n)) == p_count(n)
+
+
+@lru_cache(maxsize=None)
+def _partitions_of(n):
+    return tuple(enumerate_partitions(n))
+
+
+def _literal_restricted_count(n, allowed, distinct):
+    # a part size used k times counts once for each way to write k as
+    # (free copies, allowed only) + (at most one marked copy, distinct only)
+    marks = (0, 1) if distinct is not None else (0,)
+    total = 0
+    for parts in _partitions_of(n):
+        ways = 1
+        for part, k in Counter(parts).items():
+            ways *= sum(
+                1
+                for e in marks
+                if k >= e
+                and (e == 0 or distinct.admits(part))
+                and (k == e or allowed.admits(part))
+            )
+        total += ways
+    return total
+
+
+residue_conditions = st.builds(
+    lambda modulus, residues, mode: ResidueCondition(
+        modulus, frozenset(r % modulus for r in residues), mode=mode
+    ),
+    st.integers(min_value=1, max_value=8),
+    st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=4),
+    st.sampled_from(["include", "exclude"]),
+)
+
+
+@given(
+    allowed=residue_conditions,
+    distinct=st.none() | residue_conditions,
+    n_max=st.integers(min_value=0, max_value=25),
+)
+@settings(max_examples=40, deadline=None)
+def test_restricted_row_matches_literal_count(allowed, distinct, n_max):
+    row = count_parts_restricted_row(n_max, allowed, distinct)
+    assert len(row) == n_max + 1
+    for n in range(n_max + 1):
+        assert row[n] == _literal_restricted_count(n, allowed, distinct)
+        assert count_parts_restricted(n, allowed, distinct) == row[n]

@@ -1,13 +1,17 @@
 import pytest
 
-from mexstat.partitions import enumerate_partitions, p_count
+from mexstat.partitions import CapacityError, enumerate_partitions, p_count
 from mexstat.statistics import (
     MexParams,
     crank,
     crank_count,
     crank_count_at_least,
+    crank_count_at_least_row,
+    crank_count_below,
+    crank_count_below_row,
     crank_histogram,
     crank_moment,
+    crank_moment_row,
     crank_moment_enumerated,
     goe_count,
     mex,
@@ -111,6 +115,24 @@ class TestCrankCounts:
             for m in range(0, n + 1):
                 assert crank_count(m, n) == crank_count(-m, n)
 
+    def test_rows_match_per_n_series_sums(self):
+        # the per-n sums over M(m, n) from the series, for each n separately
+        n_max = 40
+        for j in range(-3, 6):
+            at_least = crank_count_at_least_row(j, n_max)
+            below = crank_count_below_row(j, n_max)
+            for n in range(n_max + 1):
+                series = [crank_count(m, n, "series") for m in range(-n, n + 1)]
+                assert at_least[n] == sum(series[max(j, -n) + n :])
+                assert below[n] == sum(series[: max(min(j, n + 1) + n, 0)])
+                assert crank_count_at_least(j, n) == at_least[n]
+                assert crank_count_below(j, n) == below[n]
+        for k in range(0, 5):
+            row = crank_moment_row(k, n_max)
+            for n in range(1, n_max + 1):
+                expected = sum(m**k * crank_count(m, n, "series") for m in range(-n, n + 1))
+                assert row[n] == expected == crank_moment(k, n)
+
     def test_at_least_series(self):
         # crank >= 2 column for n = 1..8
         got = [crank_count_at_least(2, n) for n in range(1, 9)]
@@ -169,9 +191,41 @@ class TestSptGoe:
             assert goe_count(n) == tail
 
     def test_preconditions(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                rank_count_at_least(0, n)
+            with pytest.raises(ValueError):
+                rank_count_below(0, n)
+            with pytest.raises(ValueError):
+                crank_count_at_least(0, n, "combinatorial")
+            with pytest.raises(ValueError):
+                crank_count_below(0, n, "combinatorial")
+            with pytest.raises(ValueError):
+                crank_moment_enumerated(2, n)
         with pytest.raises(ValueError):
             spt_direct(0)
         with pytest.raises(ValueError):
             goe_count(0)
         with pytest.raises(ValueError):
             rank_histogram(0)
+
+
+def test_every_combinatorial_aggregate_honours_the_enumeration_cap():
+    n = 71
+    calls = [
+        lambda: rank_histogram(n),
+        lambda: crank_histogram(n),
+        lambda: rank_count(0, n),
+        lambda: crank_count(0, n),
+        lambda: rank_count_at_least(0, n),
+        lambda: rank_count_below(0, n),
+        lambda: crank_count_at_least(0, n, "combinatorial"),
+        lambda: crank_count_below(0, n, "combinatorial"),
+        lambda: rank_moment(2, n),
+        lambda: crank_moment_enumerated(2, n),
+        lambda: spt_direct(n),
+        lambda: goe_count(n),
+    ]
+    for call in calls:
+        with pytest.raises(CapacityError):
+            call()
