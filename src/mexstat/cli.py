@@ -126,6 +126,8 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
         method = args.method or "combinatorial"
         if method not in ("combinatorial", "series"):
             raise ValueError(f"method for {kind} must be 'combinatorial' or 'series'")
+        if method == "series":
+            _check_precision(args.n)
         fn = statistics.rank_count if kind == "N" else statistics.crank_count
         return f"{kind}({args.m},{args.n})", str(fn(args.m, args.n, method)), method
     if kind == "moment":
@@ -134,6 +136,7 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
             value = statistics.rank_moment(args.k, args.n)
             method_name = "enumerated distribution"
         elif args.stat == "crank":
+            _check_precision(args.n)
             value = statistics.crank_moment(args.k, args.n)
             method_name = "series distribution"
         else:
@@ -255,10 +258,14 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    n_series = args.max_n_series if args.max_n_series is not None else args.max_n
     if args.check_id == "all":
+        n_series = args.max_n_series if args.max_n_series is not None else args.max_n
+        _check_precision(n_series)
         reports = identities.verify_all(args.max_n, n_series)
     else:
+        check = identities.REGISTRY.get(args.check_id)
+        if check is not None and not check.requires_enumeration:
+            _check_precision(args.max_n)
         reports = [identities.verify(args.check_id, args.max_n)]
 
     if args.format == "json":

@@ -9,11 +9,11 @@ them separately from pure series checks.
 Each side of a check is an evaluator factory.  ``make_lhs(n_max)`` builds
 every row the side needs for n = 0..n_max once -- generating-series rows,
 restricted-part DP rows, recurrence values tabulated over the range -- and
-returns an evaluator that only looks values up in them; sides backed by
-partition enumeration read the per-n census, which is cached.  The catalog
-in :func:`build_registry` is a declaration over a few family helpers:
-signed shifted mex terms (:data:`Term`) by series or recurrence,
-restricted-part DP rows, series rows and grid sweeps.
+returns an evaluator that only looks values up in them; the enumerated
+mex side reads the rows of one support census.  The catalog in
+:func:`build_registry` is a declaration over a few family helpers: signed
+shifted mex terms (:data:`Term`) by series or recurrence, restricted-part
+DP rows, series rows and grid sweeps.
 """
 
 from __future__ import annotations
@@ -273,13 +273,6 @@ def build_registry() -> dict[str, IdentityCheck]:
     thm312 = [(1, "p", 2, 3, 0), (-1, "p", 6, 9, 2)]
     thm313 = [(1, "p", 2, 3, 0), (-1, "p", 10, 15, 4)]
 
-    def thm32_enum(n_max: int) -> Evaluator:
-        def ev(n: int):
-            census = mexcount.mex_census(n, SWEEP_a_MAX, SWEEP_A_MAX)
-            return tuple(census[pair][0] for pair in grid)
-
-        return ev
-
     def cor37_rhs(n_max: int) -> list[list[int]]:
         at_least = [statistics.crank_count_at_least_row(j, n_max) for j in crank_js]
         return [[partitions.p_count(n) - c for n, c in enumerate(row)] for row in at_least]
@@ -351,7 +344,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "p_{A,a}(n) recurrence over shifted p(n) agrees with direct enumeration "
             f"(A <= {SWEEP_A_MAX}, a <= {SWEEP_a_MAX})",
             0,
-            thm32_enum,
+            _table(lambda n_max: [p for p, _ in mexcount.mex_census_rows(n_max, grid).values()]),
             _mex_each("recurrence", [[(1, "p", A, a, 0)] for A, a in grid]),
             requires_enumeration=True,
             notes="lhs: enumeration census; rhs: recurrence",

@@ -4,7 +4,9 @@ p_{A,a}(n) counts partitions whose mex over the progression a, a+A, ... is
 congruent to a mod 2A; pbar_{A,a}(n) counts those congruent to A+a mod 2A.
 Together they exhaust p(n).  Three independent routes are provided:
 
-* enumeration  - walk every partition and test the mex class directly;
+* enumeration  - walk every distinct-part support S once, carrying the
+                 number of partitions of each n with exactly that support,
+                 and test the mex class of S directly;
 * series       - expand 1/(q)_inf times an alternating theta numerator;
 * recurrence   - fold shifted partition numbers p(n - offset) with the
                  memoized pentagonal table.
@@ -13,9 +15,10 @@ Together they exhaust p(n).  Three independent routes are provided:
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 from . import partitions
-from .series import alternating_theta, partition_generating_series
+from .series import ResidueCondition, alternating_theta, partition_generating_series
 from .statistics import MexParams
 
 
@@ -74,42 +77,73 @@ def pbar_mex_recurrence(params: MexParams, n: int) -> int:
     return partitions.p_count(n) - p_mex_recurrence(params, n)
 
 
-def _enum_pair(params: MexParams, n: int, cap: int | None) -> tuple[int, int]:
-    if n < 0:
+def mex_census_rows(
+    n_max: int, pairs: Iterable[tuple[int, int]]
+) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Rows (p_{A,a}(0..n_max), pbar_{A,a}(0..n_max)) for every (A, a) in ``pairs``.
+
+    A restricted mex depends only on the support S of a partition (its set
+    of distinct parts).  A depth-first walk visits every S with
+    sum(S) <= n_max once, carrying the number of partitions of each n with
+    support exactly S in one int with a fixed-width slot per n; adding part
+    s is one multiply by the packed q^s/(1-q^s).  Each S is classified once
+    per pair by walking a, a+A, ... through it; an odd run goes to pbar.
+    The slot width comes from the restricted-part DP value p(n_max), so
+    the pentagonal p(n) stays an independent route.  ``n_max`` is not
+    capped here; the per-n counters below apply the enumeration cap.
+    """
+    if n_max < 0:
         raise ValueError("n must be non-negative")
-    partitions._check_enumeration_cap(n, cap)
-    if n == 0:
-        return 1, 0
-    A, a = params.A, params.a
-    in_p = 0
-    in_pbar = 0
-    # probe positions never exceed n + A (first candidate past the largest part wins)
-    present = bytearray(n + A + a + 2)
-    for parts in partitions.ascending_partitions(n):
-        for x in parts:
-            present[x] = 1
-        c = a
-        run = 0
-        while present[c]:
-            c += A
-            run ^= 1
-        if run:
-            in_pbar += 1
-        else:
-            in_p += 1
-        for x in parts:
-            present[x] = 0
-    return in_p, in_pbar
+    pairs = list(dict.fromkeys(pairs))
+    if any(A < 1 or a < 1 for A, a in pairs):
+        raise ValueError("A and a must be positive integers")
+    every_part = ResidueCondition(1, frozenset({0}))
+    width = partitions.count_parts_restricted_row(n_max, every_part)[-1].bit_length()
+    mask = (1 << width * (n_max + 1)) - 1
+    # step[s] is q^s/(1-q^s) = q^s + q^2s + ... packed, truncated at q^n_max
+    step = [0] + [
+        sum(1 << width * k for k in range(s, n_max + 1, s)) for s in range(1, n_max + 1)
+    ]
+    # a probe stops at the first absent position: a itself, or at most max(S) + A
+    present = bytearray(n_max + max((A + a for A, a in pairs), default=0) + 1)
+    total = 0
+    odd = dict.fromkeys(pairs, 0)
+
+    def visit(counts: int, smallest: int) -> None:
+        nonlocal total
+        total += counts
+        for pair in pairs:
+            A, c = pair
+            run = 0
+            while present[c]:
+                c += A
+                run ^= 1
+            if run:
+                odd[pair] += counts
+        for s in range(smallest, n_max + 1):
+            grown = counts * step[s] & mask
+            if not grown:  # sum(S) + s > n_max, and so for every larger s
+                break
+            present[s] = 1
+            visit(grown, s + 1)
+            present[s] = 0
+
+    visit(1, 1)
+    slot = (1 << width) - 1
+    unpack = lambda packed: tuple(packed >> width * n & slot for n in range(n_max + 1))
+    return {pair: (unpack(total - odd[pair]), unpack(odd[pair])) for pair in pairs}
 
 
 def p_mex_enum(params: MexParams, n: int, *, cap: int | None = None) -> int:
-    """p_{A,a}(n) by enumerating the partitions of n and classifying each mex."""
-    return _enum_pair(params, n, cap)[0]
+    """p_{A,a}(n) by classifying the mex of every partition of n (support census)."""
+    partitions._check_enumeration_cap(n, cap)
+    return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][0][n]
 
 
 def pbar_mex_enum(params: MexParams, n: int, *, cap: int | None = None) -> int:
-    """pbar_{A,a}(n) by enumeration."""
-    return _enum_pair(params, n, cap)[1]
+    """pbar_{A,a}(n) by enumeration (support census)."""
+    partitions._check_enumeration_cap(n, cap)
+    return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][1][n]
 
 
 @lru_cache(maxsize=None)
@@ -118,44 +152,9 @@ def mex_census(
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Enumeration tallies (p_{A,a}(n), pbar_{A,a}(n)) for every A <= big_a_max, a <= a_max.
 
-    One pass over the partitions of n covers the whole parameter grid; the
-    dominant cost is the enumeration itself, so sweeping many (A, a) pairs
-    at once is far cheaper than repeated single-pair scans.
+    Entry n of :func:`mex_census_rows` over the whole grid: one support walk
+    covers every (A, a) pair.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     partitions._check_enumeration_cap(n, cap)
-    if n == 0:
-        return {(A, a): (1, 0) for A in range(1, big_a_max + 1) for a in range(1, a_max + 1)}
-
-    odd_runs = [[0] * (big_a_max + 1) for _ in range(a_max + 1)]
-    total = 0
-    present = bytearray(n + big_a_max + a_max + 2)
-    a_range = range(1, a_max + 1)
-    big_a_range = range(1, big_a_max + 1)
-    for parts in partitions.ascending_partitions(n):
-        total += 1
-        for x in parts:
-            present[x] = 1
-        for a in a_range:
-            if present[a]:
-                row = odd_runs[a]
-                for A in big_a_range:
-                    c = a + A
-                    run = 1
-                    while present[c]:
-                        c += A
-                        run ^= 1
-                    if run:
-                        row[A] += 1
-            # absent base: mex is a itself, an even (zero-length) run
-        for x in parts:
-            present[x] = 0
-
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in a_range:
-        row = odd_runs[a]
-        for A in big_a_range:
-            bar = row[A]
-            out[(A, a)] = (total - bar, bar)
-    return out
+    grid = [(A, a) for a in range(1, a_max + 1) for A in range(1, big_a_max + 1)]
+    return {pair: (p[n], pbar[n]) for pair, (p, pbar) in mex_census_rows(n, grid).items()}

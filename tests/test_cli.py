@@ -110,6 +110,11 @@ class TestOverLimitInputs:
             ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "300000"],
             ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "5000"],
             ["compute", "pbar_aa", "--A", "2", "--a", "3", "--n", "2001", "--method", "series"],
+            ["compute", "M", "--m", "0", "--method", "series", "--n", "3000"],
+            ["compute", "N", "--m", "0", "--method", "series", "--n", "2500"],
+            ["compute", "moment", "--stat", "crank", "--k", "2", "--n", "2001"],
+            ["verify", "thm-2.1", "--max-n", "300000"],
+            ["verify", "all", "--max-n", "6", "--max-n-series", "300000"],
         ],
     )
     def test_rejected_fast(self, capsys, monkeypatch, argv):

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexstat import mexcount, partitions, series
 from mexstat.mexcount import (
     mex_census,
+    mex_census_rows,
     p_mex_enum,
     p_mex_recurrence,
     p_mex_series,
@@ -11,8 +13,8 @@ from mexstat.mexcount import (
     pbar_mex_recurrence,
     pbar_mex_series,
 )
-from mexstat.partitions import CapacityError, p_count
-from mexstat.statistics import MexParams
+from mexstat.partitions import CapacityError, enumerate_partitions, p_count
+from mexstat.statistics import MexParams, mex
 
 
 class TestEnumeration:
@@ -108,3 +110,47 @@ class TestAgreement:
 def test_series_equals_enumeration(A, a, n):
     params = MexParams(A, a)
     assert p_mex_series(params, n)[n] == p_mex_enum(params, n)
+
+
+@given(
+    A=st.integers(min_value=1, max_value=6),
+    a=st.integers(min_value=1, max_value=9),
+    n=st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_census_matches_literal_mex_count(A, a, n):
+    # the per-partition oracle: classify the mex of every partition of n
+    params = MexParams(A, a)
+    mexes = [mex(parts, params) for parts in enumerate_partitions(n)]
+    p = sum(1 for m in mexes if m % (2 * A) == a % (2 * A))
+    pbar = sum(1 for m in mexes if m % (2 * A) == (A + a) % (2 * A))
+    assert p + pbar == len(mexes)
+    assert p_mex_enum(params, n) == p
+    assert pbar_mex_enum(params, n) == pbar
+    assert mex_census(n, 9, 6)[(A, a)] == (p, pbar)
+
+
+def test_census_rows_read_neither_pentagonal_table_nor_series(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the support census must not use this route")
+
+    monkeypatch.setattr(partitions, "p_count", forbidden)
+    monkeypatch.setattr(mexcount, "partition_generating_series", forbidden)
+    monkeypatch.setattr(mexcount, "alternating_theta", forbidden)
+    monkeypatch.setattr(series.TruncatedSeries, "__init__", forbidden)
+    grid = [(A, a) for A in range(1, 7) for a in range(1, 10)]
+    rows = mex_census_rows(20, grid)
+    monkeypatch.undo()
+    for (A, a), (p_row, pbar_row) in rows.items():
+        params = MexParams(A, a)
+        assert list(p_row) == [p_mex_recurrence(params, n) for n in range(21)]
+        assert [p + pb for p, pb in zip(p_row, pbar_row)] == [p_count(n) for n in range(21)]
+
+
+def test_census_rows_pair_handling():
+    assert mex_census_rows(6, [(2, 3), (2, 3)]) == mex_census_rows(6, [(2, 3)])
+    assert mex_census_rows(0, [(1, 1)]) == {(1, 1): ((1,), (0,))}
+    with pytest.raises(ValueError):
+        mex_census_rows(5, [(0, 1)])
+    with pytest.raises(ValueError):
+        mex_census_rows(-1, [(1, 1)])
