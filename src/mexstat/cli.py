@@ -10,11 +10,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import identities, mexcount, partitions, statistics, tables
-from .partitions import CapacityError
+from .limits import ENUMERATION_CAP, CapacityError, check_precision
 from .series import (
     ResidueCondition,
     TruncatedSeries,
@@ -24,31 +23,6 @@ from .series import (
     residue_product,
 )
 from .statistics import MexParams
-
-DEFAULT_PRECISION_CAP = 2000
-PRECISION_CAP_ENV = "MEXSTAT_MAX_PRECISION"
-
-
-def _precision_cap() -> int:
-    raw = os.environ.get(PRECISION_CAP_ENV)
-    if raw is None:
-        return DEFAULT_PRECISION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{PRECISION_CAP_ENV} must be an integer, got {raw!r}")
-    if cap < 0:
-        raise ValueError(f"{PRECISION_CAP_ENV} must be non-negative")
-    return cap
-
-
-def _check_precision(precision: int) -> None:
-    cap = _precision_cap()
-    if precision > cap:
-        raise CapacityError(
-            f"series precision {precision} exceeds the cap {cap} (set {PRECISION_CAP_ENV})"
-        )
-
 
 def _parse_partition(text: str) -> tuple[int, ...]:
     try:
@@ -82,7 +56,7 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
     if kind in ("p_aa", "pbar_aa"):
         _require(args, ["A", "a", "n"], kind)
         params = MexParams(args.A, args.a)
-        method = args.method or ("enum" if args.n <= partitions.ENUMERATION_CAP else "series")
+        method = args.method or ("enum" if args.n <= ENUMERATION_CAP else "series")
         barred = kind == "pbar_aa"
         if method == "enum":
             value = (mexcount.pbar_mex_enum if barred else mexcount.p_mex_enum)(params, args.n)
@@ -90,7 +64,7 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
         elif method == "series":
             if args.n < 0:
                 raise ValueError("n must be non-negative for the series method")
-            _check_precision(args.n)
+            check_precision(args.n)
             row = (mexcount.pbar_mex_series if barred else mexcount.p_mex_series)(params, args.n)
             value = row[args.n]
             method_name = "series"
@@ -127,7 +101,7 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
         if method not in ("combinatorial", "series"):
             raise ValueError(f"method for {kind} must be 'combinatorial' or 'series'")
         if method == "series":
-            _check_precision(args.n)
+            check_precision(args.n)
         fn = statistics.rank_count if kind == "N" else statistics.crank_count
         return f"{kind}({args.m},{args.n})", str(fn(args.m, args.n, method)), method
     if kind == "moment":
@@ -136,7 +110,7 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
             value = statistics.rank_moment(args.k, args.n)
             method_name = "enumerated distribution"
         elif args.stat == "crank":
-            _check_precision(args.n)
+            check_precision(args.n)
             value = statistics.crank_moment(args.k, args.n)
             method_name = "series distribution"
         else:
@@ -183,7 +157,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _build_series(args: argparse.Namespace) -> tuple[str, TruncatedSeries]:
     precision = args.precision
-    _check_precision(precision)
+    check_precision(precision)
     if precision < 0:
         raise ValueError("precision must be non-negative")
     expr = args.expr
@@ -212,15 +186,7 @@ def _build_series(args: argparse.Namespace) -> tuple[str, TruncatedSeries]:
         coeffs = _parse_int_list(args.quadratic, "quadratic")
         if len(coeffs) != 3:
             raise ValueError("--quadratic needs exactly three integers P,Q,R")
-        p2, p1, p0 = coeffs
-
-        def exponent(n: int) -> int:
-            num = p2 * n * n + p1 * n + p0
-            if num % 2:
-                raise ValueError(f"(P*n^2+Q*n+R)/2 is not an integer at n={n}")
-            return num // 2
-
-        return "theta", alternating_theta(exponent, args.n_start, precision)
+        return "theta", alternating_theta(tuple(coeffs), args.n_start, precision)
     if expr == "jtp":
         _require(args, ["k", "i"], expr)
         return (
@@ -260,12 +226,12 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.check_id == "all":
         n_series = args.max_n_series if args.max_n_series is not None else args.max_n
-        _check_precision(n_series)
+        check_precision(n_series)
         reports = identities.verify_all(args.max_n, n_series)
     else:
         check = identities.REGISTRY.get(args.check_id)
         if check is not None and not check.requires_enumeration:
-            _check_precision(args.max_n)
+            check_precision(args.max_n)
         reports = [identities.verify(args.check_id, args.max_n)]
 
     if args.format == "json":

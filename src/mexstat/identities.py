@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
-from . import mexcount, partitions, statistics
-from .partitions import CapacityError
+from . import limits, mexcount, partitions, statistics
 from .series import (
     ResidueCondition,
     TruncatedSeries,
@@ -217,8 +216,8 @@ def _signed_counts(count_series: Callable[[int, int], TruncatedSeries]) -> Evalu
 def _theta_difference(c2: int, c1: int) -> EvaluatorFactory:
     # sum_{n>=1} (-1)^n (q^(c2*n^2-1) - q^(c1*n^2-1))
     return _series(
-        lambda n_max: alternating_theta(lambda n: c2 * n * n - 1, 1, n_max)
-        - alternating_theta(lambda n: c1 * n * n - 1, 1, n_max)
+        lambda n_max: alternating_theta((2 * c2, 0, -2), 1, n_max)
+        - alternating_theta((2 * c1, 0, -2), 1, n_max)
     )
 
 
@@ -721,11 +720,8 @@ def verify(
         raise ValueError(
             f"n_max={n_max} is below the first asserted value n={check.valid_from}"
         )
-    if check.requires_enumeration and n_max > partitions.ENUMERATION_CAP:
-        raise CapacityError(
-            f"identity {check_id!r} needs partition enumeration, capped at "
-            f"n = {partitions.ENUMERATION_CAP}; requested n_max={n_max}"
-        )
+    if check.requires_enumeration:
+        limits.check_enumeration(n_max)
     start = time.perf_counter()
     lhs = check.make_lhs(n_max)
     rhs = check.make_rhs(n_max)

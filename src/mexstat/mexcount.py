@@ -10,6 +10,9 @@ Together they exhaust p(n).  Three independent routes are provided:
 * series       - expand 1/(q)_inf times an alternating theta numerator;
 * recurrence   - fold shifted partition numbers p(n - offset) with the
                  memoized pentagonal table.
+
+The enumeration route stops at ``limits.ENUMERATION_CAP`` (checked once,
+in :func:`mex_census_rows`) and the recurrence at the p(n) table cap.
 """
 
 from __future__ import annotations
@@ -17,18 +20,16 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from . import partitions
+from . import limits, partitions
 from .series import ResidueCondition, alternating_theta, partition_generating_series
 from .statistics import MexParams
 
 
 @lru_cache(maxsize=None)
 def _series_row(A: int, a: int, n_max: int, barred: bool) -> tuple[int, ...]:
-    if barred:
-        exponent = lambda n: A * n * (n + 1) // 2 + a * (n + 1)
-    else:
-        exponent = lambda n: A * n * (n - 1) // 2 + a * n
-    numerator = alternating_theta(exponent, 0, n_max)
+    # exponent A*n*(n+1)/2 + a*(n+1) barred, A*n*(n-1)/2 + a*n unbarred
+    quadratic = (A, A + 2 * a, 2 * a) if barred else (A, 2 * a - A, 0)
+    numerator = alternating_theta(quadratic, 0, n_max)
     return (numerator * partition_generating_series(n_max)).coeffs
 
 
@@ -89,11 +90,12 @@ def mex_census_rows(
     s is one multiply by the packed q^s/(1-q^s).  Each S is classified once
     per pair by walking a, a+A, ... through it; an odd run goes to pbar.
     The slot width comes from the restricted-part DP value p(n_max), so
-    the pentagonal p(n) stays an independent route.  ``n_max`` is not
-    capped here; the per-n counters below apply the enumeration cap.
+    the pentagonal p(n) stays an independent route.  ``n_max`` is capped
+    at ``limits.ENUMERATION_CAP``.
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")
+    limits.check_enumeration(n_max)
     pairs = list(dict.fromkeys(pairs))
     if any(A < 1 or a < 1 for A, a in pairs):
         raise ValueError("A and a must be positive integers")
@@ -104,16 +106,17 @@ def mex_census_rows(
     step = [0] + [
         sum(1 << width * k for k in range(s, n_max + 1, s)) for s in range(1, n_max + 1)
     ]
-    # a probe stops at the first absent position: a itself, or at most max(S) + A
-    present = bytearray(n_max + max((A + a for A, a in pairs), default=0) + 1)
+    # only parts <= n_max can be present, so a step or start past n_max + 1
+    # classifies like n_max + 1; a probe then stops by index 2 * n_max + 1
+    probes = [(pair, min(pair[0], n_max + 1), min(pair[1], n_max + 1)) for pair in pairs]
+    present = bytearray(2 * n_max + 2)
     total = 0
     odd = dict.fromkeys(pairs, 0)
 
     def visit(counts: int, smallest: int) -> None:
         nonlocal total
         total += counts
-        for pair in pairs:
-            A, c = pair
+        for pair, A, c in probes:
             run = 0
             while present[c]:
                 c += A
@@ -129,32 +132,28 @@ def mex_census_rows(
             present[s] = 0
 
     visit(1, 1)
+    del visit  # the closure holds itself through its cell; drop that cycle now
     slot = (1 << width) - 1
     unpack = lambda packed: tuple(packed >> width * n & slot for n in range(n_max + 1))
     return {pair: (unpack(total - odd[pair]), unpack(odd[pair])) for pair in pairs}
 
 
-def p_mex_enum(params: MexParams, n: int, *, cap: int | None = None) -> int:
+def p_mex_enum(params: MexParams, n: int) -> int:
     """p_{A,a}(n) by classifying the mex of every partition of n (support census)."""
-    partitions._check_enumeration_cap(n, cap)
     return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][0][n]
 
 
-def pbar_mex_enum(params: MexParams, n: int, *, cap: int | None = None) -> int:
+def pbar_mex_enum(params: MexParams, n: int) -> int:
     """pbar_{A,a}(n) by enumeration (support census)."""
-    partitions._check_enumeration_cap(n, cap)
     return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][1][n]
 
 
 @lru_cache(maxsize=None)
-def mex_census(
-    n: int, a_max: int, big_a_max: int, cap: int | None = None
-) -> dict[tuple[int, int], tuple[int, int]]:
+def mex_census(n: int, a_max: int, big_a_max: int) -> dict[tuple[int, int], tuple[int, int]]:
     """Enumeration tallies (p_{A,a}(n), pbar_{A,a}(n)) for every A <= big_a_max, a <= a_max.
 
     Entry n of :func:`mex_census_rows` over the whole grid: one support walk
     covers every (A, a) pair.
     """
-    partitions._check_enumeration_cap(n, cap)
     grid = [(A, a) for a in range(1, a_max + 1) for A in range(1, big_a_max + 1)]
     return {pair: (p[n], pbar[n]) for pair, (p, pbar) in mex_census_rows(n, grid).items()}

@@ -3,7 +3,9 @@
 A partition is represented as a plain tuple of positive ints in
 non-increasing (canonical) order.  Counting goes through the pentagonal
 recurrence and bounded dynamic programming, deliberately independent of
-the series engine so the two can cross-check each other.
+the series engine so the two can cross-check each other.  Enumeration
+stops at ``limits.ENUMERATION_CAP`` and the p(n) table at
+``limits.P_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -12,24 +14,11 @@ import threading
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from . import limits
+from .limits import CapacityError  # noqa: F401  (re-exported: callers import it from here)
 from .series import ResidueCondition
 
 Partition = tuple[int, ...]
-
-#: Largest n accepted by the enumeration-backed operations (memory guard).
-ENUMERATION_CAP = 70
-
-
-class CapacityError(ValueError):
-    """An argument exceeds what the requested method can handle."""
-
-
-def _check_enumeration_cap(n: int, cap: int | None) -> None:
-    limit = ENUMERATION_CAP if cap is None else cap
-    if n > limit:
-        raise CapacityError(
-            f"n={n} exceeds the enumeration cap {limit}; use a series or recurrence method"
-        )
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -50,7 +39,7 @@ def _descending_partitions(remaining: int, largest: int) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-def enumerate_partitions(n: int, *, cap: int | None = None) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, each exactly once, in reverse-lexicographic order.
 
     Yields the single empty partition for n = 0.  Raises CapacityError above
@@ -58,7 +47,7 @@ def enumerate_partitions(n: int, *, cap: int | None = None) -> Iterator[Partitio
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_enumeration_cap(n, cap)
+    limits.check_enumeration(n)
     return _descending_partitions(n, n if n else 1)
 
 
@@ -104,12 +93,16 @@ _p_lock = threading.Lock()
 
 
 def p_count(n: int) -> int:
-    """The partition count p(n); p(0) = 1 and p(n) = 0 for negative n."""
+    """The partition count p(n); p(0) = 1 and p(n) = 0 for negative n.
+
+    Growing the table past ``limits.P_TABLE_CAP`` raises CapacityError.
+    """
     if n < 0:
         return 0
     table = _p_table
     if n < len(table):
         return table[n]
+    limits.check_p_table(n)
     with _p_lock:
         while len(_p_table) <= n:
             m = len(_p_table)

@@ -9,21 +9,22 @@ q-Pochhammer products, alternating theta sums, products of (1 +- q^n) over
 congruence classes, the two univariate Jacobi-triple-product
 specializations, and the generating series for rank/crank counts and their
 second moments.
+
+Every theta sum has an exponent (P*n^2 + Q*n + R)/2, given as the triple
+(P, Q, R); the indices that land in [0, precision] are computed exactly.
+No function here caps its precision; the command line does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Literal
+from math import isqrt
+from typing import Iterable, Literal
 
 Sign = Literal["minus", "plus"]
 Mode = Literal["include", "exclude"]
-
-# Safety net for alternating_theta: exponent functions must eventually
-# exceed the truncation bound, detected over this many consecutive terms.
-_THETA_OVERSHOOT_WINDOW = 3
-_THETA_ITERATION_CAP = 1_000_000
+Quadratic = tuple[int, int, int]
 
 
 class TruncatedSeries:
@@ -248,46 +249,44 @@ def pochhammer_finite(n: int, precision: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
-def alternating_theta(
-    exponent_fn: Callable[[int], int], n_start: int, precision: int
-) -> TruncatedSeries:
-    """The sum of (-1)^n q^(exponent_fn(n)) for n >= n_start, truncated.
+def _indices(quadratic: Quadratic, n_start: int, bound: int) -> range:
+    # the n >= n_start with P*n^2 + Q*n + R <= 2*bound; one interval, as the
+    # quadratic is convex, with ends from integer square roots
+    P, Q, R = quadratic
+    if P == 0:
+        return range(n_start, (2 * bound - R) // Q + 1)
+    disc = Q * Q - 4 * P * (R - 2 * bound)
+    if disc < 0:
+        return range(0)
+    root = isqrt(disc)
+    return range(max(n_start, -((Q + root) // (2 * P))), (root - Q) // (2 * P) + 1)
 
-    ``exponent_fn`` must be eventually strictly increasing; the sum stops
-    once the exponent exceeds ``precision`` for three consecutive indices.
-    A hard iteration cap catches exponent functions that never grow.
+
+def alternating_theta(quadratic: Quadratic, n_start: int, precision: int) -> TruncatedSeries:
+    """The sum of (-1)^n q^((P*n^2 + Q*n + R)/2) for n >= n_start, truncated.
+
+    ``quadratic`` is (P, Q, R).  The exponent must grow without bound
+    (P > 0, or P = 0 and Q > 0) and be an integer (R and P + Q even), and
+    it must not be negative at any n >= n_start; otherwise ValueError.
     """
+    P, Q, R = quadratic
+    if not (P > 0 or P == 0 and Q > 0) or R % 2 or (P + Q) % 2:
+        raise ValueError(f"(P*n^2+Q*n+R)/2 with (P, Q, R) = {quadratic} is not a growing integer")
     if precision < 0:
         raise ValueError("precision must be non-negative")
+    negative = _indices(quadratic, n_start, -1)
+    if negative:
+        raise ValueError(f"the exponent is negative at n={negative[0]}")
     c = [0] * (precision + 1)
-    n = n_start
-    over = 0
-    iterations = 0
-    while over < _THETA_OVERSHOOT_WINDOW:
-        if iterations >= _THETA_ITERATION_CAP:
-            raise ValueError(
-                "exponent function did not exceed the precision within the iteration cap"
-            )
-        e = exponent_fn(n)
-        if e < 0:
-            raise ValueError(f"exponent function produced a negative exponent at n={n}")
-        if e > precision:
-            over += 1
-        else:
-            over = 0
-            c[e] += -1 if n & 1 else 1
-        n += 1
-        iterations += 1
+    for n in _indices(quadratic, n_start, precision):
+        c[(P * n * n + Q * n + R) // 2] += -1 if n & 1 else 1
     return TruncatedSeries(c)
 
 
-def alternating_theta_bilateral(
-    exponent_fn: Callable[[int], int], precision: int
-) -> TruncatedSeries:
-    """The two-sided sum of (-1)^n q^(exponent_fn(n)) over all integers n."""
-    right = alternating_theta(exponent_fn, 0, precision)
-    left = alternating_theta(lambda m: exponent_fn(-m), 1, precision)
-    return right + left
+def alternating_theta_bilateral(quadratic: Quadratic, precision: int) -> TruncatedSeries:
+    """The two-sided sum of (-1)^n q^((P*n^2 + Q*n + R)/2) over all integers n."""
+    P, Q, R = quadratic
+    return alternating_theta(quadratic, 0, precision) + alternating_theta((P, -Q, R), 1, precision)
 
 
 def residue_product(cond: ResidueCondition, precision: int) -> TruncatedSeries:
@@ -324,19 +323,15 @@ def jtp_specialized(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if parity == "even":
-        modulus = 2 * k
-        exponent_fn = lambda n: k * n * (n + 1) - i * n
-    elif parity == "odd":
-        modulus = 2 * k + 1
-        exponent_fn = lambda n: (2 * k + 1) * n * (n + 1) // 2 - i * n
-    else:
+    if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    modulus = 2 * k if parity == "even" else 2 * k + 1
     if not 1 <= i <= modulus - 1:
         raise ValueError(f"i must satisfy 1 <= i <= {modulus - 1}, got {i}")
 
     if side == "sum":
-        return alternating_theta_bilateral(exponent_fn, precision)
+        # both exponents are M*n*(n+1)/2 - i*n
+        return alternating_theta_bilateral((modulus, modulus - 2 * i, 0), precision)
     if side != "product":
         raise ValueError(f"side must be 'sum' or 'product', got {side!r}")
 
@@ -361,20 +356,18 @@ def partition_generating_series(precision: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-def _count_series_from_pentagon_like(offset_fn: Callable[[int], int], precision: int) -> TruncatedSeries:
-    # numerator sum_{j>=1} (-1)^(j-1) (q^offset(j) - q^(offset(j)+j)), times 1/(q)_inf
-    lower = alternating_theta(offset_fn, 1, precision)
-    upper = alternating_theta(lambda j: offset_fn(j) + j, 1, precision)
+def _count_series_from_pentagon_like(P: int, m: int, precision: int) -> TruncatedSeries:
+    # numerator sum_{j>=1} (-1)^(j-1) (q^off(j) - q^(off(j)+j)) with
+    # off(j) = j*(P*j - 1)/2 + j*|m|, times 1/(q)_inf
+    lower = alternating_theta((P, 2 * abs(m) - 1, 0), 1, precision)
+    upper = alternating_theta((P, 2 * abs(m) + 1, 0), 1, precision)
     return (upper - lower) * partition_generating_series(precision)
 
 
 @lru_cache(maxsize=None)
 def rank_generating_series(m: int, precision: int) -> TruncatedSeries:
     """Series whose q^n coefficient counts partitions of n with rank m."""
-    m_abs = abs(m)
-    return _count_series_from_pentagon_like(
-        lambda j: j * (3 * j - 1) // 2 + j * m_abs, precision
-    )
+    return _count_series_from_pentagon_like(3, m, precision)
 
 
 @lru_cache(maxsize=None)
@@ -384,36 +377,31 @@ def crank_generating_series(m: int, precision: int) -> TruncatedSeries:
     Note the classical n = 1 anomaly: the coefficients at q^1 are -1, 1, 1
     for m = 0, +-1, which differs from the per-partition crank of [1].
     """
-    m_abs = abs(m)
-    return _count_series_from_pentagon_like(
-        lambda j: j * (j - 1) // 2 + j * m_abs, precision
-    )
+    return _count_series_from_pentagon_like(1, m, precision)
 
 
-def _second_moment_series(base_fn: Callable[[int], int], precision: int) -> TruncatedSeries:
-    # numerator sum_{n>=1} (-1)^n q^(base(n)) * sum_{r>=0} (2r+1) q^(r*n), times -2/(q)_inf
+def _second_moment_series(P: int, precision: int) -> TruncatedSeries:
+    # numerator sum_{n>=1} (-1)^n q^(n*(P*n+1)/2) * sum_{r>=0} (2r+1) q^(r*n), times -2/(q)_inf
     num = [0] * (precision + 1)
-    n = 1
-    while base_fn(n) <= precision:
+    for n in _indices((P, 1, 0), 1, precision):
         sign = -1 if n & 1 else 1
-        e = base_fn(n)
+        e = n * (P * n + 1) // 2
         r = 0
         while e <= precision:
             num[e] += sign * (2 * r + 1)
             r += 1
             e += n
-        n += 1
     return (-2 * TruncatedSeries(num)) * partition_generating_series(precision)
 
 
 def second_rank_moment_series(precision: int) -> TruncatedSeries:
     """Series whose q^n coefficient is the second rank moment sum_m m^2 N(m,n)."""
-    return _second_moment_series(lambda n: n * (3 * n + 1) // 2, precision)
+    return _second_moment_series(3, precision)
 
 
 def second_crank_moment_series(precision: int) -> TruncatedSeries:
     """Series whose q^n coefficient is the second crank moment sum_m m^2 M(m,n)."""
-    return _second_moment_series(lambda n: n * (n + 1) // 2, precision)
+    return _second_moment_series(1, precision)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Literal
 
-from . import partitions
+from . import limits, partitions
 from .series import crank_generating_series, rank_generating_series
 
 Method = Literal["combinatorial", "series"]
@@ -76,7 +76,7 @@ def _stat_census(n: int) -> tuple[dict[int, int], dict[int, int], int]:
     # combinatorial aggregate comes through here, so the n range is checked here
     if n < 1:
         raise ValueError("n must be at least 1")
-    partitions._check_enumeration_cap(n, None)
+    limits.check_enumeration(n)
     rank_hist: dict[int, int] = {}
     crank_hist: dict[int, int] = {}
     spt_total = 0

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from mexstat import identities, tables
-from mexstat.mexcount import mex_census, p_mex_recurrence, p_mex_series
+from mexstat.mexcount import mex_census_rows, p_mex_recurrence, p_mex_series
 from mexstat.partitions import p_count
 from mexstat.statistics import (
     MexParams,
@@ -66,17 +66,15 @@ def test_criterion_2_three_method_agreement():
     with criterion(
         2, "enumeration = series = recurrence for A<=10, a<=15, n<=50, and p+pbar=p(n)", 120.0
     ):
-        series_rows = {
-            (A, a): p_mex_series(MexParams(A, a), 50)
-            for A in range(1, 11)
-            for a in range(1, 16)
-        }
-        for n in range(0, 51):
-            census = mex_census(n, 15, 10)
-            pn = p_count(n)
-            for (A, a), (p_enum, pbar_enum) in census.items():
-                assert p_enum + pbar_enum == pn, (A, a, n)
-                assert p_enum == series_rows[(A, a)][n], (A, a, n)
+        grid = [(A, a) for A in range(1, 11) for a in range(1, 16)]
+        census = mex_census_rows(50, grid)
+        assert len(census) == 150
+        for (A, a), (p_row, pbar_row) in census.items():
+            series_row = p_mex_series(MexParams(A, a), 50)
+            for n in range(0, 51):
+                p_enum = p_row[n]
+                assert p_enum + pbar_row[n] == p_count(n), (A, a, n)
+                assert p_enum == series_row[n], (A, a, n)
                 assert p_enum == p_mex_recurrence(MexParams(A, a), n), (A, a, n)
 
 

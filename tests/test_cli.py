@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mexstat.cli import main
+from mexstat.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,6 +78,48 @@ class TestCompute:
         assert "= 20" in out
 
 
+# Each is past a documented cap; none may ever be run without one.
+OVER_LIMIT_ARGVS = [
+    ["compute", "goe", "--n", "120"],
+    ["compute", "moment", "--stat", "rank", "--k", "2", "--n", "120"],
+    ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "300000"],
+    ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "5000"],
+    ["compute", "pbar_aa", "--A", "2", "--a", "3", "--n", "2001", "--method", "series"],
+    ["compute", "M", "--m", "0", "--method", "series", "--n", "3000"],
+    ["compute", "N", "--m", "0", "--method", "series", "--n", "2500"],
+    ["compute", "moment", "--stat", "crank", "--k", "2", "--n", "2001"],
+    ["verify", "thm-2.1", "--max-n", "300000"],
+    ["verify", "all", "--max-n", "6", "--max-n-series", "300000"],
+    ["compute", "p", "--n", "3000000"],
+    ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "10000000", "--method", "recurrence"],
+    ["compute", "pbar_aa", "--A", "2", "--a", "3", "--n", "50001", "--method", "recurrence"],
+    ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "71", "--method", "enum"],
+    ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "2001", "--method", "series"],
+    ["compute", "pbar_aa", "--A", "2", "--a", "3", "--n", "71", "--method", "enum"],
+    ["compute", "N", "--m", "0", "--method", "combinatorial", "--n", "71"],
+    ["compute", "M", "--m", "0", "--method", "combinatorial", "--n", "71"],
+    ["compute", "spt", "--n", "71"],
+]
+
+# compute kinds that read one given partition and so have no size to cap
+NO_SIZE_LIMIT = {"rank", "crank", "mex"}
+
+
+def test_every_compute_route_has_an_over_limit_case():
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices["compute"]
+    actions = {a.dest: a for a in sub._actions}
+    covered = {tuple(argv[1:2]) for argv in OVER_LIMIT_ARGVS if argv[0] == "compute"}
+    for argv in OVER_LIMIT_ARGVS:
+        if "--method" in argv:
+            covered.add((argv[1], argv[argv.index("--method") + 1]))
+    routes = {(kind,) for kind in actions["kind"].choices if kind not in NO_SIZE_LIMIT}
+    # the --method help reads "p_aa/pbar_aa: enum|series|recurrence; N/M: ..."
+    for clause in actions["method"].help.split(";"):
+        kinds, methods = (part.strip() for part in clause.split(":"))
+        routes |= {(kind, method) for kind in kinds.split("/") for method in methods.split("|")}
+    assert routes - covered == set()
+
+
 class DeadlinePassed(BaseException):
     """Raised by SIGALRM; a BaseException so the CLI's error handling lets it through."""
 
@@ -102,21 +144,7 @@ class TestOverLimitInputs:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["compute", "goe", "--n", "120"],
-            ["compute", "moment", "--stat", "rank", "--k", "2", "--n", "120"],
-            ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "300000"],
-            ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "5000"],
-            ["compute", "pbar_aa", "--A", "2", "--a", "3", "--n", "2001", "--method", "series"],
-            ["compute", "M", "--m", "0", "--method", "series", "--n", "3000"],
-            ["compute", "N", "--m", "0", "--method", "series", "--n", "2500"],
-            ["compute", "moment", "--stat", "crank", "--k", "2", "--n", "2001"],
-            ["verify", "thm-2.1", "--max-n", "300000"],
-            ["verify", "all", "--max-n", "6", "--max-n-series", "300000"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", OVER_LIMIT_ARGVS)
     def test_rejected_fast(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("MEXSTAT_MAX_PRECISION", raising=False)
         start = time.perf_counter()
@@ -203,6 +231,22 @@ class TestSeries:
             "--format", "json",
         )
         assert json.loads(out)["coefficients"] == ["1", "-1", "0", "0"]
+
+    def test_theta_quadratic_that_dips_before_it_grows(self, capsys):
+        # (2n^2 - 200n + 5000)/2 = (n - 50)^2: terms at n = 46..54 only
+        code, out, _ = run_cli(
+            capsys, "series", "theta", "--quadratic", "2,-200,5000", "--precision", "20",
+            "--format", "json",
+        )
+        expected = {0: 1, 1: -2, 4: 2, 9: -2, 16: 2}
+        assert json.loads(out)["coefficients"] == [str(expected.get(e, 0)) for e in range(21)]
+
+    @pytest.mark.parametrize("quadratic", ["0,0,0", "-2,0,100", "0,-2,100"])
+    def test_theta_degenerate_triple_exits_2_at_once(self, capsys, quadratic):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "series", "theta", f"--quadratic={quadratic}")
+        assert code == 2 and out == "" and "growing" in err
+        assert time.perf_counter() - start < 0.2
 
     def test_jtp(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,8 +36,6 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapacityError):
             p_mex_enum(MexParams(2, 3), 71)
-        with pytest.raises(CapacityError):
-            p_mex_enum(MexParams(2, 3), 12, cap=10)
 
 
 class TestSeries:
@@ -145,6 +145,24 @@ def test_census_rows_read_neither_pentagonal_table_nor_series(monkeypatch):
         params = MexParams(A, a)
         assert list(p_row) == [p_mex_recurrence(params, n) for n in range(21)]
         assert [p + pb for p, pb in zip(p_row, pbar_row)] == [p_count(n) for n in range(21)]
+
+
+def test_census_rows_memory_follows_n_max_not_the_pairs():
+    # only parts <= n_max can be present, so huge A or a must cost nothing extra
+    rows = mex_census_rows(5, [(10**15, 1), (1, 10**15)])
+    for (A, a), (p_row, pbar_row) in rows.items():
+        assert list(p_row) == [p_mex_recurrence(MexParams(A, a), n) for n in range(6)]
+        assert list(pbar_row) == [pbar_mex_recurrence(MexParams(A, a), n) for n in range(6)]
+
+
+def test_census_rows_leave_no_garbage_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        mex_census_rows(30, [(2, 3), (1, 1)])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_census_rows_pair_handling():

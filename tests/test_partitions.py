@@ -61,8 +61,6 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(CapacityError):
             list(enumerate_partitions(71))
-        with pytest.raises(CapacityError):
-            list(enumerate_partitions(11, cap=10))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

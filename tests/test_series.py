@@ -140,29 +140,70 @@ class TestPochhammer:
 
 
 class TestAlternatingTheta:
+    # a triple (P, Q, R) stands for the exponent (P*n^2 + Q*n + R)/2
     def test_squares(self):
-        t = alternating_theta(lambda n: n * n, 0, 3)
+        t = alternating_theta((2, 0, 0), 0, 3)
         assert t.coeffs == (1, -1, 0, 0)
 
     def test_pentagonal_companions_reproduce_euler(self):
-        both = alternating_theta(lambda m: m * (3 * m - 1) // 2, 0, 60) + alternating_theta(
-            lambda m: m * (3 * m + 1) // 2, 1, 60
-        )
+        both = alternating_theta((3, -1, 0), 0, 60) + alternating_theta((3, 1, 0), 1, 60)
         assert both == euler_product(60)
 
     def test_mex_numerator_shape(self):
         # A=4, a=1: exponents 0, 1, 6, 15, ...
-        t = alternating_theta(lambda n: 4 * n * (n - 1) // 2 + n, 0, 15)
+        t = alternating_theta((4, -2, 0), 0, 15)
         nz = {e: c for e, c in enumerate(t.coeffs) if c}
         assert nz == {0: 1, 1: -1, 6: 1, 15: -1}
 
+    def test_exponent_that_dips_before_it_grows(self):
+        # (n - 50)^2 + 7500: the first terms lie past the precision, the least at n = 50
+        t = alternating_theta((2, -200, 20000), 0, 7520)
+        nz = {e: c for e, c in enumerate(t.coeffs) if c}
+        assert nz == {7500: 1, 7501: -2, 7504: 2, 7509: -2, 7516: 2}
+
+    def test_bilateral_adds_the_mirrored_left_half(self):
+        # exponent 2n^2 + n over all n: 0, 3, 10, ... for n >= 0 and 1, 6, ... for n < 0
+        assert alternating_theta_bilateral((4, 2, 0), 6).coeffs == (1, -1, 0, -1, 0, 0, 1)
+        assert alternating_theta_bilateral((2, 0, 0), 9).coeffs == (1, -2, 0, 0, 2, 0, 0, 0, 0, -2)
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            alternating_theta(lambda n: n - 5, 0, 10)
+            alternating_theta((0, 2, -10), 0, 10)
 
-    def test_non_growing_exponent_hits_cap(self):
+    @pytest.mark.parametrize(
+        "quadratic",
+        [(0, 0, 0), (-1, 0, 0), (0, -1, 0), (2, 0, 1), (1, 0, 0)],
+        ids=["constant", "P<0", "falling-line", "odd-R", "odd-P+Q"],
+    )
+    def test_invalid_triple_rejected(self, quadratic):
         with pytest.raises(ValueError):
-            alternating_theta(lambda n: 0, 0, 3)
+            alternating_theta(quadratic, 0, 3)
+
+
+@given(
+    st.integers(0, 4),
+    st.integers(-40, 40),
+    st.integers(-20, 200),
+    st.integers(-10, 10),
+    st.integers(0, 80),
+)
+@settings(max_examples=300, deadline=None)
+def test_theta_matches_brute_force_sum(P, Q, half_R, n_start, precision):
+    Q += (P + Q) % 2
+    if P == 0 and Q <= 0:
+        Q = 2
+    exponent = lambda n: (P * n * n + Q * n + 2 * half_R) // 2
+    # every root and the vertex lie within |n| <= 100 for these ranges
+    window = range(n_start, 300)
+    if any(exponent(n) < 0 for n in window):
+        with pytest.raises(ValueError):
+            alternating_theta((P, Q, 2 * half_R), n_start, precision)
+        return
+    expected = [0] * (precision + 1)
+    for n in window:
+        if exponent(n) <= precision:
+            expected[exponent(n)] += -1 if n & 1 else 1
+    assert alternating_theta((P, Q, 2 * half_R), n_start, precision).coeffs == tuple(expected)
 
 
 class TestResidueProduct:
