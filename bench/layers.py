@@ -1,0 +1,86 @@
+"""Layer timings of the series engine, as medians of repeated calls.
+
+Usage, from the root of the repository::
+
+    PYTHONPATH=src python3 bench/layers.py [--repeats 5]
+
+It imports ``mexstat`` from the path it is given, so pointing PYTHONPATH at
+another checkout's ``src`` times that checkout with the same script.  It
+prints one JSON object: the host, the Python version, and for each layer
+the median and the individual times in seconds.  Standard library only.
+
+Layers:
+
+* ``mul.dense.P`` -- the product of two dense series at precision P: the
+  partition generating series times the Rogers-Ramanujan product
+  prod (1 - q^n) over n = +-1 mod 5;
+* ``invert.dense.P`` -- the inverse of that product;
+* ``residue_product.1000`` -- prod (1 - q^n) over every n <= 1000;
+* ``jtp_product.1000`` -- the product side of the even Jacobi triple
+  product with k = i = 1, whose factors all appear twice;
+* ``p_mex_series.2000`` -- the row p_{2,3}(0..2000) from cold caches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import time
+
+from mexstat import mexcount, series
+from mexstat.series import ResidueCondition, jtp_specialized, residue_product
+from mexstat.statistics import MexParams
+
+PRECISIONS = (500, 1000, 2000, 4000)
+
+
+def timed(call, repeats: int) -> dict:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(times), "times_s": times}
+
+
+def cold_row() -> None:
+    mexcount._series_row.cache_clear()
+    series.partition_generating_series.cache_clear()
+    mexcount.p_mex_series(MexParams(2, 3), 2000)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--repeats", type=int, default=5)
+    repeats = ap.parse_args().repeats
+    layers = {}
+    rogers_ramanujan = ResidueCondition(5, frozenset({1, 4}))
+    for p in PRECISIONS:
+        dense = residue_product(rogers_ramanujan, p)
+        partitions = series.partition_generating_series(p)
+        layers[f"mul.dense.{p}"] = timed(lambda: dense * partitions, repeats)
+        layers[f"invert.dense.{p}"] = timed(dense.invert, repeats)
+    every_part = ResidueCondition(1, frozenset({0}))
+    layers["residue_product.1000"] = timed(lambda: residue_product(every_part, 1000), repeats)
+    layers["jtp_product.1000"] = timed(
+        lambda: jtp_specialized(1, 1, "even", "product", 1000), repeats
+    )
+    layers["p_mex_series.2000"] = timed(cold_row, repeats)
+    print(
+        json.dumps(
+            {
+                "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+                "python": platform.python_implementation() + " " + platform.python_version(),
+                "repeats": repeats,
+                "layers": layers,
+            },
+            indent=2,
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -353,10 +353,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--quadratic -1,0,0`` as ``--quadratic=-1,0,0``.
+
+    argparse takes a value that starts with a minus sign, and is not a
+    single number, for an unknown option and stops with "expected one
+    argument" before the triple is validated.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--quadratic" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--quadratic={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -319,8 +319,10 @@ def build_registry() -> dict[str, IdentityCheck]:
         return [(A, a) for A in range(1, SWEEP_A_MAX + 1) for a in range(n + 1, SWEEP_a_MAX + 1)]
 
     def lemma_lhs(n_max: int) -> Evaluator:
-        p_rows = {pair: mexcount.p_mex_series(MexParams(*pair), n_max) for pair in grid}
-        pbar_rows = {pair: mexcount.pbar_mex_series(MexParams(*pair), n_max) for pair in grid}
+        # above(n) is empty from n = SWEEP_a_MAX on, so no row is read past it
+        n_top = min(n_max, SWEEP_a_MAX - 1)
+        p_rows = {pair: mexcount.p_mex_series(MexParams(*pair), n_top) for pair in grid}
+        pbar_rows = {pair: mexcount.pbar_mex_series(MexParams(*pair), n_top) for pair in grid}
         return lambda n: tuple(p_rows[pair][n] for pair in above(n)) + tuple(
             pbar_rows[pair][n] for pair in above(n)
         )

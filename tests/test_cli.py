@@ -248,6 +248,12 @@ class TestSeries:
         assert code == 2 and out == "" and "growing" in err
         assert time.perf_counter() - start < 0.2
 
+    def test_theta_spaced_negative_triple_reaches_validation(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "series", "theta", "--quadratic", "-1,0,0")
+        assert code == 2 and out == "" and "growing" in err
+        assert time.perf_counter() - start < 0.5
+
     def test_jtp(self, capsys):
         code, out, _ = run_cli(
             capsys, "series", "jtp", "--k", "1", "--i", "1", "--parity", "odd",

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mexstat.series as kernels
 from mexstat.series import (
     ResidueCondition,
     TruncatedSeries,
@@ -331,3 +334,224 @@ class TestAlgebraProperties:
         one = TruncatedSeries([1] + [0] * s.precision)
         assert s * s.invert() == one
         assert s.invert().invert() == s
+
+
+# ---------------------------------------------------------------------------
+# packed kernels against the literal definitions
+# ---------------------------------------------------------------------------
+
+
+def literal_product(a, b):
+    """Schoolbook product over every pair, truncated to the shorter operand."""
+    stop = min(len(a), len(b))
+    out = [0] * stop
+    for i in range(stop):
+        for j in range(stop - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def literal_factors(exponents, sign, precision):
+    """The product of (1 + sign*q^e) over ``exponents``, one coefficient at a time."""
+    c = [1] + [0] * precision
+    for e in exponents:
+        for j in range(precision, e - 1, -1):
+            c[j] += sign * c[j - e]
+    return c
+
+
+def literal_cauchy(signs, t_exponent, precision):
+    """The sum of signs[n] q^(t n)/(q)_n with 1/(q)_n built one factor at a time."""
+    inverse = [1] + [0] * precision
+    total = [0] * (precision + 1)
+    for n, sign in enumerate(signs):
+        if n * t_exponent > precision:
+            break
+        if n:
+            for j in range(n, precision + 1):
+                inverse[j] += inverse[j - n]
+        for j in range(n * t_exponent, precision + 1):
+            total[j] += sign * inverse[j - n * t_exponent]
+    return total
+
+
+HUGE = 1 << 210
+
+
+@st.composite
+def coefficient_rows(draw, length, big=HUGE, unit=False):
+    """``length`` coefficients in [-big, big]: none, a few or some nonzero ones, or all."""
+    count = draw(st.sampled_from([0, 1, 4, 40, length]))
+    if count >= length:
+        positions = range(length)
+    else:
+        positions = draw(st.lists(st.integers(0, length - 1), max_size=count, unique=True))
+    row = [0] * length
+    for i in positions:
+        row[i] = draw(st.integers(-big, big).filter(bool))
+    if unit:
+        row[0] = draw(st.sampled_from([1, -1]))
+    return row
+
+
+def spy(monkeypatch, route):
+    """Record each call of the kernel ``route`` that the dispatch makes."""
+    called = []
+    original = getattr(kernels, route)
+    monkeypatch.setattr(kernels, route, lambda *args: called.append(route) or original(*args))
+    return called
+
+
+@st.composite
+def operand_pairs(draw):
+    precision = draw(st.integers(0, 300))
+    big = draw(st.sampled_from([1, 9, HUGE]))
+    a = draw(coefficient_rows(precision + 1 + draw(st.integers(0, 3)), big))
+    b = draw(coefficient_rows(precision + 1, big))
+    return a, b
+
+
+@given(operand_pairs())
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_schoolbook(pair):
+    a, b = pair
+    product = TruncatedSeries(a) * TruncatedSeries(b)
+    assert list(product.coeffs) == literal_product(a, b)
+
+
+@pytest.mark.parametrize(
+    "nonzero_a, nonzero_b, length, route",
+    [(3, 3, 301, "_schoolbook"), (20, 301, 301, "_shift_add"), (400, 400, 400, "_kronecker")],
+)
+def test_each_mul_route_matches_schoolbook(monkeypatch, nonzero_a, nonzero_b, length, route):
+    called = spy(monkeypatch, route)
+    rng = random.Random(nonzero_a * 1000 + nonzero_b)
+    rows = []
+    for count in (nonzero_a, nonzero_b):
+        row = [0] * length
+        for i in rng.sample(range(length), count):
+            row[i] = rng.randint(-HUGE, HUGE) or 1
+        rows.append(row)
+    product = TruncatedSeries(rows[0]) * TruncatedSeries(rows[1])
+    assert called == [route]
+    assert list(product.coeffs) == literal_product(*rows)
+
+
+@pytest.mark.parametrize(
+    "nonzero, stop, bits_a, bits_b, route",
+    [
+        # the width rule asks for 208 bits: the slot is full but for the sign bit
+        (15, 40, 102, 101, "_shift_add"),
+        (255, 255, 100, 99, "_kronecker"),
+        # 209 bits: a rule one bit short would pick a slot a byte narrower
+        (15, 40, 102, 102, "_shift_add"),
+        (255, 255, 100, 100, "_kronecker"),
+    ],
+)
+@pytest.mark.parametrize("negate", [False, True])
+def test_mul_decodes_coefficients_at_the_width_bound(
+    monkeypatch, nonzero, stop, bits_a, bits_b, route, negate
+):
+    # a has ``nonzero`` leading coefficients +-(2^bits_a - 1) and b all
+    # 2^bits_b - 1, so coefficient nonzero - 1 is the largest the width
+    # rule bits_a + bits_b + bitlen(nonzero) + 1 admits: one bit below it
+    called = spy(monkeypatch, route)
+    top_a, top_b = (1 << bits_a) - 1, (1 << bits_b) - 1
+    a = [-top_a if negate else top_a] * nonzero + [0] * (stop - nonzero)
+    b = [top_b] * stop
+    product = list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs)
+    assert called == [route]
+    assert abs(product[nonzero - 1]).bit_length() == bits_a + bits_b + nonzero.bit_length()
+    assert product == literal_product(a, b)
+
+
+@st.composite
+def unit_rows(draw):
+    precision = draw(st.integers(0, 300))
+    # the inverse of a dense row grows about one row's width per coefficient
+    big = draw(st.sampled_from([1, 3, HUGE] if precision <= 60 else [1, 3]))
+    return draw(coefficient_rows(precision + 1, big, unit=True))
+
+
+@given(unit_rows())
+@settings(max_examples=40, deadline=None)
+def test_invert_routes_agree_and_invert(a):
+    one = [1] + [0] * (len(a) - 1)
+    newton, recurrence = kernels._newton_inverse(a), kernels._recurrence_inverse(a)
+    assert newton == recurrence
+    s = TruncatedSeries(a)
+    assert list((s * s.invert()).coeffs) == one
+    assert literal_product(a, newton) == one
+
+
+@pytest.mark.parametrize("route", ["_newton_inverse", "_recurrence_inverse"])
+def test_each_invert_route_is_taken(monkeypatch, route):
+    called = spy(monkeypatch, route)
+    # dense: a residue product; sparse: the Euler product
+    if route == "_newton_inverse":
+        s = residue_product(ResidueCondition(7, frozenset({1, 6})), 300)
+    else:
+        s = euler_product(300)
+    assert s * s.invert() == TruncatedSeries([1] + [0] * 300)
+    assert called == [route]
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.sets(st.integers(0, m - 1), min_size=1),
+            st.sampled_from(["minus", "plus"]),
+            st.sampled_from(["include", "exclude"]),
+            st.integers(0, 300),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_residue_product_matches_factor_loop(case):
+    modulus, residues, sign, mode, precision = case
+    cond = ResidueCondition(modulus, frozenset(residues), sign=sign, mode=mode)
+    exponents = [e for e in range(1, precision + 1) if cond.admits(e)]
+    expected = literal_factors(exponents, 1 if sign == "plus" else -1, precision)
+    assert list(residue_product(cond, precision).coeffs) == expected
+
+
+@given(st.integers(0, 300), st.integers(0, 300))
+@settings(max_examples=30, deadline=None)
+def test_pochhammer_matches_factor_loop(n, precision):
+    expected = literal_factors(range(1, min(n, precision) + 1), -1, precision)
+    assert list(pochhammer_finite(n, precision).coeffs) == expected
+
+
+def test_widest_distinct_product_matches_factor_loop():
+    # every part 1..2000 once, all signs plus: the largest coefficients a
+    # product of distinct factors reaches at precision 2000
+    product = residue_product(ResidueCondition(1, frozenset({0}), sign="plus"), 2000)
+    assert list(product.coeffs) == literal_factors(range(1, 2001), 1, 2000)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_even_jtp_product_with_repeated_exponents_matches_factor_loop(k):
+    # i = k: the classes k and 2k - k coincide, so every factor appears twice
+    precision = 400
+    exponents = [e for s in (2 * k, k, k) for e in range(s, precision + 1, 2 * k)]
+    product = jtp_specialized(k, k, "even", "product", precision)
+    assert list(product.coeffs) == literal_factors(exponents, -1, precision)
+    assert product == jtp_specialized(k, k, "even", "sum", precision)
+
+
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 300))
+@settings(max_examples=30, deadline=None)
+def test_cauchy_sum_matches_literal_loop(t_exponent, negate_t, precision):
+    signs = [-1 if negate_t and n & 1 else 1 for n in range(precision + 1)]
+    expected = literal_cauchy(signs, t_exponent, precision)
+    assert list(cauchy_sum_specialized(t_exponent, negate_t, precision).coeffs) == expected
+
+
+@given(st.sampled_from(["even", "odd"]), st.integers(0, 300))
+@settings(max_examples=20, deadline=None)
+def test_parts_parity_matches_literal_loop(parity, precision):
+    want = 0 if parity == "even" else 1
+    signs = [int(j % 2 == want) for j in range(precision + 1)]
+    expected = literal_cauchy(signs, 1, precision)
+    assert list(parts_parity_series(parity, precision).coeffs) == expected
