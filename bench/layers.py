@@ -1,4 +1,4 @@
-"""Layer timings of the series engine, as medians of repeated calls.
+"""Layer timings of the series engine and the counting DPs, as medians of repeated calls.
 
 Usage, from the root of the repository::
 
@@ -18,7 +18,15 @@ Layers:
 * ``residue_product.1000`` -- prod (1 - q^n) over every n <= 1000;
 * ``jtp_product.1000`` -- the product side of the even Jacobi triple
   product with k = i = 1, whose factors all appear twice;
-* ``p_mex_series.2000`` -- the row p_{2,3}(0..2000) from cold caches.
+* ``p_mex_series.2000`` -- the row p_{2,3}(0..2000) from cold caches;
+* ``stat_census.50`` -- the per-n rank, crank and spt census for every
+  n <= 50 from cold caches;
+* ``stat_rows.N`` (N = 50, 70) -- the rank, crank and spt rows over
+  n = 0..N at once from cold caches;
+* ``mex_rows.50`` -- ``mex_census_rows`` at n = 50 over the 150 pairs
+  A <= 10, a <= 15 of the catalog.
+
+A layer whose functions a checkout lacks is left out of its output.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import statistics
 import time
 
 from mexstat import mexcount, series
+from mexstat import statistics as mexstat_statistics
 from mexstat.series import ResidueCondition, jtp_specialized, residue_product
 from mexstat.statistics import MexParams
 
@@ -52,6 +61,26 @@ def cold_row() -> None:
     mexcount.p_mex_series(MexParams(2, 3), 2000)
 
 
+def statistics_clear() -> None:
+    for name in ("_stat_census", "_packed_stats"):
+        cached = getattr(mexstat_statistics, name, None)
+        if cached is not None:
+            cached.cache_clear()
+
+
+def cold_census(n_max: int) -> None:
+    statistics_clear()
+    for n in range(1, n_max + 1):
+        mexstat_statistics._stat_census(n)
+
+
+def cold_stat_rows(n_max: int) -> None:
+    statistics_clear()
+    mexstat_statistics.rank_count_rows(n_max)
+    mexstat_statistics.crank_count_rows(n_max)
+    mexstat_statistics.spt_row(n_max)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -69,6 +98,12 @@ def main() -> None:
         lambda: jtp_specialized(1, 1, "even", "product", 1000), repeats
     )
     layers["p_mex_series.2000"] = timed(cold_row, repeats)
+    layers["stat_census.50"] = timed(lambda: cold_census(50), repeats)
+    if hasattr(mexstat_statistics, "rank_count_rows"):
+        for n_max in (50, 70):
+            layers[f"stat_rows.{n_max}"] = timed(lambda: cold_stat_rows(n_max), repeats)
+    grid = [(A, a) for A in range(1, 11) for a in range(1, 16)]
+    layers["mex_rows.50"] = timed(lambda: mexcount.mex_census_rows(50, grid), repeats)
     print(
         json.dumps(
             {

@@ -3,14 +3,15 @@
 Each check pairs two independent evaluators of a quantity indexed by n
 (lhs and rhs always come from different modules or different methods) and
 is verified over a configurable range.  Multi-part statements compare
-tuples.  Checks that enumerate partitions are flagged so callers can cap
-them separately from pure series checks.
+tuples.  Checks with an enumerated side (a per-partition statistic,
+counted) are flagged so callers can cap them separately from pure series
+checks.
 
 Each side of a check is an evaluator factory.  ``make_lhs(n_max)`` builds
 every row the side needs for n = 0..n_max once -- generating-series rows,
-restricted-part DP rows, recurrence values tabulated over the range -- and
-returns an evaluator that only looks values up in them; the enumerated
-mex side reads the rows of one support census.  The catalog in
+restricted-part DP rows, recurrence values tabulated over the range, the
+counting-DP rows of the enumerated mex, rank, crank and spt sides -- and
+returns an evaluator that only looks values up in them.  The catalog in
 :func:`build_registry` is a declaration over a few family helpers: signed
 shifted mex terms (:data:`Term`) by series or recurrence, restricted-part
 DP rows, series rows and grid sweeps.
@@ -22,7 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import limits, mexcount, partitions, statistics
 from .series import (
@@ -213,6 +214,16 @@ def _signed_counts(count_series: Callable[[int, int], TruncatedSeries]) -> Evalu
     return factory
 
 
+def _signed_rows(build: Callable[[int], Mapping[int, Sequence[int]]]) -> EvaluatorFactory:
+    """The tuple (row m at n for |m| <= n), from the rows ``build(n_max)`` keyed by m."""
+
+    def factory(n_max: int) -> Evaluator:
+        rows = build(n_max)
+        return lambda n: tuple(rows[m][n] for m in range(-n, n + 1))
+
+    return factory
+
+
 def _theta_difference(c2: int, c1: int) -> EvaluatorFactory:
     # sum_{n>=1} (-1)^n (q^(c2*n^2-1) - q^(c1*n^2-1))
     return _series(
@@ -356,7 +367,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             f"pbar_{{3,j+1}}(n) counts partitions of n with rank >= j (j = 0..{RANK_CRANK_J_MAX})",
             1,
             _mex_each("series", [[(1, "pbar", 3, j + 1, 0)] for j in js]),
-            lambda n_max: lambda n: tuple(statistics.rank_count_at_least(j, n) for j in js),
+            _table(lambda n_max: [statistics.rank_count_at_least_row(j, n_max) for j in js]),
             requires_enumeration=True,
             notes="lhs: generating-series rows; rhs: enumerated rank histogram",
         ),
@@ -365,7 +376,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "pbar_{3,3}(n) counts the Garden-of-Eden partitions of n (rank <= -2)",
             1,
             _mex("series", [(1, "pbar", 3, 3, 0)]),
-            lambda n_max: statistics.goe_count,
+            _row(statistics.goe_row),
             requires_enumeration=True,
             notes="lhs: generating-series row; rhs: enumerated rank histogram",
         ),
@@ -374,7 +385,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             f"p_{{3,j+1}}(n) counts partitions of n with rank < j (j = 0..{RANK_CRANK_J_MAX})",
             1,
             _mex_each("series", [[(1, "p", 3, j + 1, 0)] for j in js]),
-            lambda n_max: lambda n: tuple(statistics.rank_count_below(j, n) for j in js),
+            _table(lambda n_max: [statistics.rank_count_below_row(j, n_max) for j in js]),
             requires_enumeration=True,
             notes="lhs: generating-series rows; rhs: enumerated rank histogram",
         ),
@@ -408,7 +419,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "p_{3,3}(n) counts partitions of n with rank >= -1",
             1,
             _mex("recurrence", [(1, "p", 3, 3, 0)]),
-            lambda n_max: lambda n: statistics.rank_count_at_least(-1, n),
+            _row(partial(statistics.rank_count_at_least_row, -1)),
             requires_enumeration=True,
             notes="lhs: recurrence; rhs: enumerated rank histogram",
         ),
@@ -425,7 +436,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "thm-3.8-rank",
             "sum_m m^2 N(m,n) = 2 * sum_{r=0}^{n-2} (2r+1) pbar_{3,r+2}(n)",
             1,
-            lambda n_max: lambda n: statistics.rank_moment(2, n),
+            _row(partial(statistics.rank_moment_row, 2)),
             _row(partial(_odd_weighted_row, 2, 2, lambda r: [(1, "pbar", 3, r + 2, 0)])),
             requires_enumeration=True,
             notes="lhs: enumerated rank moment; rhs: recurrence-weighted sum",
@@ -443,7 +454,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "spt(n) = sum_r (2r+1)[pbar_{1,r+1}(n) - pbar_{3,r+2}(n)] "
             "= sum_r (2r+1)[p_{3,r+2}(n) - p_{1,r+1}(n)]",
             1,
-            lambda n_max: lambda n: (statistics.spt_direct(n), statistics.spt_direct(n)),
+            _table(lambda n_max: [statistics.spt_row(n_max)] * 2),
             _table(cor39_rhs),
             requires_enumeration=True,
             notes="lhs: direct smallest-part tally; rhs: recurrence-weighted sums",
@@ -604,7 +615,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "second rank moment generating series matches the enumerated moments",
             1,
             _series(second_rank_moment_series),
-            lambda n_max: lambda n: statistics.rank_moment(2, n),
+            _row(partial(statistics.rank_moment_row, 2)),
             requires_enumeration=True,
             notes="lhs: weighted theta quotient; rhs: enumerated rank histogram",
         ),
@@ -613,7 +624,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "second crank moment generating series matches the enumerated moments (n >= 2)",
             2,
             _series(second_crank_moment_series),
-            lambda n_max: lambda n: statistics.crank_moment_enumerated(2, n),
+            _row(partial(statistics.crank_moment_enumerated_row, 2)),
             requires_enumeration=True,
             notes="lhs: weighted theta quotient; rhs: enumerated crank histogram; "
             "n = 1 differs by the documented crank anomaly",
@@ -623,7 +634,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "rank generating series N(m,n) matches enumerated rank counts for |m| <= n",
             1,
             _signed_counts(rank_generating_series),
-            lambda n_max: lambda n: tuple(statistics.rank_count(m, n) for m in range(-n, n + 1)),
+            _signed_rows(statistics.rank_count_rows),
             requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated rank histogram",
         ),
@@ -632,7 +643,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "crank generating series M(m,n) matches enumerated crank counts for |m| <= n, n >= 2",
             2,
             _signed_counts(crank_generating_series),
-            lambda n_max: lambda n: tuple(statistics.crank_count(m, n) for m in range(-n, n + 1)),
+            _signed_rows(statistics.crank_count_rows),
             requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated crank histogram; "
             "n = 1 differs by the documented crank anomaly",
@@ -660,7 +671,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "p_{3,6}(n-3) counts the Garden-of-Eden partitions of n",
             1,
             _mex("recurrence", [(1, "p", 3, 6, 3)]),
-            lambda n_max: statistics.goe_count,
+            _row(statistics.goe_row),
             requires_enumeration=True,
             notes="lhs: recurrence at shifted argument; rhs: enumerated rank histogram",
         ),

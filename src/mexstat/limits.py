@@ -1,7 +1,10 @@
 """Every size limit of the package, and the error raised past one.
 
-* ``ENUMERATION_CAP`` bounds n for everything that walks partitions or
-  their supports (memory and time grow like p(n)).
+* ``ENUMERATION_CAP`` bounds n on the enumeration route: the literal
+  :func:`partitions.enumerate_partitions` and the counting DPs that stand
+  in for it (the rank, crank and spt rows, the restricted-mex rows).  The
+  DPs take milliseconds at the cap, so it bounds a contract -- the
+  over-limit answers the command line and its tests pin -- not a walk.
 * ``P_TABLE_CAP`` bounds how far the shared pentagonal p(n) table grows;
   ``p_count(50000)`` takes about 3.5 s from cold (2-core host, CPython 3.11).
 * The series precision cap, ``MEXSTAT_MAX_PRECISION`` (default 2000),
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import os
 
-#: Largest n accepted by the enumeration-backed operations.
+#: Largest n accepted by the enumeration route.
 ENUMERATION_CAP = 70
 
 #: Largest n to which the pentagonal p(n) table is grown.

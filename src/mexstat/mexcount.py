@@ -4,15 +4,18 @@ p_{A,a}(n) counts partitions whose mex over the progression a, a+A, ... is
 congruent to a mod 2A; pbar_{A,a}(n) counts those congruent to A+a mod 2A.
 Together they exhaust p(n).  Three independent routes are provided:
 
-* enumeration  - walk every distinct-part support S once, carrying the
-                 number of partitions of each n with exactly that support,
-                 and test the mex class of S directly;
+* enumeration  - count partitions by where the chain a, a+A, ... first
+                 breaks: a counting automaton over the part sizes builds
+                 the rows 0..n_max at once, without listing partitions or
+                 supports (the name is kept; it is the per-partition
+                 definition, counted);
 * series       - expand 1/(q)_inf times an alternating theta numerator;
 * recurrence   - fold shifted partition numbers p(n - offset) with the
                  memoized pentagonal table.
 
-The enumeration route stops at ``limits.ENUMERATION_CAP`` (checked once,
-in :func:`mex_census_rows`) and the recurrence at the p(n) table cap.
+The enumeration route keeps the contract n <= ``limits.ENUMERATION_CAP``
+(checked once, in :func:`mex_census_rows`); the recurrence stops at the
+p(n) table cap.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import limits, partitions
-from .series import ResidueCondition, alternating_theta, partition_generating_series
+from .series import alternating_theta, partition_generating_series
 from .statistics import MexParams
 
 
@@ -83,15 +86,17 @@ def mex_census_rows(
 ) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Rows (p_{A,a}(0..n_max), pbar_{A,a}(0..n_max)) for every (A, a) in ``pairs``.
 
-    A restricted mex depends only on the support S of a partition (its set
-    of distinct parts).  A depth-first walk visits every S with
-    sum(S) <= n_max once, carrying the number of partitions of each n with
-    support exactly S in one int with a fixed-width slot per n; adding part
-    s is one multiply by the packed q^s/(1-q^s).  Each S is classified once
-    per pair by walking a, a+A, ... through it; an odd run goes to pbar.
-    The slot width comes from the restricted-part DP value p(n_max), so
-    the pentagonal p(n) stays an independent route.  ``n_max`` is capped
-    at ``limits.ENUMERATION_CAP``.
+    A counting automaton per pair, on packed rows (:class:`partitions.PackedRows`).
+    It walks the part sizes upwards and keeps one row: the partitions whose
+    parts decided so far include every chain element a, a+A, ... passed.
+    A free part size j multiplies it by 1/(1-q^j).  At chain element c_k
+    the branch "c_k absent" fixes the mex at c_k: the row times the tail
+    T_{c_k} of free parts above c_k goes to p for even k and to pbar for odd
+    k; the branch "c_k present" goes on with the row times q^c_k/(1-q^c_k).
+    Past n_max (or once no partition of n <= n_max keeps the chain) the mex
+    is the next chain element.  The slot width comes from the
+    restricted-part DP value p(n_max), so the pentagonal p(n) stays an
+    independent route.  ``n_max`` is capped at ``limits.ENUMERATION_CAP``.
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")
@@ -99,52 +104,31 @@ def mex_census_rows(
     pairs = list(dict.fromkeys(pairs))
     if any(A < 1 or a < 1 for A, a in pairs):
         raise ValueError("A and a must be positive integers")
-    every_part = ResidueCondition(1, frozenset({0}))
-    width = partitions.count_parts_restricted_row(n_max, every_part)[-1].bit_length()
-    mask = (1 << width * (n_max + 1)) - 1
-    # step[s] is q^s/(1-q^s) = q^s + q^2s + ... packed, truncated at q^n_max
-    step = [0] + [
-        sum(1 << width * k for k in range(s, n_max + 1, s)) for s in range(1, n_max + 1)
-    ]
-    # only parts <= n_max can be present, so a step or start past n_max + 1
-    # classifies like n_max + 1; a probe then stops by index 2 * n_max + 1
-    probes = [(pair, min(pair[0], n_max + 1), min(pair[1], n_max + 1)) for pair in pairs]
-    present = bytearray(2 * n_max + 2)
-    total = 0
-    odd = dict.fromkeys(pairs, 0)
-
-    def visit(counts: int, smallest: int) -> None:
-        nonlocal total
-        total += counts
-        for pair, A, c in probes:
-            run = 0
-            while present[c]:
-                c += A
-                run ^= 1
-            if run:
-                odd[pair] += counts
-        for s in range(smallest, n_max + 1):
-            grown = counts * step[s] & mask
-            if not grown:  # sum(S) + s > n_max, and so for every larger s
-                break
-            present[s] = 1
-            visit(grown, s + 1)
-            present[s] = 0
-
-    visit(1, 1)
-    del visit  # the closure holds itself through its cell; drop that cycle now
-    slot = (1 << width) - 1
-    unpack = lambda packed: tuple(packed >> width * n & slot for n in range(n_max + 1))
-    return {pair: (unpack(total - odd[pair]), unpack(odd[pair])) for pair in pairs}
+    rows = partitions.PackedRows(n_max)
+    tails = rows.tails()
+    out = {}
+    for A, a in pairs:
+        counts = [0, 0]  # packed p and pbar rows
+        chain = 1  # parts below `part` decided, every chain element among them present
+        part, c, k = 1, a, 0
+        while c <= n_max and chain:
+            for j in range(part, c):
+                chain = rows.stride(chain, j)
+            counts[k & 1] += chain * tails[c] & rows.mask
+            chain = rows.stride(rows.shift(chain, c), c)
+            part, c, k = c + 1, c + A, k + 1
+        counts[k & 1] += chain * tails[part - 1] & rows.mask
+        out[A, a] = (rows.unpack(counts[0]), rows.unpack(counts[1]))
+    return out
 
 
 def p_mex_enum(params: MexParams, n: int) -> int:
-    """p_{A,a}(n) by classifying the mex of every partition of n (support census)."""
+    """p_{A,a}(n) on the enumeration route (entry n of :func:`mex_census_rows`)."""
     return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][0][n]
 
 
 def pbar_mex_enum(params: MexParams, n: int) -> int:
-    """pbar_{A,a}(n) by enumeration (support census)."""
+    """pbar_{A,a}(n) on the enumeration route (entry n of :func:`mex_census_rows`)."""
     return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][1][n]
 
 
@@ -152,8 +136,7 @@ def pbar_mex_enum(params: MexParams, n: int) -> int:
 def mex_census(n: int, a_max: int, big_a_max: int) -> dict[tuple[int, int], tuple[int, int]]:
     """Enumeration tallies (p_{A,a}(n), pbar_{A,a}(n)) for every A <= big_a_max, a <= a_max.
 
-    Entry n of :func:`mex_census_rows` over the whole grid: one support walk
-    covers every (A, a) pair.
+    Entry n of :func:`mex_census_rows` over the whole grid.
     """
     grid = [(A, a) for a in range(1, a_max + 1) for A in range(1, big_a_max + 1)]
     return {pair: (p[n], pbar[n]) for pair, (p, pbar) in mex_census_rows(n, grid).items()}

@@ -3,8 +3,11 @@
 A partition is represented as a plain tuple of positive ints in
 non-increasing (canonical) order.  Counting goes through the pentagonal
 recurrence and bounded dynamic programming, deliberately independent of
-the series engine so the two can cross-check each other.  Enumeration
-stops at ``limits.ENUMERATION_CAP`` and the p(n) table at
+the series engine so the two can cross-check each other.
+:class:`PackedRows` holds the rows of the counting DPs that stand in for
+enumeration in ``statistics`` and ``mexcount``; no library route walks
+partitions one by one, and :func:`enumerate_partitions` (tables, tests)
+stops at ``limits.ENUMERATION_CAP``.  The p(n) table stops at
 ``limits.P_TABLE_CAP``.
 """
 
@@ -54,8 +57,9 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 def ascending_partitions(n: int) -> Iterator[list[int]]:
     """All partitions of n as ascending lists, in no particular order.
 
-    Internal fast path (Kelleher's accelerating algorithm) for full-scan
-    statistics; use :func:`enumerate_partitions` when order matters.
+    Kelleher's accelerating algorithm, for callers that scan every
+    partition; the library's own aggregates come from counting DPs instead.
+    Use :func:`enumerate_partitions` when order matters.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -171,6 +175,60 @@ def count_parts_restricted(
     row anyway, so read it there when many n are needed.
     """
     return count_parts_restricted_row(n, allowed, distinct)[n]
+
+
+# ---------------------------------------------------------------------------
+# packed counting rows (the counting DPs of statistics and mexcount)
+# ---------------------------------------------------------------------------
+
+
+class PackedRows:
+    """Rows of non-negative counts over n = 0..n_max, each held in one int.
+
+    Entry n of a row sits in bits [n * width, (n + 1) * width).  The counting
+    DPs built on this add rows and multiply them by q^e, by 1/(1-q^e) and by
+    each other; every count they form at n counts partitions of n, or at
+    most 2**extra_bits times as many.  So the width is that of p(n_max),
+    taken from the restricted-part DP (not the pentagonal table), plus
+    ``extra_bits``: no slot up to n_max overflows, a carry only moves up,
+    and the mask drops what lands past slot n_max -- the truncation at
+    q^n_max.
+    """
+
+    def __init__(self, n_max: int, extra_bits: int = 0) -> None:
+        if n_max < 0:
+            raise ValueError("n must be non-negative")
+        every_part = ResidueCondition(1, frozenset({0}))
+        self.n_max = n_max
+        self.width = count_parts_restricted_row(n_max, every_part)[-1].bit_length() + extra_bits
+        self.mask = (1 << self.width * (n_max + 1)) - 1
+
+    def shift(self, x: int, e: int) -> int:
+        """x * q^e, truncated at q^n_max."""
+        return x << self.width * e & self.mask
+
+    def stride(self, x: int, e: int) -> int:
+        """x / (1 - q^e) = x + q^e x + q^2e x + ..., truncated at q^n_max.
+
+        Doubling: after t steps x carries the factor 1 + q^e + ... + q^((2^t - 1)e).
+        """
+        step = e
+        while step <= self.n_max:
+            x = (x + (x << self.width * step)) & self.mask
+            step <<= 1
+        return x
+
+    def tails(self) -> list[int]:
+        """[T_0, ..., T_n_max] with T_s = prod_{j>s} 1/(1-q^j): parts above s, freely."""
+        out = [1] * (self.n_max + 1)
+        for s in range(self.n_max, 0, -1):
+            out[s - 1] = self.stride(out[s], s)
+        return out
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The counts of a packed row, entry n at index n."""
+        width, slot = self.width, (1 << self.width) - 1
+        return tuple(x >> width * n & slot for n in range(self.n_max + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Per-partition statistics (mex, rank, crank) and their aggregates.
 
 Aggregate counts come in two flavours wherever a generating function
-exists: a combinatorial one from a single enumeration pass per n (cached
-histograms) and a series one read off the corresponding generating series.
-The two agree everywhere except the classical crank anomaly at n = 1,
-which is exposed, documented and tested rather than hidden.
+exists: a combinatorial one and a series one read off the corresponding
+generating series.  The combinatorial one counts the per-partition
+statistic without listing partitions: counting DPs build the rank, crank
+and spt rows over n = 0..n_max at once (the hook and Gaussian-binomial
+count of Ferrers diagrams for the rank, the split by the number of ones
+for the Andrews-Garvan crank, the smallest-part tally over tails for spt),
+and a point function reads entry n (cached histograms per n).  They share
+no code with the series engine or the pentagonal p(n).  The two flavours
+agree everywhere except the classical crank anomaly at n = 1, which is
+exposed, documented and tested rather than hidden.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Literal
@@ -66,33 +71,141 @@ def crank(parts: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# one enumeration pass per n, shared by all combinatorial aggregates
+# counting DPs: the rank, crank and spt rows over n = 0..n_max at once
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _packed_stats(
+    n_max: int,
+) -> tuple[partitions.PackedRows, dict[int, int], dict[int, int], int]:
+    # (packer, rank rows and crank rows keyed by m in [-n_max, n_max], spt row),
+    # each row packed; the empty partition of 0 has rank and crank 0
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
+    limits.check_enumeration(n_max)
+    rows = partitions.PackedRows(n_max, n_max.bit_length())
+    rank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
+    crank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
+    rank_rows[0] = crank_rows[0] = 1
+
+    # Rank.  Largest part L and k parts: the hook has L + k - 1 = m + 1 cells
+    # and the rest fits a (k-1) x (L-1) box, so with j = k - 1 there are
+    # q^(m+1) [m choose j]_q of them, of rank m - 2j.  Row m of the Gaussian
+    # binomials comes from row m - 1 by [m, j] = [m-1, j-1] + q^j [m-1, j],
+    # kept to q^(n_max-m-1), the most that q^(m+1) leaves.
+    binomials = [1]
+    for m in range(n_max):
+        if m:
+            keep = (1 << rows.width * (n_max - m)) - 1
+            binomials = [
+                ((binomials[j - 1] if j else 0) + (binomials[j] << rows.width * j if j < m else 0))
+                & keep
+                for j in range(m + 1)
+            ]
+        for j, box in enumerate(binomials):
+            rank_rows[m - 2 * j] += rows.shift(box, m + 1)
+
+    # Crank.  q^w prod_{j=2..w} 1/(1-q^j) counts both the partitions with no
+    # ones and largest part w >= 2 (crank w) and w ones together with free
+    # parts in [2, w].  The latter take mu parts > w as well,
+    # q^(mu(w+1))/(q)_mu, and have crank mu - w.
+    free = 1
+    for w in range(1, n_max + 1):
+        if w >= 2:
+            free = rows.stride(free, w)
+            crank_rows[w] += rows.shift(free, w)
+        with_ones = rows.shift(free, w)
+        mu = 0
+        while with_ones:
+            crank_rows[mu - w] += with_ones
+            mu += 1
+            with_ones = rows.stride(rows.shift(with_ones, w + 1), mu)
+
+    # spt.  Smallest part s, t >= 1 times, adds t q^(st): q^s/(1-q^s)^2 times
+    # the tail T_s of parts above s.
+    tails = rows.tails()
+    spt = 0
+    for s in range(1, n_max + 1):
+        spt += rows.stride(rows.stride(rows.shift(tails[s], s), s), s)
+    return rows, rank_rows, crank_rows, spt
 
 
 @lru_cache(maxsize=None)
 def _stat_census(n: int) -> tuple[dict[int, int], dict[int, int], int]:
-    # returns (rank histogram, crank histogram, spt total); every
-    # combinatorial aggregate comes through here, so the n range is checked here
+    # (rank histogram, crank histogram, spt total) at n, read off the top
+    # slot of the rows to n; every per-n combinatorial aggregate comes
+    # through here, so n >= 1 is checked here (the cap in _packed_stats)
     if n < 1:
         raise ValueError("n must be at least 1")
-    limits.check_enumeration(n)
-    rank_hist: dict[int, int] = {}
-    crank_hist: dict[int, int] = {}
-    spt_total = 0
-    for parts in partitions.ascending_partitions(n):
-        length = len(parts)
-        largest = parts[-1]
-        r = largest - length
-        rank_hist[r] = rank_hist.get(r, 0) + 1
-        ones = bisect_right(parts, 1)
-        if ones == 0:
-            c = largest
-        else:
-            c = (length - bisect_right(parts, ones)) - ones
-        crank_hist[c] = crank_hist.get(c, 0) + 1
-        spt_total += bisect_right(parts, parts[0])
-    return rank_hist, crank_hist, spt_total
+    rows, rank_rows, crank_rows, spt = _packed_stats(n)
+    top = rows.width * n
+    rank_hist = {m: c for m, x in rank_rows.items() if (c := x >> top)}
+    crank_hist = {m: c for m, x in crank_rows.items() if (c := x >> top)}
+    return rank_hist, crank_hist, spt >> top
+
+
+def _census_row(stat: int, n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
+    # entry n is sum over m of weight(m) * (count of statistic ``stat`` = m at n);
+    # stat 1 is rank, 2 is crank.  The rows of one weight count disjoint sets
+    # of partitions, so they are summed packed and unpacked once.
+    packed = _packed_stats(n_max)
+    by_weight: dict[int, int] = {}
+    for m, x in packed[stat].items():
+        w = weight(m)
+        if w:
+            by_weight[w] = by_weight.get(w, 0) + x
+    out = [0] * (n_max + 1)
+    for w, x in by_weight.items():
+        out = [o + w * c for o, c in zip(out, packed[0].unpack(x))]
+    return tuple(out)
+
+
+def rank_count_rows(n_max: int) -> dict[int, tuple[int, ...]]:
+    """N(m, n) for n = 0..n_max, one row per m in [-n_max, n_max] (counting DP)."""
+    rows, rank_rows, _, _ = _packed_stats(n_max)
+    return {m: rows.unpack(x) for m, x in rank_rows.items()}
+
+
+def crank_count_rows(n_max: int) -> dict[int, tuple[int, ...]]:
+    """Per-partition crank counts for n = 0..n_max, one row per m in [-n_max, n_max]."""
+    rows, _, crank_rows, _ = _packed_stats(n_max)
+    return {m: rows.unpack(x) for m, x in crank_rows.items()}
+
+
+def rank_count_at_least_row(j: int, n_max: int) -> tuple[int, ...]:
+    """Partitions of n with rank >= j, for n = 0..n_max (counting DP)."""
+    return _census_row(1, n_max, lambda m: m >= j)
+
+
+def rank_count_below_row(j: int, n_max: int) -> tuple[int, ...]:
+    """Partitions of n with rank < j, for n = 0..n_max (counting DP)."""
+    return _census_row(1, n_max, lambda m: m < j)
+
+
+def rank_moment_row(k: int, n_max: int) -> tuple[int, ...]:
+    """k-th rank moments sum_m m^k N(m, n) for n = 0..n_max (counting DP)."""
+    if not 0 <= k <= MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
+    return _census_row(1, n_max, lambda m: m**k)
+
+
+def crank_moment_enumerated_row(k: int, n_max: int) -> tuple[int, ...]:
+    """k-th per-partition crank moments for n = 0..n_max (counting DP)."""
+    if not 0 <= k <= MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
+    return _census_row(2, n_max, lambda m: m**k)
+
+
+def goe_row(n_max: int) -> tuple[int, ...]:
+    """Garden-of-Eden counts (rank <= -2) for n = 0..n_max (counting DP)."""
+    return _census_row(1, n_max, lambda m: m <= -2)
+
+
+def spt_row(n_max: int) -> tuple[int, ...]:
+    """spt(n), the smallest-part tally, for n = 0..n_max (counting DP)."""
+    rows, _, _, spt = _packed_stats(n_max)
+    return rows.unpack(spt)
 
 
 def rank_histogram(n: int) -> dict[int, int]:
@@ -189,14 +302,18 @@ def crank_count_at_least(j: int, n: int, method: Method = "series") -> int:
     """Partitions of n with crank >= j (entry n of :func:`crank_count_at_least_row`)."""
     if method == "series":
         return crank_count_at_least_row(j, n)[n]
-    return sum(c for m, c in _stat_census(n)[1].items() if m >= j)
+    if method == "combinatorial":
+        return sum(c for m, c in _stat_census(n)[1].items() if m >= j)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def crank_count_below(j: int, n: int, method: Method = "series") -> int:
     """Partitions of n with crank < j (entry n of :func:`crank_count_below_row`)."""
     if method == "series":
         return crank_count_below_row(j, n)[n]
-    return sum(c for m, c in _stat_census(n)[1].items() if m < j)
+    if method == "combinatorial":
+        return sum(c for m, c in _stat_census(n)[1].items() if m < j)
+    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,45 @@
+"""The names the benchmark's tracer and worker reach into must keep resolving.
+
+``perfbench/tracer.py`` patches functions by (module, attribute) and
+``perfbench/worker.py`` reads the ``cache_info()`` of a few caches in traced
+runs; a rename in ``src/`` breaks both without failing any other test.  The
+tracer is loaded from its file, read only.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from mexstat import mexcount, series, statistics
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer_bindings", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_resolves():
+    tracer = _tracer_module()
+    bindings = [(module, attr) for module, attr, *_ in tracer.FUNCTIONS + tracer.GENERATORS]
+    assert bindings
+    for module, attr in bindings:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    for attr, *_ in tracer.METHODS:
+        assert attr in vars(series.TruncatedSeries), attr
+
+
+def test_the_caches_the_worker_reads_keep_cache_info():
+    for fn in (
+        statistics._stat_census,
+        mexcount.mex_census,
+        mexcount._series_row,
+        series.partition_generating_series,
+        series.rank_generating_series,
+        series.crank_generating_series,
+    ):
+        info = fn.cache_info()
+        assert info.hits >= 0 and info.misses >= 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexstat import mexcount, partitions, series
+from mexstat import mexcount, partitions, series, statistics
 from mexstat.mexcount import (
     mex_census,
     mex_census_rows,
@@ -131,20 +131,51 @@ def test_census_matches_literal_mex_count(A, a, n):
 
 
 def test_census_rows_read_neither_pentagonal_table_nor_series(monkeypatch):
+    # the enumerated side of a check must share no route with the side it is
+    # checked against: no partition walk, no pentagonal p(n), no series
     def forbidden(*args, **kwargs):
-        raise AssertionError("the support census must not use this route")
+        raise AssertionError("the counting DPs must not use this route")
 
-    monkeypatch.setattr(partitions, "p_count", forbidden)
-    monkeypatch.setattr(mexcount, "partition_generating_series", forbidden)
-    monkeypatch.setattr(mexcount, "alternating_theta", forbidden)
-    monkeypatch.setattr(series.TruncatedSeries, "__init__", forbidden)
+    for module, name in [
+        (partitions, "p_count"),
+        (partitions, "ascending_partitions"),
+        (partitions, "enumerate_partitions"),
+        (mexcount, "partition_generating_series"),
+        (mexcount, "alternating_theta"),
+        (statistics, "rank_generating_series"),
+        (statistics, "crank_generating_series"),
+        (series, "partition_generating_series"),
+        (series, "rank_generating_series"),
+        (series, "crank_generating_series"),
+        (series, "second_rank_moment_series"),
+        (series, "second_crank_moment_series"),
+        (series.TruncatedSeries, "__init__"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    statistics._packed_stats.cache_clear()
+    statistics._stat_census.cache_clear()
     grid = [(A, a) for A in range(1, 7) for a in range(1, 10)]
     rows = mex_census_rows(20, grid)
+    stat_rows = (
+        statistics.rank_count_rows(20),
+        statistics.crank_count_rows(20),
+        statistics.spt_row(20),
+        statistics.goe_row(20),
+        statistics.rank_moment_row(2, 20),
+    )
+    spt_19 = statistics.spt_direct(19)
     monkeypatch.undo()
     for (A, a), (p_row, pbar_row) in rows.items():
         params = MexParams(A, a)
         assert list(p_row) == [p_mex_recurrence(params, n) for n in range(21)]
         assert [p + pb for p, pb in zip(p_row, pbar_row)] == [p_count(n) for n in range(21)]
+    rank_rows, crank_rows, spt, goe, moment = stat_rows
+    for n in range(1, 21):
+        assert sum(row[n] for row in rank_rows.values()) == p_count(n)
+        assert sum(row[n] for row in crank_rows.values()) == p_count(n)
+        assert 2 * spt[n] == 2 * n * p_count(n) - moment[n]
+        assert goe[n] == pbar_mex_recurrence(MexParams(3, 3), n)
+    assert spt_19 == spt[19]
 
 
 def test_census_rows_memory_follows_n_max_not_the_pairs():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mexstat.partitions import (
     CapacityError,
+    PackedRows,
     as_partition,
     ascending_partitions,
     count_parts_restricted,
@@ -221,3 +222,41 @@ def test_restricted_row_matches_literal_count(allowed, distinct, n_max):
     for n in range(n_max + 1):
         assert row[n] == _literal_restricted_count(n, allowed, distinct)
         assert count_parts_restricted(n, allowed, distinct) == row[n]
+
+
+def _literal_stride(row, e):
+    # row / (1 - q^e), one coefficient at a time
+    out = list(row)
+    for n in range(e, len(out)):
+        out[n] += out[n - e]
+    return out
+
+
+@given(
+    n_max=st.integers(min_value=0, max_value=30),
+    e=st.integers(min_value=1, max_value=35),
+    seed_row=st.lists(st.integers(min_value=0, max_value=3), min_size=31, max_size=31),
+)
+@settings(max_examples=60, deadline=None)
+def test_packed_stride_matches_literal_loop(n_max, e, seed_row):
+    rows = PackedRows(n_max, 7)  # a stride of entries <= 3 stays below 3 * 31 < 2**7
+    row = seed_row[: n_max + 1]
+    packed = sum(c << rows.width * n for n, c in enumerate(row))
+    assert rows.unpack(packed) == tuple(row)
+    assert list(rows.unpack(rows.stride(packed, e))) == _literal_stride(row, e)
+    shifted = [0] * min(e, n_max + 1) + row[: max(n_max + 1 - e, 0)]
+    assert list(rows.unpack(rows.shift(packed, e))) == shifted
+
+
+def test_packed_tails_match_literal_products():
+    n_max = 30
+    rows = PackedRows(n_max)
+    tails = rows.tails()
+    assert len(tails) == n_max + 1
+    for s in range(n_max + 1):
+        literal = [1] + [0] * n_max
+        for j in range(s + 1, n_max + 1):
+            literal = _literal_stride(literal, j)
+        assert list(rows.unpack(tails[s])) == literal
+    assert rows.unpack(tails[0]) == tuple(p_count(n) for n in range(n_max + 1))
+    assert rows.width == p_count(n_max).bit_length()

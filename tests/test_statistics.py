@@ -1,4 +1,8 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexstat.partitions import CapacityError, enumerate_partitions, p_count
 from mexstat.statistics import (
@@ -9,19 +13,27 @@ from mexstat.statistics import (
     crank_count_at_least_row,
     crank_count_below,
     crank_count_below_row,
+    crank_count_rows,
     crank_histogram,
     crank_moment,
+    crank_moment_enumerated_row,
     crank_moment_row,
     crank_moment_enumerated,
     goe_count,
+    goe_row,
     mex,
     rank,
     rank_count,
     rank_count_at_least,
+    rank_count_at_least_row,
     rank_count_below,
+    rank_count_below_row,
+    rank_count_rows,
     rank_histogram,
     rank_moment,
+    rank_moment_row,
     spt_direct,
+    spt_row,
 )
 
 
@@ -133,6 +145,11 @@ class TestCrankCounts:
                 expected = sum(m**k * crank_count(m, n, "series") for m in range(-n, n + 1))
                 assert row[n] == expected == crank_moment(k, n)
 
+    def test_unknown_method_rejected(self):
+        for count in (crank_count_at_least, crank_count_below, crank_count, rank_count):
+            with pytest.raises(ValueError, match="unknown method 'bogus'"):
+                count(0, 1, "bogus")
+
     def test_at_least_series(self):
         # crank >= 2 column for n = 1..8
         got = [crank_count_at_least(2, n) for n in range(1, 9)]
@@ -229,3 +246,68 @@ def test_every_combinatorial_aggregate_honours_the_enumeration_cap():
     for call in calls:
         with pytest.raises(CapacityError):
             call()
+
+
+# ---------------------------------------------------------------------------
+# the counting-DP rows against the literal statistics of every partition
+# ---------------------------------------------------------------------------
+
+
+def _literal_census(n):
+    parts = list(enumerate_partitions(n))
+    return (
+        Counter(rank(p) for p in parts),
+        Counter(crank(p) for p in parts),
+        sum(p.count(p[-1]) for p in parts if p),
+    )
+
+
+@given(n=st.integers(min_value=1, max_value=25))
+@settings(max_examples=25, deadline=None)
+def test_histograms_and_spt_match_literal_tallies(n):
+    ranks, cranks, spt = _literal_census(n)
+    assert rank_histogram(n) == dict(ranks)
+    assert crank_histogram(n) == dict(cranks)
+    assert spt_direct(n) == spt
+
+
+@given(n_max=st.integers(min_value=0, max_value=25))
+@settings(max_examples=15, deadline=None)
+def test_rows_match_literal_tallies_at_every_n(n_max):
+    rank_rows, crank_rows, spt = rank_count_rows(n_max), crank_count_rows(n_max), spt_row(n_max)
+    assert sorted(rank_rows) == sorted(crank_rows) == list(range(-n_max, n_max + 1))
+    for n in range(n_max + 1):
+        ranks, cranks, spt_n = _literal_census(n)
+        assert {m: row[n] for m, row in rank_rows.items() if row[n]} == dict(ranks)
+        assert {m: row[n] for m, row in crank_rows.items() if row[n]} == dict(cranks)
+        assert spt[n] == spt_n
+
+
+def test_crank_anomaly_pinned_in_the_histogram():
+    # the one partition of 1 has one 1 and no larger part: crank 0 - 1
+    assert crank_histogram(1) == {-1: 1}
+    assert crank_count_rows(3)[-1][1] == 1
+
+
+def test_aggregate_rows_read_like_the_point_functions():
+    n_max = 30
+    at_least = {j: rank_count_at_least_row(j, n_max) for j in range(-3, 4)}
+    below = {j: rank_count_below_row(j, n_max) for j in range(-3, 4)}
+    moments = {k: rank_moment_row(k, n_max) for k in range(5)}
+    crank_moments = {k: crank_moment_enumerated_row(k, n_max) for k in range(5)}
+    goe, spt = goe_row(n_max), spt_row(n_max)
+    for n in range(1, n_max + 1):
+        for j in range(-3, 4):
+            assert at_least[j][n] == rank_count_at_least(j, n)
+            assert below[j][n] == rank_count_below(j, n)
+        for k in range(5):
+            assert moments[k][n] == rank_moment(k, n)
+            assert crank_moments[k][n] == crank_moment_enumerated(k, n)
+        assert goe[n] == goe_count(n)
+        assert spt[n] == spt_direct(n)
+    with pytest.raises(ValueError):
+        rank_moment_row(5, 3)
+    with pytest.raises(ValueError):
+        spt_row(-1)
+    with pytest.raises(CapacityError):
+        rank_count_rows(71)
