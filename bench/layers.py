@@ -24,7 +24,13 @@ Layers:
 * ``stat_rows.N`` (N = 50, 70) -- the rank, crank and spt rows over
   n = 0..N at once from cold caches;
 * ``mex_rows.50`` -- ``mex_census_rows`` at n = 50 over the 150 pairs
-  A <= 10, a <= 15 of the catalog.
+  A <= 10, a <= 15 of the catalog;
+* ``cli.main.rank`` -- one ``main(["compute", "rank", "--partition",
+  "3,1"])`` call, after a first call that may build the parser (each time
+  is a batch of 100 calls divided by 100);
+* ``p_table.20000`` -- ``p_count(20000)`` from an empty p(n) table;
+* ``genfun.prefix_hit.1000`` -- ``partition_generating_series(1000)``
+  with the cache holding only the series at precision 2000.
 
 A layer whose functions a checkout lacks is left out of its output.
 """
@@ -32,13 +38,15 @@ A layer whose functions a checkout lacks is left out of its output.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import time
+from contextlib import redirect_stdout
 
-from mexstat import mexcount, series
+from mexstat import cli, mexcount, partitions, series
 from mexstat import statistics as mexstat_statistics
 from mexstat.series import ResidueCondition, jtp_specialized, residue_product
 from mexstat.statistics import MexParams
@@ -46,12 +54,17 @@ from mexstat.statistics import MexParams
 PRECISIONS = (500, 1000, 2000, 4000)
 
 
-def timed(call, repeats: int) -> dict:
+def timed(call, repeats: int, setup=None, calls: int = 1) -> dict:
+    """Median over ``repeats`` of ``calls`` calls per time (divided by ``calls``);
+    ``setup`` runs untimed before each."""
     times = []
     for _ in range(repeats):
+        if setup is not None:
+            setup()
         start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
+        for _ in range(calls):
+            call()
+        times.append((time.perf_counter() - start) / calls)
     return {"median_s": statistics.median(times), "times_s": times}
 
 
@@ -81,6 +94,20 @@ def cold_stat_rows(n_max: int) -> None:
     mexstat_statistics.spt_row(n_max)
 
 
+def cli_rank() -> None:
+    with redirect_stdout(io.StringIO()):
+        cli.main(["compute", "rank", "--partition", "3,1"])
+
+
+def cold_p_table() -> None:
+    del partitions._p_table[1:]
+
+
+def genfun_at_2000() -> None:
+    series.partition_generating_series.cache_clear()
+    series.partition_generating_series(2000)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -89,8 +116,8 @@ def main() -> None:
     rogers_ramanujan = ResidueCondition(5, frozenset({1, 4}))
     for p in PRECISIONS:
         dense = residue_product(rogers_ramanujan, p)
-        partitions = series.partition_generating_series(p)
-        layers[f"mul.dense.{p}"] = timed(lambda: dense * partitions, repeats)
+        every_count = series.partition_generating_series(p)
+        layers[f"mul.dense.{p}"] = timed(lambda: dense * every_count, repeats)
         layers[f"invert.dense.{p}"] = timed(dense.invert, repeats)
     every_part = ResidueCondition(1, frozenset({0}))
     layers["residue_product.1000"] = timed(lambda: residue_product(every_part, 1000), repeats)
@@ -104,6 +131,12 @@ def main() -> None:
             layers[f"stat_rows.{n_max}"] = timed(lambda: cold_stat_rows(n_max), repeats)
     grid = [(A, a) for A in range(1, 11) for a in range(1, 16)]
     layers["mex_rows.50"] = timed(lambda: mexcount.mex_census_rows(50, grid), repeats)
+    cli_rank()
+    layers["cli.main.rank"] = timed(cli_rank, repeats, calls=100)
+    layers["p_table.20000"] = timed(lambda: partitions.p_count(20000), repeats, cold_p_table)
+    layers["genfun.prefix_hit.1000"] = timed(
+        lambda: series.partition_generating_series(1000), repeats, genfun_at_2000
+    )
     print(
         json.dumps(
             {

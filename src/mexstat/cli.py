@@ -369,8 +369,16 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # one parser per process, built on the first call: parse_args keeps no
+    # state between calls, and building the tree costs more than parsing
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:

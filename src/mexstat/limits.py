@@ -6,7 +6,7 @@
   DPs take milliseconds at the cap, so it bounds a contract -- the
   over-limit answers the command line and its tests pin -- not a walk.
 * ``P_TABLE_CAP`` bounds how far the shared pentagonal p(n) table grows;
-  ``p_count(50000)`` takes about 3.5 s from cold (2-core host, CPython 3.11).
+  ``p_count(50000)`` takes about 1.3 s from cold (2-core host, CPython 3.11).
 * The series precision cap, ``MEXSTAT_MAX_PRECISION`` (default 2000),
   bounds what the command line asks of the series routes; library series
   functions take any precision.

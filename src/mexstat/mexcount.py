@@ -24,30 +24,30 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import limits, partitions
-from .series import alternating_theta, partition_generating_series
+from .series import TruncatedSeries, alternating_theta, partition_generating_series, prefix_cache
 from .statistics import MexParams
 
 
-@lru_cache(maxsize=None)
-def _series_row(A: int, a: int, n_max: int, barred: bool) -> tuple[int, ...]:
+@prefix_cache
+def _series_row(A: int, a: int, barred: bool, n_max: int) -> TruncatedSeries:
     # exponent A*n*(n+1)/2 + a*(n+1) barred, A*n*(n-1)/2 + a*n unbarred
     quadratic = (A, A + 2 * a, 2 * a) if barred else (A, 2 * a - A, 0)
     numerator = alternating_theta(quadratic, 0, n_max)
-    return (numerator * partition_generating_series(n_max)).coeffs
+    return numerator * partition_generating_series(n_max)
 
 
 def p_mex_series(params: MexParams, n_max: int) -> tuple[int, ...]:
     """Coefficients p_{A,a}(0..n_max) from the generating-function route."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return _series_row(params.A, params.a, n_max, False)
+    return _series_row(params.A, params.a, False, n_max).coeffs
 
 
 def pbar_mex_series(params: MexParams, n_max: int) -> tuple[int, ...]:
     """Coefficients pbar_{A,a}(0..n_max) from the generating-function route."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return _series_row(params.A, params.a, n_max, True)
+    return _series_row(params.A, params.a, True, n_max).coeffs
 
 
 def p_mex_recurrence(params: MexParams, n: int) -> int:

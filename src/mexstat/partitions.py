@@ -7,15 +7,20 @@ the series engine so the two can cross-check each other.
 :class:`PackedRows` holds the rows of the counting DPs that stand in for
 enumeration in ``statistics`` and ``mexcount``; no library route walks
 partitions one by one, and :func:`enumerate_partitions` (tables, tests)
-stops at ``limits.ENUMERATION_CAP``.  The p(n) table stops at
+stops at ``limits.ENUMERATION_CAP``.  :func:`p_count` reads one shared
+p(n) table: it grows, under a lock, to the largest n asked so far and
+never shrinks, so every smaller n is a list read; it stops at
 ``limits.P_TABLE_CAP``.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from functools import lru_cache
-from typing import Iterable, Iterator
+from math import isqrt
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from . import limits
 from .limits import CapacityError  # noqa: F401  (re-exported: callers import it from here)
@@ -96,9 +101,39 @@ _p_table: list[int] = [1]
 _p_lock = threading.Lock()
 
 
+# the generalized pentagonal numbers g = k(3k-1)/2, k(3k+1)/2 for k = 1, 2, ...,
+# increasing and past the table cap; entry j has k = j // 2 + 1
+_PENTAGONAL = tuple(
+    k * (3 * k + s) // 2 for k in range(1, isqrt(limits.P_TABLE_CAP) + 2) for s in (-1, 1)
+)
+
+
+def _gather(indices: list[int]) -> Callable[[list[int]], tuple[int, ...]]:
+    """t -> tuple(t[i] for i in indices), in one C call once there are two or more."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda t: tuple(t[i] for i in indices)
+
+
+@lru_cache(maxsize=1)
+def _pentagonal_gathers(count: int) -> tuple[Callable, Callable]:
+    """Gathers of t[-g] over the first ``count`` offsets g, for k odd and for k even."""
+    offsets = _PENTAGONAL[:count]
+    return (
+        _gather([-g for j, g in enumerate(offsets) if not j & 2]),
+        _gather([-g for j, g in enumerate(offsets) if j & 2]),
+    )
+
+
 def p_count(n: int) -> int:
     """The partition count p(n); p(0) = 1 and p(n) = 0 for negative n.
 
+    The shared table grows by the pentagonal recurrence
+    p(m) = sum over k >= 1 of (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)].
+    With the table holding p(0..m-1), the term p(m - g) is ``table[-g]``, so
+    each step is one gather of the offsets g <= m with k odd, minus one with
+    k even.  The gathers are kept for the last offset count, so they are
+    rebuilt only when m reaches the next offset, also across calls.
     Growing the table past ``limits.P_TABLE_CAP`` raises CapacityError.
     """
     if n < 0:
@@ -108,22 +143,10 @@ def p_count(n: int) -> int:
         return table[n]
     limits.check_p_table(n)
     with _p_lock:
-        while len(_p_table) <= n:
-            m = len(_p_table)
-            total = 0
-            k = 1
-            while True:
-                g = m - k * (3 * k - 1) // 2
-                if g < 0:
-                    break
-                term = _p_table[g]
-                g2 = m - k * (3 * k + 1) // 2
-                if g2 >= 0:
-                    term += _p_table[g2]
-                total += term if k & 1 else -term
-                k += 1
-            _p_table.append(total)
-    return _p_table[n]
+        while len(table) <= n:
+            take_plus, take_minus = _pentagonal_gathers(bisect_right(_PENTAGONAL, len(table)))
+            table.append(sum(take_plus(table)) - sum(take_minus(table)))
+    return table[n]
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,22 @@ nonzero pairs, shifted adds of the packed dense operand over the sparse
 operand's nonzeros, or one Kronecker multiply.  Dense series invert by
 Newton iteration (Brent and Zimmermann, Modern Computer Arithmetic, 4.2)
 on that multiply; sparse ones by the O(P * nnz) recurrence.
+
+Caches.  ``partition_generating_series`` and the rank and crank count
+series are cached by :func:`prefix_cache`: one series per key (none, or
+m), at the largest precision built so far.  A lower precision is read as
+its prefix and a higher one is built once, exactly, and replaces it, so
+memory is one series per key and a sweep over rising precisions builds
+once per new maximum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import _CacheInfo, wraps
 from math import isqrt
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 Sign = Literal["minus", "plus"]
 Mode = Literal["include", "exclude"]
@@ -78,6 +85,13 @@ class TruncatedSeries:
                 raise ValueError(f"coefficients must be exact integers, got {c!r}")
         self._coeffs = cs
 
+    @classmethod
+    def _of_checked(cls, coeffs: tuple[int, ...]) -> TruncatedSeries:
+        """A series over a non-empty tuple of ints that is known to be valid."""
+        series = object.__new__(cls)
+        series._coeffs = coeffs
+        return series
+
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
@@ -100,7 +114,7 @@ class TruncatedSeries:
             raise ValueError("precision must be non-negative")
         if precision > self.precision:
             raise ValueError(f"cannot extend precision {self.precision} to {precision}")
-        return TruncatedSeries(self._coeffs[: precision + 1])
+        return TruncatedSeries._of_checked(self._coeffs[: precision + 1])
 
     def to_decimal_strings(self) -> list[str]:
         """Coefficients as decimal strings (arbitrary-precision-safe serialization)."""
@@ -525,7 +539,52 @@ def jtp_specialized(
     return _binomial_product(exponents, -1, precision)
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# prefix-reusing caches
+# ---------------------------------------------------------------------------
+
+
+def prefix_cache(build: Callable[..., TruncatedSeries]) -> Callable[..., TruncatedSeries]:
+    """Cache ``build(*key, precision)`` by key, serving lower precisions by prefix.
+
+    One entry per key holds the series at the largest precision built so far.
+    A request at or below it is that entry truncated (the entry itself at
+    equal precision): a truncated product is the product built at the lower
+    precision.  A request above it builds exactly the requested precision
+    and replaces the entry.  So memory is one series per key, and a sweep of
+    rising precisions builds once per new maximum.  ``cache_info()`` and
+    ``cache_clear()`` behave as those of ``functools.lru_cache`` (``maxsize``
+    is None, ``currsize`` counts keys).
+    """
+    entries: dict[tuple, TruncatedSeries] = {}
+    hits = misses = 0
+
+    @wraps(build)
+    def cached(*args: int) -> TruncatedSeries:
+        nonlocal hits, misses
+        key, precision = args[:-1], args[-1]
+        held = entries.get(key)
+        if held is not None and precision <= held.precision:
+            hits += 1
+            return held if precision == held.precision else held.truncate(precision)
+        misses += 1
+        entries[key] = value = build(*args)
+        return value
+
+    def cache_info() -> _CacheInfo:
+        return _CacheInfo(hits, misses, None, len(entries))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        entries.clear()
+        hits = misses = 0
+
+    cached.cache_info = cache_info
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@prefix_cache
 def partition_generating_series(precision: int) -> TruncatedSeries:
     """1/((1-q)(1-q^2)...) truncated: coefficient of q^n is the partition count p(n)."""
     return euler_product(precision).invert()
@@ -544,13 +603,13 @@ def _count_series_from_pentagon_like(P: int, m: int, precision: int) -> Truncate
     return (upper - lower) * partition_generating_series(precision)
 
 
-@lru_cache(maxsize=None)
+@prefix_cache
 def rank_generating_series(m: int, precision: int) -> TruncatedSeries:
     """Series whose q^n coefficient counts partitions of n with rank m."""
     return _count_series_from_pentagon_like(3, m, precision)
 
 
-@lru_cache(maxsize=None)
+@prefix_cache
 def crank_generating_series(m: int, precision: int) -> TruncatedSeries:
     """Series whose q^n coefficient counts partitions of n with crank m.
 

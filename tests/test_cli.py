@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mexstat import cli
 from mexstat.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,6 +161,50 @@ class TestOverLimitInputs:
         assert code == 0 and "method: series" in out
         code, _, err = run_cli(capsys, *argv, "81")
         assert code == 2 and "cap 80" in err
+
+
+class TestParserReuse:
+    """``main`` keeps one parser per process; consecutive calls share no state."""
+
+    P_AA = ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "6"]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        assert run_cli(capsys, *self.P_AA)[0] == 0
+        assert run_cli(capsys, "compute", "p", "--n", "5")[0] == 0
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+
+    def test_method_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, *self.P_AA, "--method", "recurrence")
+        assert code == 0 and "method: recurrence" in out
+        code, out, _ = run_cli(capsys, *self.P_AA)
+        assert code == 0 and "p_{2,3}(6) = 8" in out and "method: enumeration" in out
+
+    def test_format_does_not_carry_over(self, capsys):
+        code, out, _ = run_cli(capsys, *self.P_AA, "--format", "json")
+        assert code == 0 and json.loads(out)["value"] == "8"
+        code, out, _ = run_cli(capsys, *self.P_AA)
+        assert code == 0 and out == "p_{2,3}(6) = 8\nmethod: enumeration\n"
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "nonsense-kind", "--n", "5")
+        assert code == 2 and out == "" and "invalid choice" in err
+        code, out, _ = run_cli(capsys, "compute", "p", "--n", "20")
+        assert code == 0 and "p(20) = 627" in out
+
+    def test_capacity_error_then_valid_call(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "p", "--n", "3000000")
+        assert code == 2 and out == "" and "cap" in err
+        code, out, _ = run_cli(capsys, "compute", "p", "--n", "20")
+        assert code == 0 and "p(20) = 627" in out
 
 
 class TestTables:

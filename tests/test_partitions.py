@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexstat import partitions
+from mexstat.limits import P_TABLE_CAP
 from mexstat.partitions import (
     CapacityError,
     PackedRows,
@@ -92,6 +94,55 @@ class TestPartitionCount:
         inv = euler_product(500).invert()
         for n in range(0, 501):
             assert inv.coeff(n) == p_count(n)
+
+
+def _literal_p_table(n_max):
+    # the per-k pentagonal recurrence, term by term
+    table = [1]
+    for m in range(1, n_max + 1):
+        total = 0
+        k = 1
+        while True:
+            g = m - k * (3 * k - 1) // 2
+            if g < 0:
+                break
+            term = table[g]
+            g2 = m - k * (3 * k + 1) // 2
+            if g2 >= 0:
+                term += table[g2]
+            total += term if k & 1 else -term
+            k += 1
+        table.append(total)
+    return table
+
+
+@pytest.fixture
+def cold_p_table():
+    """Empty the shared p(n) table down to p(0) and put it back afterwards."""
+    saved = list(partitions._p_table)
+    del partitions._p_table[1:]
+    try:
+        yield partitions._p_table
+    finally:
+        partitions._p_table[:] = saved
+
+
+class TestPentagonalTable:
+    def test_grown_in_uneven_steps_matches_the_literal_loop(self, cold_p_table):
+        for n in (0, 1, 4, 6, 7, 12, 499, 500, 1234, 3000):
+            p_count(n)
+            assert len(cold_p_table) == max(n + 1, 1)
+        assert cold_p_table == _literal_p_table(3000)
+
+    def test_negative_argument(self, cold_p_table):
+        assert p_count(-5) == 0
+        assert len(cold_p_table) == 1
+
+    def test_past_the_cap_raises_and_leaves_the_table(self, cold_p_table):
+        p_count(100)
+        with pytest.raises(CapacityError):
+            p_count(P_TABLE_CAP + 1)
+        assert len(cold_p_table) == 101
 
 
 class TestRestrictedCounts:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mexstat.series as kernels
+from mexstat import mexcount
 from mexstat.series import (
     ResidueCondition,
     TruncatedSeries,
@@ -62,6 +63,15 @@ class TestConstruction:
         assert s.truncate(1).coeffs == (1, 2)
         with pytest.raises(ValueError):
             s.truncate(7)
+
+    def test_truncate_is_a_series_like_any_other(self):
+        s = series(1, 2, 3)
+        low = s.truncate(1)
+        assert type(low) is TruncatedSeries
+        assert low == series(1, 2) and hash(low) == hash(series(1, 2))
+        assert low.truncate(0).coeffs == (1,)
+        assert (low * series(1, 1)).coeffs == (1, 3)
+        assert s.truncate(2) == s
 
 
 class TestArithmetic:
@@ -298,6 +308,74 @@ class TestNamedSeries:
     def test_parts_parity_series_constant_terms(self):
         assert parts_parity_series("even", 5).coeff(0) == 1
         assert parts_parity_series("odd", 5).coeff(0) == 0
+
+
+PREFIX_CACHED = [
+    (partition_generating_series, [()]),
+    (rank_generating_series, [(0,), (3,)]),
+    (crank_generating_series, [(1,), (4,)]),
+    (mexcount._series_row, [(2, 3, False), (1, 2, True)]),
+]
+
+
+def _clear_prefix_caches():
+    for fn, _ in PREFIX_CACHED:
+        fn.cache_clear()
+
+
+def _cold(fn, args):
+    _clear_prefix_caches()
+    return fn(*args)
+
+
+class TestPrefixCaches:
+    """One entry per key, at the largest precision built; lower ones by prefix."""
+
+    @pytest.mark.parametrize("fn, keys", PREFIX_CACHED, ids=[fn.__name__ for fn, _ in PREFIX_CACHED])
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "interleaved"])
+    def test_every_result_equals_a_cold_build(self, fn, keys, order):
+        first, second = keys[0], keys[-1]
+        calls = {
+            "increasing": [(*first, p) for p in (0, 5, 12, 40)],
+            "decreasing": [(*first, p) for p in (40, 12, 5, 0, 40)],
+            "interleaved": [
+                (*first, 7), (*second, 20), (*first, 25), (*second, 3),
+                (*first, 7), (*second, 33), (*first, 25), (*second, 20),
+            ],
+        }[order]
+        _clear_prefix_caches()
+        got = [fn(*args) for args in calls]
+        assert fn.cache_info().currsize == len({args[:-1] for args in calls})
+        for args, value in zip(calls, got):
+            cold = _cold(fn, args)
+            assert value.precision == args[-1] == cold.precision
+            assert value == cold, args
+        _clear_prefix_caches()
+
+    def test_scripted_hits_misses_and_size(self):
+        fn = rank_generating_series
+        _clear_prefix_caches()
+        top = fn(1, 10)  # miss
+        assert fn(1, 5) == top.truncate(5)  # hit
+        assert fn(1, 10) is top  # hit: the entry itself
+        fn(2, 8)  # miss
+        grown = fn(1, 20)  # miss: replaces the entry of key 1
+        fn(2, 8)  # hit
+        assert fn(1, 10) == top and fn(1, 20) is grown  # two hits
+        info = fn.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (5, 3, None, 2)
+        fn.cache_clear()
+        assert fn.cache_info() == (0, 0, None, 0)
+        _clear_prefix_caches()
+
+    def test_negative_precision_is_refused_warm_or_cold(self):
+        _clear_prefix_caches()
+        with pytest.raises(ValueError):
+            partition_generating_series(-1)
+        partition_generating_series(10)
+        with pytest.raises(ValueError):
+            partition_generating_series(-1)
+        _clear_prefix_caches()
 
 
 small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12).map(
