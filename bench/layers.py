@@ -15,9 +15,13 @@ Layers:
   partition generating series times the Rogers-Ramanujan product
   prod (1 - q^n) over n = +-1 mod 5;
 * ``invert.dense.P`` -- the inverse of that product;
-* ``residue_product.1000`` -- prod (1 - q^n) over every n <= 1000;
-* ``jtp_product.1000`` -- the product side of the even Jacobi triple
-  product with k = i = 1, whose factors all appear twice;
+* ``residue_product.P`` (P = 1000, 5000) -- prod (1 - q^n) over every
+  n <= P;
+* ``jtp_product.P`` (P = 1000, 5000) -- the product side of the even
+  Jacobi triple product with k = i = 1, whose factors all appear twice;
+* ``cauchy_sum.1000`` -- the sum of q^n/(q)_n over n, truncated at q^1000;
+* ``parts_parity_counts.1000`` -- the even and odd part-count rows over
+  n = 0..1000 from a cold cache;
 * ``p_mex_series.2000`` -- the row p_{2,3}(0..2000) from cold caches;
 * ``stat_census.50`` -- the per-n rank, crank and spt census for every
   n <= 50 from cold caches;
@@ -48,7 +52,12 @@ from contextlib import redirect_stdout
 
 from mexstat import cli, mexcount, partitions, series
 from mexstat import statistics as mexstat_statistics
-from mexstat.series import ResidueCondition, jtp_specialized, residue_product
+from mexstat.series import (
+    ResidueCondition,
+    cauchy_sum_specialized,
+    jtp_specialized,
+    residue_product,
+)
 from mexstat.statistics import MexParams
 
 PRECISIONS = (500, 1000, 2000, 4000)
@@ -120,9 +129,16 @@ def main() -> None:
         layers[f"mul.dense.{p}"] = timed(lambda: dense * every_count, repeats)
         layers[f"invert.dense.{p}"] = timed(dense.invert, repeats)
     every_part = ResidueCondition(1, frozenset({0}))
-    layers["residue_product.1000"] = timed(lambda: residue_product(every_part, 1000), repeats)
-    layers["jtp_product.1000"] = timed(
-        lambda: jtp_specialized(1, 1, "even", "product", 1000), repeats
+    for p in (1000, 5000):
+        layers[f"residue_product.{p}"] = timed(lambda: residue_product(every_part, p), repeats)
+        layers[f"jtp_product.{p}"] = timed(
+            lambda: jtp_specialized(1, 1, "even", "product", p), repeats
+        )
+    layers["cauchy_sum.1000"] = timed(lambda: cauchy_sum_specialized(1, False, 1000), repeats)
+    layers["parts_parity_counts.1000"] = timed(
+        lambda: partitions.parts_parity_counts(1000),
+        repeats,
+        partitions.parts_parity_counts.cache_clear,
     )
     layers["p_mex_series.2000"] = timed(cold_row, repeats)
     layers["stat_census.50"] = timed(lambda: cold_census(50), repeats)

@@ -293,20 +293,30 @@ def build_registry() -> dict[str, IdentityCheck]:
         return [_odd_weighted_row(1, 1, barred, n_max), _odd_weighted_row(1, 1, unbarred, n_max)]
 
     def jtp(parity: str, side: str, cases: list[tuple[int, int]]) -> EvaluatorFactory:
-        return _series_each(
-            lambda n_max: [jtp_specialized(k, i, parity, side, n_max) for k, i in cases]
-        )
+        def build(n_max: int) -> list[TruncatedSeries]:
+            built: dict[tuple[int, int], TruncatedSeries] = {}
+            out = []
+            for k, i in cases:
+                if side == "product":
+                    # (k, i) and (k, M - i) multiply the same factors: build each set once
+                    i = min(i, 2 * k + (parity == "odd") - i)
+                if (k, i) not in built:
+                    built[k, i] = jtp_specialized(k, i, parity, side, n_max)
+                out.append(built[k, i])
+            return out
+
+        return _series_each(build)
 
     def cauchy_rhs(n_max: int) -> list[TruncatedSeries]:
-        out = []
-        for j, neg in cauchy_cases:
-            cond = ResidueCondition(1, frozenset({0}), sign="plus" if neg else "minus")
-            prod = residue_product(cond, n_max)
-            if j > 1:
-                # strip the factors below q^j: divide them back out
-                prod = prod * pochhammer_finite(j - 1, n_max).invert()
-            out.append(prod.invert())
-        return out
+        def inverted(sign: str) -> TruncatedSeries:
+            return residue_product(ResidueCondition(1, frozenset({0}), sign=sign), n_max).invert()
+
+        # 1/((1-q^j)(1-q^(j+1))...) = (1-q)...(1-q^(j-1)) / ((1-q)(1-q^2)...)
+        all_minus, all_plus = inverted("minus"), inverted("plus")
+        return [
+            all_plus if neg else pochhammer_finite(j - 1, n_max) * all_minus
+            for j, neg in cauchy_cases
+        ]
 
     def thm211_product(n_max: int) -> TruncatedSeries:
         p1 = residue_product(ResidueCondition(10, frozenset({0, 3, 7})), n_max)

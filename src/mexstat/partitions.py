@@ -261,25 +261,46 @@ class PackedRows:
 
 @lru_cache(maxsize=8)
 def parts_parity_counts(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Tables (even, odd) where even[n] counts partitions of n with evenly many parts."""
-    even = [0] * (n_max + 1)
-    odd = [0] * (n_max + 1)
-    even[0] = 1
-    for part in range(1, n_max + 1):
-        for j in range(part, n_max + 1):
-            even[j], odd[j] = even[j] + odd[j - part], odd[j] + even[j - part]
-    return tuple(even), tuple(odd)
+    """Tables (even, odd) where even[n] counts partitions of n with evenly many parts.
+
+    A two-row packed DP over the part sizes m: one part m moves a partition
+    between the rows, (E, O) -> (E + q^m O, O + q^m E), and every further
+    pair of parts m keeps its row, so both rows are then divided by
+    1 - q^(2m) with doubling strides.  Every entry counts partitions of
+    some n <= n_max, and p(n) < exp(pi * sqrt(2n/3)) < 2^(21/8 * sqrt(2n))
+    (T. M. Apostol, Introduction to Analytic Number Theory, Thm 14.5), so
+    slots of that many bits, rounded up to bytes, never carry.
+    """
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
+    size = (21 * (isqrt(2 * n_max) + 1) // 8 + 8) // 8
+    w = 8 * size
+    even, odd = 1, 0
+    for m in range(1, n_max + 1):
+        # a shift by s reads only the low n_max + 1 - s slots: the rest falls past q^n_max
+        low = (1 << w * (n_max + 1 - m)) - 1
+        even, odd = even + ((odd & low) << w * m), odd + ((even & low) << w * m)
+        step = 2 * m
+        while step <= n_max:
+            low = (1 << w * (n_max + 1 - step)) - 1
+            even += (even & low) << w * step
+            odd += (odd & low) << w * step
+            step <<= 1
+
+    def unpack(row: int) -> tuple[int, ...]:
+        data = row.to_bytes(size * (n_max + 1), "little")
+        return tuple(
+            int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)
+        )
+
+    return unpack(even), unpack(odd)
 
 
 def p_even_parts(n: int) -> int:
     """Partitions of n into an even number of parts."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return parts_parity_counts(n)[0][n]
 
 
 def p_odd_parts(n: int) -> int:
     """Partitions of n into an odd number of parts."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return parts_parity_counts(n)[1][n]

@@ -29,16 +29,20 @@ back.  The width comes from one of two places:
 * a multiply of known operands: bitlen(max|a|) + bitlen(max|b|) +
   bitlen(nnz of the sparser operand) + 1, since no coefficient of the
   product sums more than that many terms;
-* a product of factors (1 +- q^e), 1/(q)_n, or a sum of q^(jn)/(q)_n
-  over n with signs: a coefficient there counts (with signs) partitions of
-  some N <= P, so it is at most p(P) in absolute value, and
-  p(P) < exp(pi*sqrt(2P/3)) (T. M. Apostol, Introduction to Analytic
-  Number Theory, Thm 14.5; in short, p(N) x^N <= prod 1/(1-x^k) <=
-  exp(pi^2/(6t)) at x = e^-t, and t = pi/sqrt(6N)), which needs at most
-  4*isqrt(P) + 8 bits with the sign.  An exponent repeated r times splits
-  the product into r products of distinct factors, so it needs
-  r*B + (r-1)*bitlen(P+1) bits (B the single bound); the even Jacobi
-  triple product with i = k repeats each M*n + i = M*(n+1) - i.
+* a product of factors (1 +- q^e), or a sum of q^(jn)/(q)_n over n with
+  signs: :func:`_coefficient_bits` with a weight r, which holds every
+  |c| < exp(pi*sqrt(r*P/3)).  A product of (1 +- q^e)^(r_e) with every
+  r_e <= r has coefficients no larger in absolute value than those of
+  prod_k (1+q^k)^r.  Write prod (1+x^k) = prod 1/(1-x^(2k-1)); at
+  x = e^-t its logarithm is sum_m 1/(2m sinh(mt)) <= sum_m 1/(2m^2 t) =
+  pi^2/(12t), so [q^N] prod (1+q^k)^r <= x^-N exp(r pi^2/(12t)), and
+  t = pi*sqrt(r/(12N)) gives exp(pi*sqrt(rN/3)) (the argument of
+  T. M. Apostol, Introduction to Analytic Number Theory, Thm 14.5).  So
+  distinct factors take r = 1 and the even Jacobi triple product with
+  i = k, which repeats each M*n + i = M*(n+1) - i, takes r = 2.  A sum of
+  q^(jn)/(q)_n with signs in {-1, 0, 1} counts, with signs, partitions of
+  some N <= P (see :func:`_cauchy_terms`), so it takes r = 2: p(P) <
+  exp(pi*sqrt(2P/3)).
 
 Which route a multiply takes depends on the nonzero counts: a loop over
 nonzero pairs, shifted adds of the packed dense operand over the sparse
@@ -60,6 +64,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import _CacheInfo, wraps
 from math import isqrt
+from operator import add, sub
 from typing import Callable, Iterable, Literal, Sequence
 
 Sign = Literal["minus", "plus"]
@@ -125,26 +130,22 @@ class TruncatedSeries:
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        p = min(self.precision, other.precision)
-        a, b = self._coeffs, other._coeffs
-        return TruncatedSeries([a[i] + b[i] for i in range(p + 1)])
+        return TruncatedSeries._of_checked(tuple(map(add, self._coeffs, other._coeffs)))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        p = min(self.precision, other.precision)
-        a, b = self._coeffs, other._coeffs
-        return TruncatedSeries([a[i] - b[i] for i in range(p + 1)])
+        return TruncatedSeries._of_checked(tuple(map(sub, self._coeffs, other._coeffs)))
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries._of_checked(tuple([-c for c in self._coeffs]))
 
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
         if isinstance(other, int):
-            return TruncatedSeries([other * c for c in self._coeffs])
+            return TruncatedSeries._of_checked(tuple([other * c for c in self._coeffs]))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return TruncatedSeries(_product(self._coeffs, other._coeffs))
+        return TruncatedSeries._of_checked(tuple(_product(self._coeffs, other._coeffs)))
 
     __rmul__ = __mul__
 
@@ -159,7 +160,9 @@ class TruncatedSeries:
             raise ValueError(f"series is not invertible over the integers: constant term {a[0]}")
         nonzero = len(a) - a.count(0)
         dense = nonzero * nonzero > _NEWTON_SCALE * len(a)
-        return TruncatedSeries(_newton_inverse(a) if dense else _recurrence_inverse(a))
+        return TruncatedSeries._of_checked(
+            tuple(_newton_inverse(a) if dense else _recurrence_inverse(a))
+        )
 
     # -- misc ---------------------------------------------------------------
 
@@ -242,13 +245,14 @@ _SHIFT_ADD_SCALE = 6
 _NEWTON_SCALE = 16
 
 
-def _partition_bits(precision: int) -> int:
-    """Bits of a slot that holds every integer of absolute value at most p(precision).
+def _coefficient_bits(weight: int, precision: int) -> int:
+    """Bits of a slot, sign included, that holds every |c| < exp(pi * sqrt(weight * precision / 3)).
 
-    p(P) < exp(pi * sqrt(2P/3)) < 2^(3.71 * sqrt(P)) (see the module
-    docstring), and 4 * isqrt(P) + 8 > 3.71 * sqrt(P) + 1 leaves the sign bit.
+    21/8 > pi / (sqrt(3) * ln 2) = 2.6168..., so the bound is below
+    2^(21/8 * sqrt(weight * precision)) <= 2^(21 * (isqrt(weight * precision) + 1) / 8);
+    one bit more covers the floor division and one the sign.
     """
-    return 4 * isqrt(precision) + 8
+    return 21 * (isqrt(weight * precision) + 1) // 8 + 2
 
 
 def _bias(slots: int, size: int) -> int:
@@ -361,13 +365,11 @@ def _binomial_product(exponents: Iterable[int], sign: int, precision: int) -> Tr
     The factors with 2e > precision multiply to 1 + sign * sum q^e, each e
     counted as often as it is listed (no product of two of their terms
     fits), which is packed as the start; every other factor adds or
-    subtracts the packed low part shifted by e slots.
+    subtracts the packed low part shifted by e slots.  The slots hold the
+    weight-r bound, r the largest number of times one exponent is listed.
     """
     counts = Counter(e for e in exponents if e <= precision)
-    repeats = max(counts.values(), default=1)
-    # r factor sets of distinct exponents multiply to below (P+1)^(r-1) * p(P)^r
-    bits = repeats * _partition_bits(precision) + (repeats - 1) * (precision + 1).bit_length()
-    size = (bits + 7) // 8
+    size = (_coefficient_bits(max(counts.values(), default=1), precision) + 7) // 8
     w = 8 * size
     top = bytearray(size * (precision + 1))
     for e, r in counts.items():
@@ -379,19 +381,19 @@ def _binomial_product(exponents: Iterable[int], sign: int, precision: int) -> Tr
             for _ in range(r):
                 low = (packed & (1 << w * (precision + 1 - e)) - 1) << w * e
                 packed = packed + low if sign > 0 else packed - low
-    return TruncatedSeries(_unpack(packed, size, precision + 1))
+    return TruncatedSeries._of_checked(tuple(_unpack(packed, size, precision + 1)))
 
 
 def _cauchy_terms(signs: Sequence[int], t_exponent: int, precision: int) -> TruncatedSeries:
     """The sum over n of signs[n] * q^(t_exponent*n) / ((1-q)...(1-q^n)), truncated.
 
     With every sign in {-1, 0, 1} the coefficients are at most p(precision)
-    in absolute value: adding t_exponent - 1 to each of the n parts of a
-    partition counted by q^n/(q)_n is injective into the partitions of the
-    shifted size.  1/(1 - q^n) is applied as the product of (1 + q^(n*2^k))
+    in absolute value, the weight-2 bound: adding t_exponent - 1 to each of
+    the n parts of a partition counted by q^n/(q)_n is injective into the
+    partitions of the shifted size.  1/(1 - q^n) is applied as the product of (1 + q^(n*2^k))
     over k, each factor one shifted add of the packed low part.
     """
-    size = (_partition_bits(precision) + 7) // 8
+    size = (_coefficient_bits(2, precision) + 7) // 8
     w = 8 * size
     inverse, total = 1, 0  # 1/(q)_n and the sum, packed
     for n, sign in enumerate(signs):
@@ -409,7 +411,7 @@ def _cauchy_terms(signs: Sequence[int], t_exponent: int, precision: int) -> Trun
             total += inverse << w * shift
         elif sign < 0:
             total -= inverse << w * shift
-    return TruncatedSeries(_unpack(total, size, precision + 1))
+    return TruncatedSeries._of_checked(tuple(_unpack(total, size, precision + 1)))
 
 
 # ---------------------------------------------------------------------------

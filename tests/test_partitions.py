@@ -311,3 +311,32 @@ def test_packed_tails_match_literal_products():
         assert list(rows.unpack(tails[s])) == literal
     assert rows.unpack(tails[0]) == tuple(p_count(n) for n in range(n_max + 1))
     assert rows.width == p_count(n_max).bit_length()
+
+
+def _parity_counts_quadratic(n_max):
+    """The parity-tracking part DP one coefficient at a time."""
+    even = [1] + [0] * n_max
+    odd = [0] * (n_max + 1)
+    for part in range(1, n_max + 1):
+        for j in range(part, n_max + 1):
+            even[j], odd[j] = even[j] + odd[j - part], odd[j] + even[j - part]
+    return tuple(even), tuple(odd)
+
+
+def test_parts_parity_counts_match_literal_part_counts():
+    even, odd = parts_parity_counts(25)
+    for n in range(26):
+        lengths = [len(parts) % 2 for parts in ascending_partitions(n)]
+        assert (even[n], odd[n]) == (lengths.count(0), lengths.count(1)), n
+
+
+def test_parts_parity_counts_match_quadratic_dp_at_every_width():
+    even, odd = _parity_counts_quadratic(300)
+    for n_max in range(301):
+        assert parts_parity_counts(n_max) == (even[: n_max + 1], odd[: n_max + 1]), n_max
+
+
+@pytest.mark.parametrize("count", [parts_parity_counts, p_even_parts, p_odd_parts])
+def test_parts_parity_counts_reject_negative_n(count):
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        count(-1)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import mexstat.series as kernels
 from mexstat import mexcount
+from mexstat.partitions import p_count
 from mexstat.series import (
     ResidueCondition,
     TruncatedSeries,
@@ -633,3 +634,70 @@ def test_parts_parity_matches_literal_loop(parity, precision):
     signs = [int(j % 2 == want) for j in range(precision + 1)]
     expected = literal_cauchy(signs, 1, precision)
     assert list(parts_parity_series(parity, precision).coeffs) == expected
+
+
+# ---------------------------------------------------------------------------
+# slot widths: the weight-r bound against exact coefficients
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("weight", [1, 2, 3])
+def test_coefficient_bits_hold_every_power_of_the_distinct_product(weight):
+    # [q^N] prod_k (1+q^k)^r bounds every product of (1 +- q^e)^(r_e), r_e <= r
+    top = 300
+    exponents = [e for e in range(1, top + 1) for _ in range(weight)]
+    coeffs = literal_factors(exponents, 1, top)
+    largest = 0
+    for precision, c in enumerate(coeffs):
+        largest = max(largest, c)
+        assert kernels._coefficient_bits(weight, precision) >= largest.bit_length() + 1
+
+
+def test_coefficient_bits_of_weight_two_hold_the_partition_count():
+    for precision in range(5001):
+        assert kernels._coefficient_bits(2, precision) >= p_count(precision).bit_length() + 1
+
+
+@given(
+    st.lists(st.tuples(st.integers(1, 80), st.integers(1, 3)), max_size=40),
+    st.sampled_from([-1, 1]),
+    st.integers(0, 120),
+)
+@settings(max_examples=80, deadline=None)
+def test_binomial_product_matches_factor_loop(exponent_repeats, sign, precision):
+    exponents = [e for e, r in exponent_repeats for _ in range(r)]
+    expected = literal_factors([e for e in exponents if e <= precision], sign, precision)
+    assert list(kernels._binomial_product(exponents, sign, precision).coeffs) == expected
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_jtp_products_of_i_and_m_minus_i_are_one_factor_set(parity, k):
+    precision = 150
+    modulus = 2 * k if parity == "even" else 2 * k + 1
+    for i in range(1, modulus):
+        exponents = [e for s in (modulus, i, modulus - i) for e in range(s, precision + 1, modulus)]
+        product = jtp_specialized(k, i, parity, "product", precision)
+        assert list(product.coeffs) == literal_factors(exponents, -1, precision), (k, i)
+        assert product == jtp_specialized(k, modulus - i, parity, "product", precision), (k, i)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s: s + s,
+        lambda s: s - ONES,
+        lambda s: -s,
+        lambda s: 3 * s,
+        lambda s: s * s,
+        lambda s: s.invert(),
+        lambda s: residue_product(ResidueCondition(1, frozenset({0})), 3),
+        lambda s: jtp_specialized(1, 1, "even", "product", 3),
+        lambda s: cauchy_sum_specialized(1, True, 3),
+    ],
+)
+def test_kernel_outputs_are_tuples_of_ints(build):
+    out = build(series(1, 2, 0, -1))
+    assert type(out.coeffs) is tuple
+    assert all(type(c) is int for c in out.coeffs)
+    assert out == TruncatedSeries(list(out.coeffs))
