@@ -23,10 +23,10 @@ Layers:
 * ``parts_parity_counts.1000`` -- the even and odd part-count rows over
   n = 0..1000 from a cold cache;
 * ``p_mex_series.2000`` -- the row p_{2,3}(0..2000) from cold caches;
-* ``stat_census.50`` -- the per-n rank, crank and spt census for every
-  n <= 50 from cold caches;
+* ``stat_census`` -- the one rank, crank and spt census over
+  n = 0..ENUMERATION_CAP, built from a cold cache;
 * ``stat_rows.N`` (N = 50, 70) -- the rank, crank and spt rows over
-  n = 0..N at once from cold caches;
+  n = 0..N from a cold census;
 * ``mex_rows.50`` -- ``mex_census_rows`` at n = 50 over the 150 pairs
   A <= 10, a <= 15 of the catalog;
 * ``cli.main.rank`` -- one ``main(["compute", "rank", "--partition",
@@ -36,7 +36,8 @@ Layers:
 * ``genfun.prefix_hit.1000`` -- ``partition_generating_series(1000)``
   with the cache holding only the series at precision 2000.
 
-A layer whose functions a checkout lacks is left out of its output.
+A checkout timed this way must have every function named above, with the
+same signature.
 """
 
 from __future__ import annotations
@@ -83,21 +84,13 @@ def cold_row() -> None:
     mexcount.p_mex_series(MexParams(2, 3), 2000)
 
 
-def statistics_clear() -> None:
-    for name in ("_stat_census", "_packed_stats"):
-        cached = getattr(mexstat_statistics, name, None)
-        if cached is not None:
-            cached.cache_clear()
-
-
-def cold_census(n_max: int) -> None:
-    statistics_clear()
-    for n in range(1, n_max + 1):
-        mexstat_statistics._stat_census(n)
+def cold_census() -> None:
+    mexstat_statistics._stat_census.cache_clear()
+    mexstat_statistics._stat_census()
 
 
 def cold_stat_rows(n_max: int) -> None:
-    statistics_clear()
+    mexstat_statistics._stat_census.cache_clear()
     mexstat_statistics.rank_count_rows(n_max)
     mexstat_statistics.crank_count_rows(n_max)
     mexstat_statistics.spt_row(n_max)
@@ -141,10 +134,9 @@ def main() -> None:
         partitions.parts_parity_counts.cache_clear,
     )
     layers["p_mex_series.2000"] = timed(cold_row, repeats)
-    layers["stat_census.50"] = timed(lambda: cold_census(50), repeats)
-    if hasattr(mexstat_statistics, "rank_count_rows"):
-        for n_max in (50, 70):
-            layers[f"stat_rows.{n_max}"] = timed(lambda: cold_stat_rows(n_max), repeats)
+    layers["stat_census"] = timed(cold_census, repeats)
+    for n_max in (50, 70):
+        layers[f"stat_rows.{n_max}"] = timed(lambda: cold_stat_rows(n_max), repeats)
     grid = [(A, a) for A in range(1, 11) for a in range(1, 16)]
     layers["mex_rows.50"] = timed(lambda: mexcount.mex_census_rows(50, grid), repeats)
     cli_rank()

@@ -132,11 +132,11 @@ def pbar_mex_enum(params: MexParams, n: int) -> int:
     return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][1][n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def mex_census(n: int, a_max: int, big_a_max: int) -> dict[tuple[int, int], tuple[int, int]]:
     """Enumeration tallies (p_{A,a}(n), pbar_{A,a}(n)) for every A <= big_a_max, a <= a_max.
 
-    Entry n of :func:`mex_census_rows` over the whole grid.
+    Entry n of :func:`mex_census_rows` over the whole grid; the last grid is kept.
     """
     grid = [(A, a) for a in range(1, a_max + 1) for A in range(1, big_a_max + 1)]
     return {pair: (p[n], pbar[n]) for pair, (p, pbar) in mex_census_rows(n, grid).items()}

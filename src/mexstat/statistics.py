@@ -3,11 +3,12 @@
 Aggregate counts come in two flavours wherever a generating function
 exists: a combinatorial one and a series one read off the corresponding
 generating series.  The combinatorial one counts the per-partition
-statistic without listing partitions: counting DPs build the rank, crank
-and spt rows over n = 0..n_max at once (the hook and Gaussian-binomial
-count of Ferrers diagrams for the rank, the split by the number of ones
-for the Andrews-Garvan crank, the smallest-part tally over tails for spt),
-and a point function reads entry n (cached histograms per n).  They share
+statistic without listing partitions: counting DPs build one census of the
+rank, crank and spt rows over all of n = 0..``limits.ENUMERATION_CAP``
+(the hook and Gaussian-binomial count of Ferrers diagrams for the rank,
+the split by the number of ones for the Andrews-Garvan crank, the
+smallest-part tally over tails for spt), once per process; row functions
+read slots 0..n_max of it, point functions slot n.  They share
 no code with the series engine or the pentagonal p(n).  The two flavours
 agree everywhere except the classical crank anomaly at n = 1, which is
 exposed, documented and tested rather than hidden.
@@ -71,19 +72,15 @@ def crank(parts: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# counting DPs: the rank, crank and spt rows over n = 0..n_max at once
+# the census: rank, crank and spt rows over the whole enumeration domain
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=1)
-def _packed_stats(
-    n_max: int,
-) -> tuple[partitions.PackedRows, dict[int, int], dict[int, int], int]:
-    # (packer, rank rows and crank rows keyed by m in [-n_max, n_max], spt row),
-    # each row packed; the empty partition of 0 has rank and crank 0
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    limits.check_enumeration(n_max)
+def _stat_census() -> tuple[partitions.PackedRows, dict[str, dict[int, int]]]:
+    # (packer, rows by statistic and then by value m), packed over n = 0..ENUMERATION_CAP;
+    # spt is one row, under m = 0, so its total is the zeroth moment
+    n_max = limits.ENUMERATION_CAP
     rows = partitions.PackedRows(n_max, n_max.bit_length())
     rank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
     crank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
@@ -128,94 +125,105 @@ def _packed_stats(
     spt = 0
     for s in range(1, n_max + 1):
         spt += rows.stride(rows.stride(rows.shift(tails[s], s), s), s)
-    return rows, rank_rows, crank_rows, spt
+    return rows, {"rank": rank_rows, "crank": crank_rows, "spt": {0: spt}}
 
 
-@lru_cache(maxsize=None)
-def _stat_census(n: int) -> tuple[dict[int, int], dict[int, int], int]:
-    # (rank histogram, crank histogram, spt total) at n, read off the top
-    # slot of the rows to n; every per-n combinatorial aggregate comes
-    # through here, so n >= 1 is checked here (the cap in _packed_stats)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rows, rank_rows, crank_rows, spt = _packed_stats(n)
-    top = rows.width * n
-    rank_hist = {m: c for m, x in rank_rows.items() if (c := x >> top)}
-    crank_hist = {m: c for m, x in crank_rows.items() if (c := x >> top)}
-    return rank_hist, crank_hist, spt >> top
-
-
-def _census_row(stat: int, n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
-    # entry n is sum over m of weight(m) * (count of statistic ``stat`` = m at n);
-    # stat 1 is rank, 2 is crank.  The rows of one weight count disjoint sets
-    # of partitions, so they are summed packed and unpacked once.
-    packed = _packed_stats(n_max)
+def _census_row(stat: str, n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
+    # entry n is the sum over m of weight(m) * (count of ``stat`` = m at n); the rows
+    # of one weight count disjoint sets of partitions, so are summed packed
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
+    limits.check_enumeration(n_max)
+    packer, by_stat = _stat_census()
     by_weight: dict[int, int] = {}
-    for m, x in packed[stat].items():
-        w = weight(m)
-        if w:
+    for m, x in by_stat[stat].items():
+        if w := weight(m):
             by_weight[w] = by_weight.get(w, 0) + x
     out = [0] * (n_max + 1)
     for w, x in by_weight.items():
-        out = [o + w * c for o, c in zip(out, packed[0].unpack(x))]
+        out = [o + w * c for o, c in zip(out, packer.unpack(x))]  # to slot n_max
     return tuple(out)
+
+
+def _census_at(stat: str, n: int, weight: Callable[[int], int]) -> int:
+    # entry n of _census_row(stat, n, weight), read off slot n alone
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    limits.check_enumeration(n)
+    packer, by_stat = _stat_census()
+    top, slot = packer.width * n, (1 << packer.width) - 1
+    return sum(w * (x >> top & slot) for m, x in by_stat[stat].items() if (w := weight(m)))
+
+
+def _by_value(read: Callable, stat: str, n: int) -> dict:
+    # read(stat, n, "statistic = m") for m in [-n, n]; for m = 0 alone where
+    # that is empty, so that the reader still checks n
+    return {m: read(stat, n, m.__eq__) for m in range(-n, n + 1) or [0]}
+
+
+# The weights, each a function of the statistic's value m.
+def _at_least(j: int) -> Callable[[int], bool]:
+    return lambda m: m >= j
+
+
+def _below(j: int) -> Callable[[int], bool]:
+    return lambda m: m < j
+
+
+def _moment(k: int) -> Callable[[int], int]:
+    if not 0 <= k <= MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
+    return lambda m: m**k
 
 
 def rank_count_rows(n_max: int) -> dict[int, tuple[int, ...]]:
     """N(m, n) for n = 0..n_max, one row per m in [-n_max, n_max] (counting DP)."""
-    rows, rank_rows, _, _ = _packed_stats(n_max)
-    return {m: rows.unpack(x) for m, x in rank_rows.items()}
+    return _by_value(_census_row, "rank", n_max)
 
 
 def crank_count_rows(n_max: int) -> dict[int, tuple[int, ...]]:
     """Per-partition crank counts for n = 0..n_max, one row per m in [-n_max, n_max]."""
-    rows, _, crank_rows, _ = _packed_stats(n_max)
-    return {m: rows.unpack(x) for m, x in crank_rows.items()}
+    return _by_value(_census_row, "crank", n_max)
 
 
 def rank_count_at_least_row(j: int, n_max: int) -> tuple[int, ...]:
     """Partitions of n with rank >= j, for n = 0..n_max (counting DP)."""
-    return _census_row(1, n_max, lambda m: m >= j)
+    return _census_row("rank", n_max, _at_least(j))
 
 
 def rank_count_below_row(j: int, n_max: int) -> tuple[int, ...]:
     """Partitions of n with rank < j, for n = 0..n_max (counting DP)."""
-    return _census_row(1, n_max, lambda m: m < j)
+    return _census_row("rank", n_max, _below(j))
 
 
 def rank_moment_row(k: int, n_max: int) -> tuple[int, ...]:
     """k-th rank moments sum_m m^k N(m, n) for n = 0..n_max (counting DP)."""
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
-    return _census_row(1, n_max, lambda m: m**k)
+    return _census_row("rank", n_max, _moment(k))
 
 
 def crank_moment_enumerated_row(k: int, n_max: int) -> tuple[int, ...]:
     """k-th per-partition crank moments for n = 0..n_max (counting DP)."""
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
-    return _census_row(2, n_max, lambda m: m**k)
+    return _census_row("crank", n_max, _moment(k))
 
 
 def goe_row(n_max: int) -> tuple[int, ...]:
     """Garden-of-Eden counts (rank <= -2) for n = 0..n_max (counting DP)."""
-    return _census_row(1, n_max, lambda m: m <= -2)
+    return _census_row("rank", n_max, _below(-1))
 
 
 def spt_row(n_max: int) -> tuple[int, ...]:
     """spt(n), the smallest-part tally, for n = 0..n_max (counting DP)."""
-    rows, _, _, spt = _packed_stats(n_max)
-    return rows.unpack(spt)
+    return _census_row("spt", n_max, _moment(0))
 
 
 def rank_histogram(n: int) -> dict[int, int]:
     """Map rank value -> number of partitions of n with that rank."""
-    return dict(_stat_census(n)[0])
+    return {m: c for m, c in _by_value(_census_at, "rank", n).items() if c}
 
 
 def crank_histogram(n: int) -> dict[int, int]:
     """Map crank value -> number of partitions of n with that crank."""
-    return dict(_stat_census(n)[1])
+    return {m: c for m, c in _by_value(_census_at, "crank", n).items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +248,17 @@ def _crank_series_row(n_max: int, weight: Callable[[int], int]) -> tuple[int, ..
 
 def crank_moment_row(k: int, n_max: int) -> tuple[int, ...]:
     """Series crank moments sum_m m^k M(m, n) for n = 0..n_max."""
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
-    return _crank_series_row(n_max, lambda m: m**k)
+    return _crank_series_row(n_max, _moment(k))
 
 
 def crank_count_at_least_row(j: int, n_max: int) -> tuple[int, ...]:
     """Series counts of partitions of n with crank >= j, for n = 0..n_max."""
-    return _crank_series_row(n_max, lambda m: m >= j)
+    return _crank_series_row(n_max, _at_least(j))
 
 
 def crank_count_below_row(j: int, n_max: int) -> tuple[int, ...]:
     """Series counts of partitions of n with crank < j, for n = 0..n_max."""
-    return _crank_series_row(n_max, lambda m: m < j)
+    return _crank_series_row(n_max, _below(j))
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +266,19 @@ def crank_count_below_row(j: int, n_max: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def rank_count(m: int, n: int, method: Method = "combinatorial") -> int:
-    """N(m, n): partitions of n with rank exactly m."""
+def _count(stat: str, series: Callable, m: int, n: int, method: Method) -> int:
     if method == "combinatorial":
-        return _stat_census(n)[0].get(m, 0)
+        return _census_at(stat, n, m.__eq__)
     if method == "series":
         if n < 0:
             raise ValueError("n must be non-negative")
-        return rank_generating_series(abs(m), n).coeff(n)
+        return series(abs(m), n).coeff(n)
     raise ValueError(f"unknown method {method!r}")
+
+
+def rank_count(m: int, n: int, method: Method = "combinatorial") -> int:
+    """N(m, n): partitions of n with rank exactly m."""
+    return _count("rank", rank_generating_series, m, n, method)
 
 
 def crank_count(m: int, n: int, method: Method = "combinatorial") -> int:
@@ -277,43 +287,35 @@ def crank_count(m: int, n: int, method: Method = "combinatorial") -> int:
     The two methods agree for n >= 2; at n = 1 the series gives
     (-1, 1, 1) at m = (0, +-1) while the per-partition crank of [1] is -1.
     """
-    if method == "combinatorial":
-        return _stat_census(n)[1].get(m, 0)
-    if method == "series":
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        return crank_generating_series(abs(m), n).coeff(n)
-    raise ValueError(f"unknown method {method!r}")
+    return _count("crank", crank_generating_series, m, n, method)
 
 
 def rank_count_at_least(j: int, n: int) -> int:
     """Partitions of n with rank >= j (combinatorial)."""
-    hist = _stat_census(n)[0]
-    return sum(c for m, c in hist.items() if m >= j)
+    return _census_at("rank", n, _at_least(j))
 
 
 def rank_count_below(j: int, n: int) -> int:
     """Partitions of n with rank < j (combinatorial)."""
-    hist = _stat_census(n)[0]
-    return sum(c for m, c in hist.items() if m < j)
+    return _census_at("rank", n, _below(j))
+
+
+def _crank_at(n: int, weight: Callable[[int], int], method: Method) -> int:
+    if method == "series":
+        return _crank_series_row(n, weight)[n]
+    if method == "combinatorial":
+        return _census_at("crank", n, weight)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def crank_count_at_least(j: int, n: int, method: Method = "series") -> int:
     """Partitions of n with crank >= j (entry n of :func:`crank_count_at_least_row`)."""
-    if method == "series":
-        return crank_count_at_least_row(j, n)[n]
-    if method == "combinatorial":
-        return sum(c for m, c in _stat_census(n)[1].items() if m >= j)
-    raise ValueError(f"unknown method {method!r}")
+    return _crank_at(n, _at_least(j), method)
 
 
 def crank_count_below(j: int, n: int, method: Method = "series") -> int:
     """Partitions of n with crank < j (entry n of :func:`crank_count_below_row`)."""
-    if method == "series":
-        return crank_count_below_row(j, n)[n]
-    if method == "combinatorial":
-        return sum(c for m, c in _stat_census(n)[1].items() if m < j)
-    raise ValueError(f"unknown method {method!r}")
+    return _crank_at(n, _below(j), method)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +325,7 @@ def crank_count_below(j: int, n: int, method: Method = "series") -> int:
 
 def rank_moment(k: int, n: int) -> int:
     """k-th rank moment: sum over m of m^k N(m, n)."""
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
-    return sum(m**k * c for m, c in _stat_census(n)[0].items())
+    return _census_at("rank", n, _moment(k))
 
 
 def crank_moment(k: int, n: int) -> int:
@@ -344,17 +344,14 @@ def crank_moment(k: int, n: int) -> int:
 
 def crank_moment_enumerated(k: int, n: int) -> int:
     """k-th crank moment over the enumerated (per-partition) distribution."""
-    if not 0 <= k <= MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
-    return sum(m**k * c for m, c in _stat_census(n)[1].items())
+    return _census_at("crank", n, _moment(k))
 
 
 def spt_direct(n: int) -> int:
     """Total appearances of the smallest part over all partitions of n."""
-    return _stat_census(n)[2]
+    return _census_at("spt", n, _moment(0))
 
 
 def goe_count(n: int) -> int:
     """Partitions of n with rank <= -2 (Garden-of-Eden partitions)."""
-    hist = _stat_census(n)[0]
-    return sum(c for m, c in hist.items() if m <= -2)
+    return _census_at("rank", n, _below(-1))

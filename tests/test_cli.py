@@ -1,13 +1,17 @@
+import io
 import json
+import random
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from mexstat import cli
+from mexstat import cli, mexcount, series, statistics
 from mexstat.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -205,6 +209,54 @@ class TestParserReuse:
         assert code == 2 and out == "" and "cap" in err
         code, out, _ = run_cli(capsys, "compute", "p", "--n", "20")
         assert code == 0 and "p(20) = 627" in out
+
+
+def _sweep(rng):
+    """A shuffled sweep of compute queries: every stat kind at n <= 70, series
+    crank counts at n <= 300 and series mex counts at n <= 600."""
+    queries = []
+    for n in range(1, 71):
+        m, k = rng.randint(-n, n), rng.randint(0, 4)
+        queries += [
+            ["spt", "--n", n],
+            ["goe", "--n", n],
+            ["N", "--m", m, "--n", n],
+            ["M", "--m", m, "--n", n],
+            ["moment", "--stat", "rank", "--k", k, "--n", n],
+            ["moment", "--stat", "crank", "--k", k, "--n", n],
+        ]
+    for n in range(10, 301, 10):
+        queries.append(["M", "--m", rng.randint(-n, n), "--n", n, "--method", "series"])
+    for n in range(20, 601, 20):
+        A, a = rng.randint(1, 10), rng.randint(1, 15)
+        queries.append(["p_aa", "--A", A, "--a", a, "--n", n, "--method", "series"])
+    rng.shuffle(queries)
+    return [["compute", *map(str, query)] for query in queries]
+
+
+def test_a_query_sweep_stays_within_a_memory_bound():
+    queries = _sweep(random.Random(1))
+    # from cold caches, so that the peak counts all that the sweep builds and keeps
+    for cached in (
+        statistics._stat_census,
+        mexcount.mex_census,
+        mexcount._series_row,
+        series.partition_generating_series,
+        series.rank_generating_series,
+        series.crank_generating_series,
+    ):
+        cached.cache_clear()
+    with redirect_stdout(io.StringIO()):
+        main(["compute", "p", "--n", "5"])  # the parser, built once per process
+        tracemalloc.start()
+        try:
+            codes = {main(argv) for argv in queries}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert codes == {0}
+    # measured 0.77 MB with seed 1 (0.74-0.79 MB over seeds 1-3; CPython 3.11)
+    assert peak < 1_600_000
 
 
 class TestTables:

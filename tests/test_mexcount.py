@@ -152,7 +152,6 @@ def test_census_rows_read_neither_pentagonal_table_nor_series(monkeypatch):
         (series.TruncatedSeries, "__init__"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
-    statistics._packed_stats.cache_clear()
     statistics._stat_census.cache_clear()
     grid = [(A, a) for A in range(1, 7) for a in range(1, 10)]
     rows = mex_census_rows(20, grid)

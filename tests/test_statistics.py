@@ -1,12 +1,16 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexstat.limits import ENUMERATION_CAP
 from mexstat.partitions import CapacityError, enumerate_partitions, p_count
+from mexstat.series import crank_generating_series, rank_generating_series
 from mexstat.statistics import (
     MexParams,
+    _stat_census,
     crank,
     crank_count,
     crank_count_at_least,
@@ -290,16 +294,30 @@ def test_crank_anomaly_pinned_in_the_histogram():
 
 
 def test_aggregate_rows_read_like_the_point_functions():
-    n_max = 30
-    at_least = {j: rank_count_at_least_row(j, n_max) for j in range(-3, 4)}
-    below = {j: rank_count_below_row(j, n_max) for j in range(-3, 4)}
+    n_max = ENUMERATION_CAP
+    js = range(-3, 4)
+    rank_rows, crank_rows = rank_count_rows(n_max), crank_count_rows(n_max)
+    at_least = {j: rank_count_at_least_row(j, n_max) for j in js}
+    below = {j: rank_count_below_row(j, n_max) for j in js}
     moments = {k: rank_moment_row(k, n_max) for k in range(5)}
     crank_moments = {k: crank_moment_enumerated_row(k, n_max) for k in range(5)}
     goe, spt = goe_row(n_max), spt_row(n_max)
     for n in range(1, n_max + 1):
-        for j in range(-3, 4):
+        for rows, count, histogram in (
+            (rank_rows, rank_count, rank_histogram),
+            (crank_rows, crank_count, crank_histogram),
+        ):
+            assert histogram(n) == {m: row[n] for m, row in rows.items() if row[n]}
+            for m in range(-n, n + 1):
+                assert count(m, n) == rows[m][n]
+            assert count(n + 1, n) == count(-n - 1, n) == 0
+        for j in js:
             assert at_least[j][n] == rank_count_at_least(j, n)
             assert below[j][n] == rank_count_below(j, n)
+            crank_at_least = sum(row[n] for m, row in crank_rows.items() if m >= j)
+            crank_below = sum(row[n] for m, row in crank_rows.items() if m < j)
+            assert crank_count_at_least(j, n, "combinatorial") == crank_at_least
+            assert crank_count_below(j, n, "combinatorial") == crank_below
         for k in range(5):
             assert moments[k][n] == rank_moment(k, n)
             assert crank_moments[k][n] == crank_moment_enumerated(k, n)
@@ -311,3 +329,49 @@ def test_aggregate_rows_read_like_the_point_functions():
         spt_row(-1)
     with pytest.raises(CapacityError):
         rank_count_rows(71)
+
+
+def test_count_rows_at_the_cap_match_the_generating_series():
+    # the identity catalog reads these rows to n = 50 only
+    n_max = ENUMERATION_CAP
+    for rows, series in (
+        (rank_count_rows(n_max), rank_generating_series),
+        (crank_count_rows(n_max), crank_generating_series),
+    ):
+        assert sorted(rows) == list(range(-n_max, n_max + 1))
+        for m, row in rows.items():
+            assert row[2:] == series(abs(m), n_max).coeffs[2:], m
+
+
+def test_every_combinatorial_aggregate_reads_one_census():
+    points = [
+        lambda n: rank_histogram(n),
+        lambda n: crank_histogram(n),
+        lambda n: rank_count(n // 3, n),
+        lambda n: crank_count(-(n // 4), n),
+        lambda n: rank_count_at_least(1, n),
+        lambda n: rank_count_below(-1, n),
+        lambda n: crank_count_at_least(2, n, "combinatorial"),
+        lambda n: crank_count_below(0, n, "combinatorial"),
+        lambda n: rank_moment(2, n),
+        lambda n: crank_moment_enumerated(4, n),
+        lambda n: spt_direct(n),
+        lambda n: goe_count(n),
+    ]
+    rows = [
+        rank_count_rows,
+        crank_count_rows,
+        lambda n: rank_count_at_least_row(0, n),
+        lambda n: rank_count_below_row(1, n),
+        lambda n: rank_moment_row(2, n),
+        lambda n: crank_moment_enumerated_row(2, n),
+        goe_row,
+        spt_row,
+    ]
+    calls = [(point, n) for point in points for n in range(1, ENUMERATION_CAP + 1)]
+    calls += [(row, n) for row in rows for n in range(0, ENUMERATION_CAP + 1, 10)]
+    random.Random(7).shuffle(calls)
+    _stat_census.cache_clear()
+    for call, n in calls:
+        call(n)
+    assert _stat_census.cache_info().misses == 1
