@@ -22,6 +22,8 @@ Layers:
 * ``cauchy_sum.1000`` -- the sum of q^n/(q)_n over n, truncated at q^1000;
 * ``parts_parity_counts.1000`` -- the even and odd part-count rows over
   n = 0..1000 from a cold cache;
+* ``restricted_row.N`` (N = 200, 2000) -- the Thm 3.10 row at M = 7,
+  i = 3: partitions of n = 0..N into parts not congruent to 0, +-3 mod 7;
 * ``p_mex_series.2000`` -- the row p_{2,3}(0..2000) from cold caches;
 * ``stat_census`` -- the one rank, crank and spt census over
   n = 0..ENUMERATION_CAP, built from a cold cache;
@@ -133,6 +135,11 @@ def main() -> None:
         repeats,
         partitions.parts_parity_counts.cache_clear,
     )
+    thm_3_10 = ResidueCondition(7, frozenset({0, 3, 4}), mode="exclude")
+    for n_max in (200, 2000):
+        layers[f"restricted_row.{n_max}"] = timed(
+            lambda: partitions.count_parts_restricted_row(n_max, thm_3_10), repeats
+        )
     layers["p_mex_series.2000"] = timed(cold_row, repeats)
     layers["stat_census"] = timed(cold_census, repeats)
     for n_max in (50, 70):

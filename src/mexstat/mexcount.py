@@ -94,9 +94,9 @@ def mex_census_rows(
     T_{c_k} of free parts above c_k goes to p for even k and to pbar for odd
     k; the branch "c_k present" goes on with the row times q^c_k/(1-q^c_k).
     Past n_max (or once no partition of n <= n_max keeps the chain) the mex
-    is the next chain element.  The slot width comes from the
-    restricted-part DP value p(n_max), so the pentagonal p(n) stays an
-    independent route.  ``n_max`` is capped at ``limits.ENUMERATION_CAP``.
+    is the next chain element.  The slots take the Apostol width of p(n_max)
+    and read no count, so the pentagonal p(n) stays an independent route.
+    ``n_max`` is capped at ``limits.ENUMERATION_CAP``.
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")

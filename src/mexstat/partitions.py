@@ -4,10 +4,11 @@ A partition is represented as a plain tuple of positive ints in
 non-increasing (canonical) order.  Counting goes through the pentagonal
 recurrence and bounded dynamic programming, deliberately independent of
 the series engine so the two can cross-check each other.
-:class:`PackedRows` holds the rows of the counting DPs that stand in for
-enumeration in ``statistics`` and ``mexcount``; no library route walks
-partitions one by one, and :func:`enumerate_partitions` (tables, tests)
-stops at ``limits.ENUMERATION_CAP``.  :func:`p_count` reads one shared
+:class:`PackedRows`, whose slot width reads no p(n), is the one packing of
+every counting DP: the restricted-part and parity rows here and the rows
+that stand in for enumeration in ``statistics`` and ``mexcount``.  No
+library route walks partitions one by one, and :func:`enumerate_partitions`
+(tables, tests) stops at ``limits.ENUMERATION_CAP``.  :func:`p_count` reads one shared
 p(n) table: it grows, under a lock, to the largest n asked so far and
 never shrinks, so every smaller n is a list read; it stops at
 ``limits.P_TABLE_CAP``.
@@ -155,11 +156,9 @@ def p_count(n: int) -> int:
 
 
 def count_parts_restricted_row(
-    n_max: int,
-    allowed: ResidueCondition,
-    distinct: ResidueCondition | None = None,
+    n_max: int, allowed: ResidueCondition, distinct: ResidueCondition | None = None
 ) -> tuple[int, ...]:
-    """Restricted counts for n = 0..n_max from one DP pass.
+    """Restricted counts for n = 0..n_max from one packed DP pass.
 
     Every part size admitted by ``allowed`` may repeat freely.  When
     ``distinct`` is given, each part size it admits additionally contributes
@@ -169,22 +168,24 @@ def count_parts_restricted_row(
         prod_{allowed m} 1/(1-q^m) * prod_{distinct m} (1+q^m).
 
     With disjoint conditions this is the plain "parts from ``distinct``
-    appear at most once" count.
+    appear at most once" count.  Entry n is at most the number of
+    overpartitions of n, so the slots take weight 3 with marks, else 2.
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    ways = [0] * (n_max + 1)
-    ways[0] = 1
-    for part in range(1, n_max + 1):
+    rows = PackedRows(n_max, 2 if distinct is None else 3)
+    return rows.unpack(_restricted(rows, allowed, distinct))
+
+
+def _restricted(rows: PackedRows, allowed: ResidueCondition, distinct=None) -> int:
+    # the packed row of count_parts_restricted_row; each partial product is a sub-count of it
+    x = 1
+    for part in range(1, rows.n_max + 1):
         if allowed.admits(part):
-            for j in range(part, n_max + 1):
-                ways[j] += ways[j - part]
-    if distinct is not None:
-        for part in range(1, n_max + 1):
-            if distinct.admits(part):
-                for j in range(n_max, part - 1, -1):
-                    ways[j] += ways[j - part]
-    return tuple(ways)
+            x = rows.stride(x, part)
+        if distinct is not None and distinct.admits(part):
+            x += rows.shift(x, part)
+    return x
 
 
 def count_parts_restricted(
@@ -201,7 +202,7 @@ def count_parts_restricted(
 
 
 # ---------------------------------------------------------------------------
-# packed counting rows (the counting DPs of statistics and mexcount)
+# packed counting rows (every counting DP of partitions, statistics and mexcount)
 # ---------------------------------------------------------------------------
 
 
@@ -210,20 +211,20 @@ class PackedRows:
 
     Entry n of a row sits in bits [n * width, (n + 1) * width).  The counting
     DPs built on this add rows and multiply them by q^e, by 1/(1-q^e) and by
-    each other; every count they form at n counts partitions of n, or at
-    most 2**extra_bits times as many.  So the width is that of p(n_max),
-    taken from the restricted-part DP (not the pentagonal table), plus
-    ``extra_bits``: no slot up to n_max overflows, a carry only moves up,
-    and the mask drops what lands past slot n_max -- the truncation at
-    q^n_max.
+    each other; every count they form at n is below exp(pi*sqrt(weight*n/3))
+    (Apostol's bound on p(n), see ``series._coefficient_bits``): weight 2 for
+    sub-counts of p(n), 3 for overpartitions, 4 for pairs of partitions.  So
+    whole-byte slots of 21 * (isqrt(weight * n_max) + 1) // 8 + 1 bits or more
+    never overflow up to n_max, a carry only moves up, and the mask drops
+    what lands past slot n_max -- the truncation at q^n_max.
     """
 
-    def __init__(self, n_max: int, extra_bits: int = 0) -> None:
+    def __init__(self, n_max: int, weight: int = 2) -> None:
         if n_max < 0:
             raise ValueError("n must be non-negative")
-        every_part = ResidueCondition(1, frozenset({0}))
         self.n_max = n_max
-        self.width = count_parts_restricted_row(n_max, every_part)[-1].bit_length() + extra_bits
+        self.size = (21 * (isqrt(weight * n_max) + 1) // 8 + 8) // 8
+        self.width = 8 * self.size
         self.mask = (1 << self.width * (n_max + 1)) - 1
 
     def shift(self, x: int, e: int) -> int:
@@ -249,9 +250,10 @@ class PackedRows:
         return out
 
     def unpack(self, x: int) -> tuple[int, ...]:
-        """The counts of a packed row, entry n at index n."""
-        width, slot = self.width, (1 << self.width) - 1
-        return tuple(x >> width * n & slot for n in range(self.n_max + 1))
+        """The counts of a packed row, entry n at index n, from one byte string."""
+        s = self.size
+        data = x.to_bytes(s * (self.n_max + 1), "little")
+        return tuple([int.from_bytes(data[i : i + s], "little") for i in range(0, len(data), s)])
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +265,24 @@ class PackedRows:
 def parts_parity_counts(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Tables (even, odd) where even[n] counts partitions of n with evenly many parts.
 
-    A two-row packed DP over the part sizes m: one part m moves a partition
-    between the rows, (E, O) -> (E + q^m O, O + q^m E), and every further
-    pair of parts m keeps its row, so both rows are then divided by
-    1 - q^(2m) with doubling strides.  Every entry counts partitions of
-    some n <= n_max, and p(n) < exp(pi * sqrt(2n/3)) < 2^(21/8 * sqrt(2n))
-    (T. M. Apostol, Introduction to Analytic Number Theory, Thm 14.5), so
-    slots of that many bits, rounded up to bytes, never carry.
+    E + O = p(n), and E - O = (-1)^n sc(n) with sc(n) the partitions of n
+    into distinct odd parts: prod 1/(1+q^m) = prod_{m odd} (1-q^m) (Euler),
+    whose q^n coefficient has the sign (-1)^n.  Both rows are packed
+    restricted DPs.  (p(n) - sc(n)) / 2 is O(n) at even n and E(n) at odd
+    n; its slots are even and non-negative before the shift that halves
+    them, so no slot borrows or carries, and each other count is p(n) minus
+    one already known.
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    size = (21 * (isqrt(2 * n_max) + 1) // 8 + 8) // 8
-    w = 8 * size
-    even, odd = 1, 0
-    for m in range(1, n_max + 1):
-        # a shift by s reads only the low n_max + 1 - s slots: the rest falls past q^n_max
-        low = (1 << w * (n_max + 1 - m)) - 1
-        even, odd = even + ((odd & low) << w * m), odd + ((even & low) << w * m)
-        step = 2 * m
-        while step <= n_max:
-            low = (1 << w * (n_max + 1 - step)) - 1
-            even += (even & low) << w * step
-            odd += (odd & low) << w * step
-            step <<= 1
-
-    def unpack(row: int) -> tuple[int, ...]:
-        data = row.to_bytes(size * (n_max + 1), "little")
-        return tuple(
-            int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)
-        )
-
-    return unpack(even), unpack(odd)
+    rows = PackedRows(n_max)
+    every = _restricted(rows, ResidueCondition(1, frozenset({0})))
+    no_part = ResidueCondition(1, frozenset({0}), mode="exclude")
+    half = every - _restricted(rows, no_part, ResidueCondition(2, frozenset({1}))) >> 1
+    pair = b"\xff" * rows.size + bytes(rows.size)
+    even_slots = int.from_bytes(pair * (n_max // 2 + 1), "little")
+    odd = (half & even_slots) | (every - half & even_slots << rows.width)
+    return rows.unpack(every - odd), rows.unpack(odd)
 
 
 def p_even_parts(n: int) -> int:

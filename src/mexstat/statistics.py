@@ -79,9 +79,10 @@ def crank(parts: Iterable[int]) -> int:
 @lru_cache(maxsize=1)
 def _stat_census() -> tuple[partitions.PackedRows, dict[str, dict[int, int]]]:
     # (packer, rows by statistic and then by value m), packed over n = 0..ENUMERATION_CAP;
-    # spt is one row, under m = 0, so its total is the zeroth moment
+    # spt is one row, under m = 0, so its total is the zeroth moment.  Weight 4, as spt(n)
+    # <= p_2(n): lambda with k of its smallest parts s marked -> (lambda - s^k, s^k) is 1-1
     n_max = limits.ENUMERATION_CAP
-    rows = partitions.PackedRows(n_max, n_max.bit_length())
+    rows = partitions.PackedRows(n_max, 4)
     rank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
     crank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
     rank_rows[0] = crank_rows[0] = 1
@@ -128,13 +129,18 @@ def _stat_census() -> tuple[partitions.PackedRows, dict[str, dict[int, int]]]:
     return rows, {"rank": rank_rows, "crank": crank_rows, "spt": {0: spt}}
 
 
+def _census(n: int, least: int) -> tuple[partitions.PackedRows, dict[str, dict[int, int]]]:
+    # the census, once n is checked: at least ``least`` (0 or 1) and within the cap
+    if n < least:
+        raise ValueError("n must be at least 1" if least else "n must be non-negative")
+    limits.check_enumeration(n)
+    return _stat_census()
+
+
 def _census_row(stat: str, n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
     # entry n is the sum over m of weight(m) * (count of ``stat`` = m at n); the rows
     # of one weight count disjoint sets of partitions, so are summed packed
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    limits.check_enumeration(n_max)
-    packer, by_stat = _stat_census()
+    packer, by_stat = _census(n_max, 0)
     by_weight: dict[int, int] = {}
     for m, x in by_stat[stat].items():
         if w := weight(m):
@@ -145,20 +151,24 @@ def _census_row(stat: str, n_max: int, weight: Callable[[int], int]) -> tuple[in
     return tuple(out)
 
 
+def _census_rows(stat: str, n_max: int) -> dict[int, tuple[int, ...]]:
+    # value m -> (count of ``stat`` = m at n for n = 0..n_max), for m in [-n_max, n_max]
+    packer, by_stat = _census(n_max, 0)
+    return {m: packer.unpack(by_stat[stat][m])[: n_max + 1] for m in range(-n_max, n_max + 1)}
+
+
 def _census_at(stat: str, n: int, weight: Callable[[int], int]) -> int:
     # entry n of _census_row(stat, n, weight), read off slot n alone
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    limits.check_enumeration(n)
-    packer, by_stat = _stat_census()
+    packer, by_stat = _census(n, 1)
     top, slot = packer.width * n, (1 << packer.width) - 1
     return sum(w * (x >> top & slot) for m, x in by_stat[stat].items() if (w := weight(m)))
 
 
-def _by_value(read: Callable, stat: str, n: int) -> dict:
-    # read(stat, n, "statistic = m") for m in [-n, n]; for m = 0 alone where
-    # that is empty, so that the reader still checks n
-    return {m: read(stat, n, m.__eq__) for m in range(-n, n + 1) or [0]}
+def _census_slots(stat: str, n: int) -> dict[int, int]:
+    # value m -> count of ``stat`` = m at n, slot n of each census row read once; no zeros
+    packer, by_stat = _census(n, 1)
+    top, slot = packer.width * n, (1 << packer.width) - 1
+    return {m: c for m, x in by_stat[stat].items() if (c := x >> top & slot)}
 
 
 # The weights, each a function of the statistic's value m.
@@ -178,12 +188,12 @@ def _moment(k: int) -> Callable[[int], int]:
 
 def rank_count_rows(n_max: int) -> dict[int, tuple[int, ...]]:
     """N(m, n) for n = 0..n_max, one row per m in [-n_max, n_max] (counting DP)."""
-    return _by_value(_census_row, "rank", n_max)
+    return _census_rows("rank", n_max)
 
 
 def crank_count_rows(n_max: int) -> dict[int, tuple[int, ...]]:
     """Per-partition crank counts for n = 0..n_max, one row per m in [-n_max, n_max]."""
-    return _by_value(_census_row, "crank", n_max)
+    return _census_rows("crank", n_max)
 
 
 def rank_count_at_least_row(j: int, n_max: int) -> tuple[int, ...]:
@@ -218,12 +228,12 @@ def spt_row(n_max: int) -> tuple[int, ...]:
 
 def rank_histogram(n: int) -> dict[int, int]:
     """Map rank value -> number of partitions of n with that rank."""
-    return {m: c for m, c in _by_value(_census_at, "rank", n).items() if c}
+    return _census_slots("rank", n)
 
 
 def crank_histogram(n: int) -> dict[int, int]:
     """Map crank value -> number of partitions of n with that crank."""
-    return {m: c for m, c in _by_value(_census_at, "crank", n).items() if c}
+    return _census_slots("crank", n)
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,9 @@ def _literal_stride(row, e):
 )
 @settings(max_examples=60, deadline=None)
 def test_packed_stride_matches_literal_loop(n_max, e, seed_row):
-    rows = PackedRows(n_max, 7)  # a stride of entries <= 3 stays below 3 * 31 < 2**7
+    # weight 7 sizes slots for counts below exp(pi * sqrt(7 * n_max / 3)), and a slot
+    # is a whole byte at least: a stride of entries <= 3 stays below 3 * 31 < 2**8
+    rows = PackedRows(n_max, 7)
     row = seed_row[: n_max + 1]
     packed = sum(c << rows.width * n for n, c in enumerate(row))
     assert rows.unpack(packed) == tuple(row)
@@ -310,7 +312,33 @@ def test_packed_tails_match_literal_products():
             literal = _literal_stride(literal, j)
         assert list(rows.unpack(tails[s])) == literal
     assert rows.unpack(tails[0]) == tuple(p_count(n) for n in range(n_max + 1))
-    assert rows.width == p_count(n_max).bit_length()
+    assert p_count(n_max) < 1 << rows.width  # the width holds p(n_max)
+
+
+def _list_restricted_row(n_max, allowed, distinct):
+    """The restricted-part DP one coefficient at a time."""
+    ways = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        if allowed.admits(part):
+            for j in range(part, n_max + 1):
+                ways[j] += ways[j - part]
+    for part in range(1, n_max + 1):
+        if distinct.admits(part):
+            for j in range(n_max, part - 1, -1):
+                ways[j] += ways[j - part]
+    return tuple(ways)
+
+
+def test_restricted_row_width_holds_p_at_scale():
+    every_part = ResidueCondition(1, frozenset({0}))
+    row = count_parts_restricted_row(2000, every_part)
+    assert row == tuple(p_count(n) for n in range(2001))
+
+
+def test_restricted_row_width_holds_overpartitions_at_scale():
+    every_part = ResidueCondition(1, frozenset({0}))
+    row = count_parts_restricted_row(1000, every_part, every_part)
+    assert row == _list_restricted_row(1000, every_part, every_part)
 
 
 def _parity_counts_quadratic(n_max):
