@@ -25,6 +25,11 @@ Layers:
 * ``restricted_row.N`` (N = 200, 2000) -- the Thm 3.10 row at M = 7,
   i = 3: partitions of n = 0..N into parts not congruent to 0, +-3 mod 7;
 * ``p_mex_series.2000`` -- the row p_{2,3}(0..2000) from cold caches;
+* ``point.p_aa.2000`` -- the point p_{2,3}(2000) on the series route
+  (``mex_series_at``), with the partition generating series already
+  built at precision 2000;
+* ``point.crank_moment.2000`` -- ``crank_moment(2, 2000)`` with every
+  series cache cleared before each call;
 * ``stat_census`` -- the one rank, crank and spt census over
   n = 0..ENUMERATION_CAP, built from a cold cache;
 * ``stat_rows.N`` (N = 50, 70) -- the rank, crank and spt rows over
@@ -86,6 +91,15 @@ def cold_row() -> None:
     mexcount.p_mex_series(MexParams(2, 3), 2000)
 
 
+def clear_series_caches() -> None:
+    for cached in (
+        series.partition_generating_series,
+        series.rank_generating_series,
+        series.crank_generating_series,
+    ):
+        cached.cache_clear()
+
+
 def cold_census() -> None:
     mexstat_statistics._stat_census.cache_clear()
     mexstat_statistics._stat_census()
@@ -141,6 +155,13 @@ def main() -> None:
             lambda: partitions.count_parts_restricted_row(n_max, thm_3_10), repeats
         )
     layers["p_mex_series.2000"] = timed(cold_row, repeats)
+    series.partition_generating_series(2000)
+    layers["point.p_aa.2000"] = timed(
+        lambda: mexcount.mex_series_at(MexParams(2, 3), 2000, False), repeats
+    )
+    layers["point.crank_moment.2000"] = timed(
+        lambda: mexstat_statistics.crank_moment(2, 2000), repeats, clear_series_caches
+    )
     layers["stat_census"] = timed(cold_census, repeats)
     for n_max in (50, 70):
         layers[f"stat_rows.{n_max}"] = timed(lambda: cold_stat_rows(n_max), repeats)

@@ -65,8 +65,7 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
             if args.n < 0:
                 raise ValueError("n must be non-negative for the series method")
             check_precision(args.n)
-            row = (mexcount.pbar_mex_series if barred else mexcount.p_mex_series)(params, args.n)
-            value = row[args.n]
+            value = mexcount.mex_series_at(params, args.n, barred)
             method_name = "series"
         elif method == "recurrence":
             value = (mexcount.pbar_mex_recurrence if barred else mexcount.p_mex_recurrence)(

@@ -9,7 +9,10 @@ Together they exhaust p(n).  Three independent routes are provided:
                  the rows 0..n_max at once, without listing partitions or
                  supports (the name is kept; it is the per-partition
                  definition, counted);
-* series       - expand 1/(q)_inf times an alternating theta numerator;
+* series       - expand 1/(q)_inf times an alternating theta numerator
+                 (a point query reads coefficient n alone, from the
+                 O(sqrt n) theta terms against ``partition_generating_series``,
+                 the only cache it touches);
 * recurrence   - fold shifted partition numbers p(n - offset) with the
                  memoized pentagonal table.
 
@@ -24,15 +27,25 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import limits, partitions
-from .series import TruncatedSeries, alternating_theta, partition_generating_series, prefix_cache
+from .series import (
+    Quadratic,
+    TruncatedSeries,
+    alternating_theta,
+    alternating_theta_dot,
+    partition_generating_series,
+    prefix_cache,
+)
 from .statistics import MexParams
+
+
+def _theta_quadratic(A: int, a: int, barred: bool) -> Quadratic:
+    # exponent A*n*(n+1)/2 + a*(n+1) barred, A*n*(n-1)/2 + a*n unbarred
+    return (A, A + 2 * a, 2 * a) if barred else (A, 2 * a - A, 0)
 
 
 @prefix_cache
 def _series_row(A: int, a: int, barred: bool, n_max: int) -> TruncatedSeries:
-    # exponent A*n*(n+1)/2 + a*(n+1) barred, A*n*(n-1)/2 + a*n unbarred
-    quadratic = (A, A + 2 * a, 2 * a) if barred else (A, 2 * a - A, 0)
-    numerator = alternating_theta(quadratic, 0, n_max)
+    numerator = alternating_theta(_theta_quadratic(A, a, barred), 0, n_max)
     return numerator * partition_generating_series(n_max)
 
 
@@ -48,6 +61,19 @@ def pbar_mex_series(params: MexParams, n_max: int) -> tuple[int, ...]:
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     return _series_row(params.A, params.a, True, n_max).coeffs
+
+
+def mex_series_at(params: MexParams, n: int, barred: bool) -> int:
+    """p_{A,a}(n), or pbar_{A,a}(n) when ``barred``, on the series route.
+
+    Entry n of :func:`p_mex_series` (:func:`pbar_mex_series`) from the
+    O(sqrt n) theta terms against ``partition_generating_series(n)``; no
+    row is built or cached.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    row = partition_generating_series(n).coeffs
+    return alternating_theta_dot(_theta_quadratic(params.A, params.a, barred), 0, row, n)
 
 
 def p_mex_recurrence(params: MexParams, n: int) -> int:

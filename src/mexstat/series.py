@@ -55,7 +55,10 @@ series are cached by :func:`prefix_cache`: one series per key (none, or
 m), at the largest precision built so far.  A lower precision is read as
 its prefix and a higher one is built once, exactly, and replaces it, so
 memory is one series per key and a sweep over rising precisions builds
-once per new maximum.
+once per new maximum.  A single coefficient of a theta sum times
+1/(q)_inf needs none of them: :func:`alternating_theta_dot` and
+:func:`pentagon_like_coefficient` read it off the O(sqrt n) theta terms
+and ``partition_generating_series``.
 """
 
 from __future__ import annotations
@@ -474,6 +477,34 @@ def alternating_theta(quadratic: Quadratic, n_start: int, precision: int) -> Tru
     it must not be negative at any n >= n_start; otherwise ValueError.
     """
     P, Q, R = quadratic
+    c = [0] * (precision + 1)
+    for n in _theta_indices(quadratic, n_start, precision):
+        c[(P * n * n + Q * n + R) // 2] += -1 if n & 1 else 1
+    return TruncatedSeries(c)
+
+
+def alternating_theta_dot(quadratic: Quadratic, n_start: int, row: Sequence[int], n: int) -> int:
+    """Coefficient n of :func:`alternating_theta` times the series with coefficients ``row``.
+
+    The sum of (-1)^k row[n - e_k] over the k >= n_start whose exponent
+    e_k = (P*k^2 + Q*k + R)/2 is at most n: O(sqrt n) terms, where the
+    product costs a multiply at precision n.  ``row`` must hold the
+    coefficients 0..n; the quadratic is checked as by :func:`alternating_theta`.
+    """
+    P, Q, R = quadratic
+    ks = _theta_indices(quadratic, n_start, n)
+    if len(row) <= n:
+        raise ValueError(f"the row stops at q^{len(row) - 1}, below q^{n}")
+    total = 0
+    for k in ks:
+        c = row[n - (P * k * k + Q * k + R) // 2]
+        total += -c if k & 1 else c
+    return total
+
+
+def _theta_indices(quadratic: Quadratic, n_start: int, precision: int) -> range:
+    # the indices of the terms up to q^precision, once the quadratic is checked
+    P, Q, R = quadratic
     if not (P > 0 or P == 0 and Q > 0) or R % 2 or (P + Q) % 2:
         raise ValueError(f"(P*n^2+Q*n+R)/2 with (P, Q, R) = {quadratic} is not a growing integer")
     if precision < 0:
@@ -481,10 +512,7 @@ def alternating_theta(quadratic: Quadratic, n_start: int, precision: int) -> Tru
     negative = _indices(quadratic, n_start, -1)
     if negative:
         raise ValueError(f"the exponent is negative at n={negative[0]}")
-    c = [0] * (precision + 1)
-    for n in _indices(quadratic, n_start, precision):
-        c[(P * n * n + Q * n + R) // 2] += -1 if n & 1 else 1
-    return TruncatedSeries(c)
+    return _indices(quadratic, n_start, precision)
 
 
 def alternating_theta_bilateral(quadratic: Quadratic, precision: int) -> TruncatedSeries:
@@ -603,6 +631,18 @@ def _count_series_from_pentagon_like(P: int, m: int, precision: int) -> Truncate
     lower = alternating_theta((P, 2 * abs(m) - 1, 0), 1, precision)
     upper = alternating_theta((P, 2 * abs(m) + 1, 0), 1, precision)
     return (upper - lower) * partition_generating_series(precision)
+
+
+def pentagon_like_coefficient(P: int, m: int, row: Sequence[int], n: int) -> int:
+    """Coefficient n of the rank (P = 3) or crank (P = 1) count series of m.
+
+    The numerator of :func:`rank_generating_series` and
+    :func:`crank_generating_series` against ``row``, which must hold
+    1/(q)_inf to at least q^n (``partition_generating_series(n).coeffs``):
+    O(sqrt n) terms and no series built.
+    """
+    upper = alternating_theta_dot((P, 2 * abs(m) + 1, 0), 1, row, n)
+    return upper - alternating_theta_dot((P, 2 * abs(m) - 1, 0), 1, row, n)
 
 
 @prefix_cache

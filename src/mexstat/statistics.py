@@ -9,9 +9,13 @@ rank, crank and spt rows over all of n = 0..``limits.ENUMERATION_CAP``
 the split by the number of ones for the Andrews-Garvan crank, the
 smallest-part tally over tails for spt), once per process; row functions
 read slots 0..n_max of it, point functions slot n.  They share
-no code with the series engine or the pentagonal p(n).  The two flavours
-agree everywhere except the classical crank anomaly at n = 1, which is
-exposed, documented and tested rather than hidden.
+no code with the series engine or the pentagonal p(n).  The series point
+functions (N and M, the crank moments and the crank >= j / < j counts)
+read coefficient n alone: each M(m, n) or N(m, n) is a signed sum of
+O(sqrt n) entries of ``partition_generating_series(n)``, the only cache
+they touch, while the series rows build whole count series.  The two
+flavours agree everywhere except the classical crank anomaly at n = 1,
+which is exposed, documented and tested rather than hidden.
 """
 
 from __future__ import annotations
@@ -21,11 +25,18 @@ from functools import lru_cache
 from typing import Callable, Iterable, Literal
 
 from . import limits, partitions
-from .series import crank_generating_series, rank_generating_series
+from .series import (
+    crank_generating_series,
+    partition_generating_series,
+    pentagon_like_coefficient,
+)
 
 Method = Literal["combinatorial", "series"]
 
 MAX_MOMENT_ORDER = 4
+
+# P of the count series' numerator exponents j*(P*j - 1)/2 + j*|m|
+_PENTAGON_LIKE = {"rank": 3, "crank": 1}
 
 
 @dataclass(frozen=True)
@@ -276,19 +287,20 @@ def crank_count_below_row(j: int, n_max: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _count(stat: str, series: Callable, m: int, n: int, method: Method) -> int:
+def _count(stat: str, m: int, n: int, method: Method) -> int:
     if method == "combinatorial":
         return _census_at(stat, n, m.__eq__)
     if method == "series":
         if n < 0:
             raise ValueError("n must be non-negative")
-        return series(abs(m), n).coeff(n)
+        row = partition_generating_series(n).coeffs
+        return pentagon_like_coefficient(_PENTAGON_LIKE[stat], m, row, n)
     raise ValueError(f"unknown method {method!r}")
 
 
 def rank_count(m: int, n: int, method: Method = "combinatorial") -> int:
     """N(m, n): partitions of n with rank exactly m."""
-    return _count("rank", rank_generating_series, m, n, method)
+    return _count("rank", m, n, method)
 
 
 def crank_count(m: int, n: int, method: Method = "combinatorial") -> int:
@@ -297,7 +309,7 @@ def crank_count(m: int, n: int, method: Method = "combinatorial") -> int:
     The two methods agree for n >= 2; at n = 1 the series gives
     (-1, 1, 1) at m = (0, +-1) while the per-partition crank of [1] is -1.
     """
-    return _count("crank", crank_generating_series, m, n, method)
+    return _count("crank", m, n, method)
 
 
 def rank_count_at_least(j: int, n: int) -> int:
@@ -310,9 +322,22 @@ def rank_count_below(j: int, n: int) -> int:
     return _census_at("rank", n, _below(j))
 
 
+def _crank_series_at(n: int, weight: Callable[[int], int]) -> int:
+    # entry n of _crank_series_row(n, weight), from the points M(m, n) over one
+    # 1/(q)_inf row; M(m, n) = 0 for m > n
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    row = partition_generating_series(n).coeffs
+    total = 0
+    for m in range(n + 1):
+        if w := weight(m) + weight(-m) if m else weight(0):
+            total += w * pentagon_like_coefficient(_PENTAGON_LIKE["crank"], m, row, n)
+    return total
+
+
 def _crank_at(n: int, weight: Callable[[int], int], method: Method) -> int:
     if method == "series":
-        return _crank_series_row(n, weight)[n]
+        return _crank_series_at(n, weight)
     if method == "combinatorial":
         return _census_at("crank", n, weight)
     raise ValueError(f"unknown method {method!r}")
@@ -345,11 +370,11 @@ def crank_moment(k: int, n: int) -> int:
     n = 1 (e.g. the second moment equals 2*n*p(n) for all n >= 1).  For
     n >= 2 it coincides with the enumerated distribution; see
     :func:`crank_moment_enumerated` for the per-partition version.
-    Entry n of :func:`crank_moment_row`.
+    Entry n of :func:`crank_moment_row`, read from the points M(m, n).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return crank_moment_row(k, n)[n]
+    return _crank_series_at(n, _moment(k))
 
 
 def crank_moment_enumerated(k: int, n: int) -> int:

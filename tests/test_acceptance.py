@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from mexstat import identities, tables
+from mexstat import identities, series, tables
 from mexstat.mexcount import mex_census_rows, p_mex_recurrence, p_mex_series
 from mexstat.partitions import p_count
 from mexstat.statistics import (
@@ -158,3 +158,16 @@ def test_criterion_9_crank_anomaly():
         assert sum(
             crank_count(m, 1, "combinatorial") for m in (-1, 0, 1)
         ) == 1
+
+
+def test_criterion_10_crank_moment_at_the_series_cap():
+    # Dyson: M_2(n) = 2n p(n), checked against the pentagonal p(n)
+    for cached in (
+        series.partition_generating_series,
+        series.rank_generating_series,
+        series.crank_generating_series,
+    ):
+        cached.cache_clear()
+    with criterion(10, "crank_moment(2, 2000) from cold caches, equal to 2n p(n)", 1.0):
+        value = crank_moment(2, 2000)
+    assert value == 2 * 2000 * p_count(2000)

@@ -1,5 +1,5 @@
-import io
 import json
+import os
 import random
 import signal
 import subprocess
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mexstat import cli, mexcount, series, statistics
+from mexstat import cli, mexcount, partitions, series, statistics
 from mexstat.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,9 +211,47 @@ class TestParserReuse:
         assert code == 0 and "p(20) = 627" in out
 
 
+def test_series_point_queries_read_only_the_partition_series(monkeypatch, capsys):
+    # the recurrence route (p_count) stays independent, and no whole row is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a series point query must not use this")
+
+    for module, name in [
+        (partitions, "p_count"),
+        (mexcount, "_series_row"),
+        (statistics, "crank_generating_series"),
+        (series, "rank_generating_series"),
+        (series, "crank_generating_series"),
+        (series.TruncatedSeries, "__mul__"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    queries = [
+        ["p_aa", "--A", "2", "--a", "3", "--n", "500", "--method", "series"],
+        ["pbar_aa", "--A", "7", "--a", "4", "--n", "71"],
+        ["N", "--m", "-4", "--n", "300", "--method", "series"],
+        ["M", "--m", "6", "--n", "250", "--method", "series"],
+        ["moment", "--stat", "crank", "--k", "2", "--n", "400"],
+    ]
+    answers = []
+    for query in queries:
+        code, out, err = run_cli(capsys, "compute", *query, "--format", "json")
+        assert code == 0, err
+        answers.append(int(json.loads(out)["value"]))
+    monkeypatch.undo()
+    assert answers == [
+        mexcount.p_mex_series(statistics.MexParams(2, 3), 500)[500],
+        mexcount.pbar_mex_series(statistics.MexParams(7, 4), 71)[71],
+        series.rank_generating_series(4, 300).coeff(300),
+        series.crank_generating_series(6, 250).coeff(250),
+        2 * 400 * partitions.p_count(400),
+    ]
+
+
 def _sweep(rng):
     """A shuffled sweep of compute queries: every stat kind at n <= 70, series
-    crank counts at n <= 300 and series mex counts at n <= 600."""
+    crank counts at n <= 300, series mex counts at n <= 600, and many keys on
+    the series route: 1000 distinct (A, a, bar) at n in 71..300 and N and M at
+    400 distinct (stat, |m|)."""
     queries = []
     for n in range(1, 71):
         m, k = rng.randint(-n, n), rng.randint(0, 4)
@@ -230,6 +268,15 @@ def _sweep(rng):
     for n in range(20, 601, 20):
         A, a = rng.randint(1, 10), rng.randint(1, 15)
         queries.append(["p_aa", "--A", A, "--a", a, "--n", n, "--method", "series"])
+    kinds = ("p_aa", "pbar_aa")
+    mex_keys = [(kind, A, a) for kind in kinds for A in range(1, 31) for a in range(1, 26)]
+    for kind, A, a in rng.sample(mex_keys, 1000):
+        n = rng.randint(71, 300)
+        queries.append([kind, "--A", A, "--a", a, "--n", n, "--method", "series"])
+    for kind in ("N", "M"):
+        for m in range(200):
+            n = rng.randint(max(m, 1), 300)
+            queries.append([kind, "--m", rng.choice([m, -m]), "--n", n, "--method", "series"])
     rng.shuffle(queries)
     return [["compute", *map(str, query)] for query in queries]
 
@@ -246,7 +293,8 @@ def test_a_query_sweep_stays_within_a_memory_bound():
         series.crank_generating_series,
     ):
         cached.cache_clear()
-    with redirect_stdout(io.StringIO()):
+    # answers go to the null device: a buffer that kept them would grow with the sweep
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
         main(["compute", "p", "--n", "5"])  # the parser, built once per process
         tracemalloc.start()
         try:
@@ -255,8 +303,9 @@ def test_a_query_sweep_stays_within_a_memory_bound():
         finally:
             tracemalloc.stop()
     assert codes == {0}
-    # measured 0.77 MB with seed 1 (0.74-0.79 MB over seeds 1-3; CPython 3.11)
-    assert peak < 1_600_000
+    # measured 0.22-0.24 MB over seeds 1-5 (CPython 3.11); the census and one
+    # 1/(q)_inf row, whatever the number of keys.  A row per series key took 8.9-9.2 MB
+    assert peak < 500_000
 
 
 class TestTables:

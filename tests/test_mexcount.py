@@ -8,6 +8,7 @@ from mexstat import mexcount, partitions, series, statistics
 from mexstat.mexcount import (
     mex_census,
     mex_census_rows,
+    mex_series_at,
     p_mex_enum,
     p_mex_recurrence,
     p_mex_series,
@@ -51,6 +52,38 @@ class TestSeries:
 
     def test_precision_zero(self):
         assert p_mex_series(MexParams(1, 1), 0) == (1,)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=320),
+    st.booleans(),
+    st.integers(min_value=0, max_value=300),
+)
+def test_series_point_is_entry_n_of_the_row(A, a, barred, n):
+    params = MexParams(A, a)
+    row = (pbar_mex_series if barred else p_mex_series)(params, n)
+    assert mex_series_at(params, n, barred) == row[n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("A,a", [(1, 1), (2, 3), (5, 11)])
+def test_series_point_at_the_smallest_n(A, a, n):
+    params = MexParams(A, a)
+    routes = ((False, p_mex_series, p_mex_enum), (True, pbar_mex_series, pbar_mex_enum))
+    for barred, row, enum in routes:
+        assert mex_series_at(params, n, barred) == row(params, n)[n] == enum(params, n)
+
+
+def test_series_point_refuses_negative_n_before_any_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no series may be built for a refused n")
+
+    monkeypatch.setattr(mexcount, "partition_generating_series", forbidden)
+    for barred in (False, True):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            mex_series_at(MexParams(2, 3), -1, barred)
 
 
 class TestRecurrence:
@@ -142,7 +175,8 @@ def test_census_rows_read_neither_pentagonal_table_nor_series(monkeypatch):
         (partitions, "enumerate_partitions"),
         (mexcount, "partition_generating_series"),
         (mexcount, "alternating_theta"),
-        (statistics, "rank_generating_series"),
+        (statistics, "partition_generating_series"),
+        (statistics, "pentagon_like_coefficient"),
         (statistics, "crank_generating_series"),
         (series, "partition_generating_series"),
         (series, "rank_generating_series"),

@@ -12,6 +12,7 @@ from mexstat.series import (
     TruncatedSeries,
     alternating_theta,
     alternating_theta_bilateral,
+    alternating_theta_dot,
     cauchy_sum_specialized,
     crank_generating_series,
     euler_product,
@@ -218,6 +219,38 @@ def test_theta_matches_brute_force_sum(P, Q, half_R, n_start, precision):
         if exponent(n) <= precision:
             expected[exponent(n)] += -1 if n & 1 else 1
     assert alternating_theta((P, Q, 2 * half_R), n_start, precision).coeffs == tuple(expected)
+
+
+@given(
+    st.integers(0, 4),
+    st.integers(-40, 40),
+    st.integers(-20, 200),
+    st.integers(-10, 10),
+    st.integers(0, 80),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=300, deadline=None)
+def test_theta_dot_is_coefficient_n_of_the_product(P, Q, half_R, n_start, n, seed):
+    Q += (P + Q) % 2
+    if P == 0 and Q <= 0:
+        Q = 2
+    quadratic = (P, Q, 2 * half_R)
+    rng = random.Random(seed)
+    row = [rng.randint(-(10**30), 10**30) for _ in range(n + 1 + rng.randint(0, 3))]
+    try:
+        theta = alternating_theta(quadratic, n_start, n)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as also_refused:
+            alternating_theta_dot(quadratic, n_start, row, n)
+        assert str(also_refused.value) == str(refused)
+        return
+    product = theta * TruncatedSeries(row[: n + 1])
+    assert alternating_theta_dot(quadratic, n_start, row, n) == product.coeff(n)
+
+
+def test_theta_dot_refuses_a_short_row():
+    with pytest.raises(ValueError, match="the row stops at q\\^2, below q\\^3"):
+        alternating_theta_dot((1, 1, 0), 0, [1, 2, 3], 3)
 
 
 class TestResidueProduct:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexstat import statistics as mexstat_statistics
 from mexstat.limits import ENUMERATION_CAP
 from mexstat.partitions import CapacityError, enumerate_partitions, p_count
 from mexstat.series import crank_generating_series, rank_generating_series
@@ -375,3 +376,75 @@ def test_every_combinatorial_aggregate_reads_one_census():
     for call, n in calls:
         call(n)
     assert _stat_census.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# series point functions: entry n of the row routes, one coefficient each
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=-320, max_value=320), st.integers(min_value=0, max_value=300))
+def test_series_counts_are_coefficient_n_of_the_count_series(m, n):
+    assert rank_count(m, n, "series") == rank_generating_series(abs(m), n).coeff(n)
+    assert crank_count(m, n, "series") == crank_generating_series(abs(m), n).coeff(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=300))
+def test_series_crank_moment_is_entry_n_of_its_row(k, n):
+    assert crank_moment(k, n) == crank_moment_row(k, n)[n]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=-320, max_value=320), st.integers(min_value=0, max_value=300))
+def test_series_crank_counts_are_entry_n_of_their_rows(j, n):
+    assert crank_count_at_least(j, n) == crank_count_at_least_row(j, n)[n]
+    assert crank_count_below(j, n) == crank_count_below_row(j, n)[n]
+
+
+def test_series_points_at_the_edges():
+    for n in (0, 1):
+        for m in range(-3, 4):
+            assert rank_count(m, n, "series") == rank_generating_series(abs(m), n).coeff(n)
+            assert crank_count(m, n, "series") == crank_generating_series(abs(m), n).coeff(n)
+        for j in range(-3, 4):
+            assert crank_count_at_least(j, n) == crank_count_at_least_row(j, n)[n]
+            assert crank_count_below(j, n) == crank_count_below_row(j, n)[n]
+    # the crank anomaly at n = 1: M(-1, 1), M(0, 1), M(1, 1) = 1, -1, 1
+    assert [crank_count_at_least(j, 1) for j in (-2, -1, 0, 1, 2)] == [1, 1, 0, 1, 0]
+    assert [crank_count_below(j, 1) for j in (-2, -1, 0, 1, 2)] == [0, 0, 1, 0, 1]
+    assert [crank_moment(k, 1) for k in range(5)] == [crank_moment_row(k, 1)[1] for k in range(5)]
+    assert [crank_moment(k, 1) for k in range(5)] == [1, 0, 2, 0, 2]
+    # |m| > n and j beyond +-n
+    for n in range(0, 60):
+        for m in (n + 1, -n - 1, n + 7, -3 * n - 5):
+            assert rank_count(m, n, "series") == crank_count(m, n, "series") == 0
+        for j in (n + 1, n + 9):
+            assert crank_count_at_least(j, n) == crank_count_below(-j, n) == 0
+            assert crank_count_below(j, n) == crank_count_at_least(-j, n) == p_count(n)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a refused input must not reach the series")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank_count(0, -1, "series"), "n must be non-negative"),
+        (lambda: crank_count(3, -2, "series"), "n must be non-negative"),
+        (lambda: crank_count_at_least(0, -1), "n must be non-negative"),
+        (lambda: crank_count_below(5, -3, "series"), "n must be non-negative"),
+        (lambda: crank_moment(2, 0), "n must be at least 1"),
+        (lambda: crank_moment(5, -1), "n must be at least 1"),
+        (lambda: crank_moment(5, 3), "moment order must be in 0..4"),
+        (lambda: crank_moment(-1, 3), "moment order must be in 0..4"),
+    ],
+)
+def test_series_points_refuse_bad_input_before_any_work(monkeypatch, call, message):
+    for name in ("partition_generating_series", "pentagon_like_coefficient"):
+        monkeypatch.setattr(mexstat_statistics, name, _forbidden)
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
