@@ -30,6 +30,11 @@ Layers:
   built at precision 2000;
 * ``point.crank_moment.2000`` -- ``crank_moment(2, 2000)`` with every
   series cache cleared before each call;
+* ``theta_quotient.2000`` and ``theta_quotient_at.2000`` -- the two readers
+  of a theta quotient at 2000 on the numerator of ``crank_moment(2, 2000)``,
+  the sum over m of 2 m^2 times the crank numerator of m: the whole row
+  (one multiply) and coefficient 2000 alone, with the partition generating
+  series already built at precision 2000;
 * ``stat_census`` -- the one rank, crank and spt census over
   n = 0..ENUMERATION_CAP, built from a cold cache;
 * ``stat_rows.N`` (N = 50, 70) -- the rank, crank and spt rows over
@@ -161,6 +166,16 @@ def main() -> None:
     )
     layers["point.crank_moment.2000"] = timed(
         lambda: mexstat_statistics.crank_moment(2, 2000), repeats, clear_series_caches
+    )
+    crank_moment_2 = {}
+    for m in range(1, 2001):
+        series.count_numerator("crank", m, 2000, 2 * m * m, crank_moment_2)
+    series.partition_generating_series(2000)
+    layers["theta_quotient.2000"] = timed(
+        lambda: series.theta_quotient(crank_moment_2, 2000), repeats
+    )
+    layers["theta_quotient_at.2000"] = timed(
+        lambda: series.theta_quotient_at(crank_moment_2, 2000), repeats
     )
     layers["stat_census"] = timed(cold_census, repeats)
     for n_max in (50, 70):

@@ -21,6 +21,7 @@ from .series import (
     euler_product,
     jtp_specialized,
     residue_product,
+    theta_quotient,
 )
 from .statistics import MexParams
 
@@ -164,13 +165,8 @@ def _build_series(args: argparse.Namespace) -> tuple[str, TruncatedSeries]:
         return "euler", euler_product(precision)
     if expr in ("F", "Fbar"):
         _require(args, ["A", "a"], expr)
-        params = MexParams(args.A, args.a)
-        row = (
-            mexcount.pbar_mex_series(params, precision)
-            if expr == "Fbar"
-            else mexcount.p_mex_series(params, precision)
-        )
-        return f"{expr}_{{{args.A},{args.a}}}", TruncatedSeries(row)
+        numerator = mexcount.mex_numerator(MexParams(args.A, args.a), expr == "Fbar", precision)
+        return f"{expr}_{{{args.A},{args.a}}}", theta_quotient(numerator, precision)
     if expr == "residue-product":
         _require(args, ["modulus", "residues"], expr)
         cond = ResidueCondition(

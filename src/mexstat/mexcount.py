@@ -9,10 +9,10 @@ Together they exhaust p(n).  Three independent routes are provided:
                  the rows 0..n_max at once, without listing partitions or
                  supports (the name is kept; it is the per-partition
                  definition, counted);
-* series       - expand 1/(q)_inf times an alternating theta numerator
-                 (a point query reads coefficient n alone, from the
-                 O(sqrt n) theta terms against ``partition_generating_series``,
-                 the only cache it touches);
+* series       - the theta quotient of :func:`mex_numerator` over (q)_inf:
+                 read as a row by ``series.theta_quotient`` (cached per
+                 (A, a, bar) for the identity checks) or at n alone by
+                 ``series.theta_quotient_at``;
 * recurrence   - fold shifted partition numbers p(n - offset) with the
                  memoized pentagonal table.
 
@@ -27,26 +27,25 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import limits, partitions
-from .series import (
-    Quadratic,
-    TruncatedSeries,
-    alternating_theta,
-    alternating_theta_dot,
-    partition_generating_series,
-    prefix_cache,
-)
+from .series import TruncatedSeries, prefix_cache, theta_quotient, theta_quotient_at, theta_terms
 from .statistics import MexParams
 
 
-def _theta_quadratic(A: int, a: int, barred: bool) -> Quadratic:
-    # exponent A*n*(n+1)/2 + a*(n+1) barred, A*n*(n-1)/2 + a*n unbarred
-    return (A, A + 2 * a, 2 * a) if barred else (A, 2 * a - A, 0)
+def mex_numerator(params: MexParams, barred: bool, precision: int) -> dict[int, int]:
+    """The theta numerator of p_{A,a} (pbar_{A,a} when ``barred``) over (q)_inf.
+
+    The sum over n >= 0 of (-1)^n q^(A*n*(n-1)/2 + a*n), or of
+    (-1)^n q^(A*n*(n+1)/2 + a*(n+1)) barred (Andrews-Newman), as
+    :func:`series.theta_terms` up to q^precision.
+    """
+    A, a = params.A, params.a
+    quadratic = (A, A + 2 * a, 2 * a) if barred else (A, 2 * a - A, 0)
+    return theta_terms(quadratic, 0, precision)
 
 
 @prefix_cache
 def _series_row(A: int, a: int, barred: bool, n_max: int) -> TruncatedSeries:
-    numerator = alternating_theta(_theta_quadratic(A, a, barred), 0, n_max)
-    return numerator * partition_generating_series(n_max)
+    return theta_quotient(mex_numerator(MexParams(A, a), barred, n_max), n_max)
 
 
 def p_mex_series(params: MexParams, n_max: int) -> tuple[int, ...]:
@@ -66,14 +65,12 @@ def pbar_mex_series(params: MexParams, n_max: int) -> tuple[int, ...]:
 def mex_series_at(params: MexParams, n: int, barred: bool) -> int:
     """p_{A,a}(n), or pbar_{A,a}(n) when ``barred``, on the series route.
 
-    Entry n of :func:`p_mex_series` (:func:`pbar_mex_series`) from the
-    O(sqrt n) theta terms against ``partition_generating_series(n)``; no
-    row is built or cached.
+    Entry n of :func:`p_mex_series` (:func:`pbar_mex_series`), read by
+    :func:`series.theta_quotient_at`; no row is built or cached.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    row = partition_generating_series(n).coeffs
-    return alternating_theta_dot(_theta_quadratic(params.A, params.a, barred), 0, row, n)
+    return theta_quotient_at(mex_numerator(params, barred, n), n)
 
 
 def p_mex_recurrence(params: MexParams, n: int) -> int:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import limits
 from .limits import CapacityError  # noqa: F401  (re-exported: callers import it from here)
-from .series import ResidueCondition
+from .series import ResidueCondition, _coefficient_bits
 
 Partition = tuple[int, ...]
 
@@ -214,16 +214,16 @@ class PackedRows:
     each other; every count they form at n is below exp(pi*sqrt(weight*n/3))
     (Apostol's bound on p(n), see ``series._coefficient_bits``): weight 2 for
     sub-counts of p(n), 3 for overpartitions, 4 for pairs of partitions.  So
-    whole-byte slots of 21 * (isqrt(weight * n_max) + 1) // 8 + 1 bits or more
-    never overflow up to n_max, a carry only moves up, and the mask drops
-    what lands past slot n_max -- the truncation at q^n_max.
+    whole-byte slots of that many bits, less the sign bit the counts do not
+    need, never overflow up to n_max, a carry only moves up, and the mask
+    drops what lands past slot n_max -- the truncation at q^n_max.
     """
 
     def __init__(self, n_max: int, weight: int = 2) -> None:
         if n_max < 0:
             raise ValueError("n must be non-negative")
         self.n_max = n_max
-        self.size = (21 * (isqrt(weight * n_max) + 1) // 8 + 8) // 8
+        self.size = (_coefficient_bits(weight, n_max) + 6) // 8
         self.width = 8 * self.size
         self.mask = (1 << self.width * (n_max + 1)) - 1
 

@@ -50,15 +50,22 @@ operand's nonzeros, or one Kronecker multiply.  Dense series invert by
 Newton iteration (Brent and Zimmermann, Modern Computer Arithmetic, 4.2)
 on that multiply; sparse ones by the O(P * nnz) recurrence.
 
+Theta quotients.  Every count with a series route -- p_{A,a} and
+pbar_{A,a}, N(m, n), M(m, n), their second moments and the weighted crank
+sums -- is a sparse numerator over (q)_inf.  A numerator is a dict
+{exponent: coefficient}, summed from weighted alternating thetas by
+:func:`theta_terms`.  :func:`theta_quotient` reads it as a row, one multiply
+by ``partition_generating_series``; :func:`theta_quotient_at` reads
+coefficient n alone, a sum over the numerator's terms against the same
+series.
+
 Caches.  ``partition_generating_series`` and the rank and crank count
 series are cached by :func:`prefix_cache`: one series per key (none, or
 m), at the largest precision built so far.  A lower precision is read as
 its prefix and a higher one is built once, exactly, and replaces it, so
 memory is one series per key and a sweep over rising precisions builds
-once per new maximum.  A single coefficient of a theta sum times
-1/(q)_inf needs none of them: :func:`alternating_theta_dot` and
-:func:`pentagon_like_coefficient` read it off the O(sqrt n) theta terms
-and ``partition_generating_series``.
+once per new maximum.  A point read by :func:`theta_quotient_at` touches
+only ``partition_generating_series``.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ from dataclasses import dataclass
 from functools import _CacheInfo, wraps
 from math import isqrt
 from operator import add, sub
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 Sign = Literal["minus", "plus"]
 Mode = Literal["include", "exclude"]
@@ -469,6 +476,28 @@ def _indices(quadratic: Quadratic, n_start: int, bound: int) -> range:
     return range(max(n_start, -((Q + root) // (2 * P))), (root - Q) // (2 * P) + 1)
 
 
+def theta_terms(
+    quadratic: Quadratic, n_start: int, precision: int, weight: int = 1, into: dict | None = None
+) -> dict[int, int]:
+    """``weight`` times :func:`alternating_theta` as terms {exponent: coefficient},
+    added to ``into`` (a new dict by default), so that thetas sum into one numerator."""
+    P, Q, R = quadratic
+    terms = {} if into is None else into
+    for n in _theta_indices(quadratic, n_start, precision):
+        e = (P * n * n + Q * n + R) // 2
+        terms[e] = terms.get(e, 0) + (-weight if n & 1 else weight)
+    return terms
+
+
+def _truncated(terms: Mapping[int, int], precision: int) -> TruncatedSeries:
+    # the series of the terms with exponent at most ``precision``
+    c = [0] * (precision + 1)
+    for e, x in terms.items():
+        if e <= precision:
+            c[e] += x
+    return TruncatedSeries._of_checked(tuple(c))
+
+
 def alternating_theta(quadratic: Quadratic, n_start: int, precision: int) -> TruncatedSeries:
     """The sum of (-1)^n q^((P*n^2 + Q*n + R)/2) for n >= n_start, truncated.
 
@@ -476,30 +505,7 @@ def alternating_theta(quadratic: Quadratic, n_start: int, precision: int) -> Tru
     (P > 0, or P = 0 and Q > 0) and be an integer (R and P + Q even), and
     it must not be negative at any n >= n_start; otherwise ValueError.
     """
-    P, Q, R = quadratic
-    c = [0] * (precision + 1)
-    for n in _theta_indices(quadratic, n_start, precision):
-        c[(P * n * n + Q * n + R) // 2] += -1 if n & 1 else 1
-    return TruncatedSeries(c)
-
-
-def alternating_theta_dot(quadratic: Quadratic, n_start: int, row: Sequence[int], n: int) -> int:
-    """Coefficient n of :func:`alternating_theta` times the series with coefficients ``row``.
-
-    The sum of (-1)^k row[n - e_k] over the k >= n_start whose exponent
-    e_k = (P*k^2 + Q*k + R)/2 is at most n: O(sqrt n) terms, where the
-    product costs a multiply at precision n.  ``row`` must hold the
-    coefficients 0..n; the quadratic is checked as by :func:`alternating_theta`.
-    """
-    P, Q, R = quadratic
-    ks = _theta_indices(quadratic, n_start, n)
-    if len(row) <= n:
-        raise ValueError(f"the row stops at q^{len(row) - 1}, below q^{n}")
-    total = 0
-    for k in ks:
-        c = row[n - (P * k * k + Q * k + R) // 2]
-        total += -c if k & 1 else c
-    return total
+    return _truncated(theta_terms(quadratic, n_start, precision), precision)
 
 
 def _theta_indices(quadratic: Quadratic, n_start: int, precision: int) -> range:
@@ -620,35 +626,43 @@ def partition_generating_series(precision: int) -> TruncatedSeries:
     return euler_product(precision).invert()
 
 
+def theta_quotient(numerator: Mapping[int, int], precision: int) -> TruncatedSeries:
+    """``numerator`` ({exponent: coefficient}, see :func:`theta_terms`) times
+    1/(q)_inf, truncated: one multiply by :func:`partition_generating_series`."""
+    row = partition_generating_series(precision)
+    return _truncated(numerator, precision) * row
+
+
+def theta_quotient_at(numerator: Mapping[int, int], n: int) -> int:
+    """Coefficient n of :func:`theta_quotient`: the sum of c * p(n - e) over the
+    terms c q^e with e <= n, p read off ``partition_generating_series(n)``."""
+    p = partition_generating_series(n).coeffs
+    return sum([c * p[n - e] for e, c in numerator.items() if e <= n])
+
+
 # ---------------------------------------------------------------------------
 # rank / crank series
 # ---------------------------------------------------------------------------
 
-
-def _count_series_from_pentagon_like(P: int, m: int, precision: int) -> TruncatedSeries:
-    # numerator sum_{j>=1} (-1)^(j-1) (q^off(j) - q^(off(j)+j)) with
-    # off(j) = j*(P*j - 1)/2 + j*|m|, times 1/(q)_inf
-    lower = alternating_theta((P, 2 * abs(m) - 1, 0), 1, precision)
-    upper = alternating_theta((P, 2 * abs(m) + 1, 0), 1, precision)
-    return (upper - lower) * partition_generating_series(precision)
+# P of the count numerators' exponents j*(P*j - 1)/2 + j*|m|
+_COUNT_P = {"rank": 3, "crank": 1}
 
 
-def pentagon_like_coefficient(P: int, m: int, row: Sequence[int], n: int) -> int:
-    """Coefficient n of the rank (P = 3) or crank (P = 1) count series of m.
-
-    The numerator of :func:`rank_generating_series` and
-    :func:`crank_generating_series` against ``row``, which must hold
-    1/(q)_inf to at least q^n (``partition_generating_series(n).coeffs``):
-    O(sqrt n) terms and no series built.
-    """
-    upper = alternating_theta_dot((P, 2 * abs(m) + 1, 0), 1, row, n)
-    return upper - alternating_theta_dot((P, 2 * abs(m) - 1, 0), 1, row, n)
+def count_numerator(
+    stat: str, m: int, precision: int, weight: int = 1, into: dict | None = None
+) -> dict[int, int]:
+    """``weight`` times the numerator of the rank or crank count series of m, added
+    to ``into`` as by :func:`theta_terms`: sum_{j>=1} (-1)^(j-1) (q^off(j) -
+    q^(off(j)+j)), off(j) = j*(P*j - 1)/2 + j*|m|, P = 3 (rank) or 1 (crank)."""
+    P, m = _COUNT_P[stat], abs(m)
+    terms = theta_terms((P, 2 * m + 1, 0), 1, precision, weight, into)
+    return theta_terms((P, 2 * m - 1, 0), 1, precision, -weight, terms)
 
 
 @prefix_cache
 def rank_generating_series(m: int, precision: int) -> TruncatedSeries:
     """Series whose q^n coefficient counts partitions of n with rank m."""
-    return _count_series_from_pentagon_like(3, m, precision)
+    return theta_quotient(count_numerator("rank", m, precision), precision)
 
 
 @prefix_cache
@@ -658,31 +672,26 @@ def crank_generating_series(m: int, precision: int) -> TruncatedSeries:
     Note the classical n = 1 anomaly: the coefficients at q^1 are -1, 1, 1
     for m = 0, +-1, which differs from the per-partition crank of [1].
     """
-    return _count_series_from_pentagon_like(1, m, precision)
+    return theta_quotient(count_numerator("crank", m, precision), precision)
 
 
-def _second_moment_series(P: int, precision: int) -> TruncatedSeries:
-    # numerator sum_{n>=1} (-1)^n q^(n*(P*n+1)/2) * sum_{r>=0} (2r+1) q^(r*n), times -2/(q)_inf
-    num = [0] * (precision + 1)
-    for n in _indices((P, 1, 0), 1, precision):
-        sign = -1 if n & 1 else 1
-        e = n * (P * n + 1) // 2
-        r = 0
-        while e <= precision:
-            num[e] += sign * (2 * r + 1)
-            r += 1
-            e += n
-    return (-2 * TruncatedSeries(num)) * partition_generating_series(precision)
+def _second_moment_series(stat: str, precision: int) -> TruncatedSeries:
+    # numerator -2 sum_{n>=1} (-1)^n q^(n*(P*n+1)/2) * sum_{r>=0} (2r+1) q^(r*n), one
+    # theta of weight -2(2r+1) per r
+    P, terms = _COUNT_P[stat], {}
+    for r in range(precision + 1):
+        theta_terms((P, 2 * r + 1, 0), 1, precision, -2 * (2 * r + 1), terms)
+    return theta_quotient(terms, precision)
 
 
 def second_rank_moment_series(precision: int) -> TruncatedSeries:
     """Series whose q^n coefficient is the second rank moment sum_m m^2 N(m,n)."""
-    return _second_moment_series(3, precision)
+    return _second_moment_series("rank", precision)
 
 
 def second_crank_moment_series(precision: int) -> TruncatedSeries:
     """Series whose q^n coefficient is the second crank moment sum_m m^2 M(m,n)."""
-    return _second_moment_series(1, precision)
+    return _second_moment_series("crank", precision)
 
 
 # ---------------------------------------------------------------------------

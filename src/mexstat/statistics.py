@@ -9,13 +9,15 @@ rank, crank and spt rows over all of n = 0..``limits.ENUMERATION_CAP``
 the split by the number of ones for the Andrews-Garvan crank, the
 smallest-part tally over tails for spt), once per process; row functions
 read slots 0..n_max of it, point functions slot n.  They share
-no code with the series engine or the pentagonal p(n).  The series point
-functions (N and M, the crank moments and the crank >= j / < j counts)
-read coefficient n alone: each M(m, n) or N(m, n) is a signed sum of
-O(sqrt n) entries of ``partition_generating_series(n)``, the only cache
-they touch, while the series rows build whole count series.  The two
-flavours agree everywhere except the classical crank anomaly at n = 1,
-which is exposed, documented and tested rather than hidden.
+no code with the series engine or the pentagonal p(n).  The series flavour
+is a theta quotient: N(m, n), M(m, n) and every weighted crank sum is a
+numerator from ``series.count_numerator`` over (q)_inf.  A point function
+reads coefficient n of it with ``series.theta_quotient_at`` (a crank
+moment or crank >= j / < j count first sums the numerators of every m,
+weighted, and reads once); the series crank rows sum the per-m count
+series ``crank_generating_series(m, n_max)``.  The two flavours agree
+everywhere except the classical crank anomaly at n = 1, which is exposed,
+documented and tested rather than hidden.
 """
 
 from __future__ import annotations
@@ -25,18 +27,11 @@ from functools import lru_cache
 from typing import Callable, Iterable, Literal
 
 from . import limits, partitions
-from .series import (
-    crank_generating_series,
-    partition_generating_series,
-    pentagon_like_coefficient,
-)
+from .series import count_numerator, crank_generating_series, theta_quotient_at
 
 Method = Literal["combinatorial", "series"]
 
 MAX_MOMENT_ORDER = 4
-
-# P of the count series' numerator exponents j*(P*j - 1)/2 + j*|m|
-_PENTAGON_LIKE = {"rank": 3, "crank": 1}
 
 
 @dataclass(frozen=True)
@@ -170,9 +165,7 @@ def _census_rows(stat: str, n_max: int) -> dict[int, tuple[int, ...]]:
 
 def _census_at(stat: str, n: int, weight: Callable[[int], int]) -> int:
     # entry n of _census_row(stat, n, weight), read off slot n alone
-    packer, by_stat = _census(n, 1)
-    top, slot = packer.width * n, (1 << packer.width) - 1
-    return sum(w * (x >> top & slot) for m, x in by_stat[stat].items() if (w := weight(m)))
+    return sum(w * c for m, c in _census_slots(stat, n).items() if (w := weight(m)))
 
 
 def _census_slots(stat: str, n: int) -> dict[int, int]:
@@ -293,8 +286,7 @@ def _count(stat: str, m: int, n: int, method: Method) -> int:
     if method == "series":
         if n < 0:
             raise ValueError("n must be non-negative")
-        row = partition_generating_series(n).coeffs
-        return pentagon_like_coefficient(_PENTAGON_LIKE[stat], m, row, n)
+        return theta_quotient_at(count_numerator(stat, m, n), n)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -323,16 +315,16 @@ def rank_count_below(j: int, n: int) -> int:
 
 
 def _crank_series_at(n: int, weight: Callable[[int], int]) -> int:
-    # entry n of _crank_series_row(n, weight), from the points M(m, n) over one
-    # 1/(q)_inf row; M(m, n) = 0 for m > n
+    # entry n of _crank_series_row(n, weight), read off one numerator: the sum over
+    # m <= n of (weight(m) + weight(-m)) times the crank numerator of m; M(m, n) = 0
+    # for m > n
     if n < 0:
         raise ValueError("n must be non-negative")
-    row = partition_generating_series(n).coeffs
-    total = 0
+    numerator: dict[int, int] = {}
     for m in range(n + 1):
         if w := weight(m) + weight(-m) if m else weight(0):
-            total += w * pentagon_like_coefficient(_PENTAGON_LIKE["crank"], m, row, n)
-    return total
+            count_numerator("crank", m, n, w, numerator)
+    return theta_quotient_at(numerator, n)
 
 
 def _crank_at(n: int, weight: Callable[[int], int], method: Method) -> int:
@@ -370,7 +362,7 @@ def crank_moment(k: int, n: int) -> int:
     n = 1 (e.g. the second moment equals 2*n*p(n) for all n >= 1).  For
     n >= 2 it coincides with the enumerated distribution; see
     :func:`crank_moment_enumerated` for the per-partition version.
-    Entry n of :func:`crank_moment_row`, read from the points M(m, n).
+    Entry n of :func:`crank_moment_row`, read off one weighted numerator.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -2,15 +2,19 @@
 
 ``perfbench/tracer.py`` patches functions by (module, attribute) and
 ``perfbench/worker.py`` reads the ``cache_info()`` of a few caches in traced
-runs; a rename in ``src/`` breaks both without failing any other test.  The
-tracer is loaded from its file, read only.
+runs, the length of the p(n) table, the identity registry and the
+``registry=`` keyword of ``verify`` and ``verify_all``; a rename in ``src/``
+breaks both without failing any other test.  The tracer is loaded from its
+file, read only.
 """
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from mexstat import mexcount, series, statistics
+from mexstat import identities, mexcount, partitions, series, statistics
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -43,3 +47,13 @@ def test_the_caches_the_worker_reads_keep_cache_info():
     ):
         info = fn.cache_info()
         assert info.hits >= 0 and info.misses >= 0
+
+
+def test_the_names_the_worker_reads_outside_the_tracer_resolve():
+    assert isinstance(partitions._p_table, list) and partitions._p_table[0] == 1
+    assert isinstance(identities.REGISTRY, dict) and identities.REGISTRY
+    for check in identities.REGISTRY.values():  # the worker times each side by replace()
+        assert {"make_lhs", "make_rhs"} <= {f.name for f in dataclasses.fields(check)}
+    for fn in (identities.verify, identities.verify_all):
+        registry = inspect.signature(fn).parameters.get("registry")
+        assert registry is not None and registry.kind != registry.POSITIONAL_ONLY, fn.__name__

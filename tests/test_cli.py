@@ -247,6 +247,27 @@ def test_series_point_queries_read_only_the_partition_series(monkeypatch, capsys
     ]
 
 
+def test_series_f_builds_its_row_without_caching_it(capsys):
+    rng = random.Random(3)
+    pairs = [(A, a) for A in range(1, 11) for a in range(1, 11)]
+    keys = rng.sample([(expr, A, a) for expr in ("F", "Fbar") for A, a in pairs], 25)
+    mexcount._series_row.cache_clear()
+    printed = []
+    for expr, A, a in keys:
+        precision = rng.randint(0, 300)
+        argv = ["series", expr, "--A", str(A), "--a", str(a), "--precision", str(precision)]
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        printed.append((expr, A, a, precision, json.loads(out)))
+    assert mexcount._series_row.cache_info().currsize == 0
+    for expr, A, a, precision, out in printed:
+        row = (mexcount.pbar_mex_series if expr == "Fbar" else mexcount.p_mex_series)(
+            statistics.MexParams(A, a), precision
+        )
+        assert out["expr"] == f"{expr}_{{{A},{a}}}" and out["precision"] == precision
+        assert out["coefficients"] == [str(c) for c in row]
+
+
 def _sweep(rng):
     """A shuffled sweep of compute queries: every stat kind at n <= 70, series
     crank counts at n <= 300, series mex counts at n <= 600, and many keys on

@@ -80,7 +80,12 @@ def test_series_point_refuses_negative_n_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("no series may be built for a refused n")
 
-    monkeypatch.setattr(mexcount, "partition_generating_series", forbidden)
+    for module, name in [
+        (mexcount, "mex_numerator"),
+        (mexcount, "theta_quotient_at"),
+        (series, "partition_generating_series"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
     for barred in (False, True):
         with pytest.raises(ValueError, match="n must be non-negative"):
             mex_series_at(MexParams(2, 3), -1, barred)
@@ -173,11 +178,15 @@ def test_census_rows_read_neither_pentagonal_table_nor_series(monkeypatch):
         (partitions, "p_count"),
         (partitions, "ascending_partitions"),
         (partitions, "enumerate_partitions"),
-        (mexcount, "partition_generating_series"),
-        (mexcount, "alternating_theta"),
-        (statistics, "partition_generating_series"),
-        (statistics, "pentagon_like_coefficient"),
+        (mexcount, "theta_terms"),
+        (mexcount, "theta_quotient"),
+        (mexcount, "theta_quotient_at"),
+        (statistics, "theta_quotient_at"),
+        (statistics, "count_numerator"),
         (statistics, "crank_generating_series"),
+        (series, "theta_terms"),
+        (series, "theta_quotient"),
+        (series, "theta_quotient_at"),
         (series, "partition_generating_series"),
         (series, "rank_generating_series"),
         (series, "crank_generating_series"),

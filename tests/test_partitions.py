@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -313,6 +314,14 @@ def test_packed_tails_match_literal_products():
         assert list(rows.unpack(tails[s])) == literal
     assert rows.unpack(tails[0]) == tuple(p_count(n) for n in range(n_max + 1))
     assert p_count(n_max) < 1 << rows.width  # the width holds p(n_max)
+
+
+def test_packed_rows_keep_their_slot_size_on_the_series_bound():
+    # the size read off series._coefficient_bits is the literal 21/8 bound it replaced
+    for weight in range(1, 5):
+        for n_max in range(5001):
+            size = (21 * (isqrt(weight * n_max) + 1) // 8 + 8) // 8
+            assert PackedRows(n_max, weight).size == size, (weight, n_max)
 
 
 def _list_restricted_row(n_max, allowed, distinct):

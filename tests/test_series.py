@@ -12,8 +12,8 @@ from mexstat.series import (
     TruncatedSeries,
     alternating_theta,
     alternating_theta_bilateral,
-    alternating_theta_dot,
     cauchy_sum_specialized,
+    count_numerator,
     crank_generating_series,
     euler_product,
     jtp_specialized,
@@ -25,6 +25,9 @@ from mexstat.series import (
     second_crank_moment_series,
     second_rank_moment_series,
     symmetric_residues,
+    theta_quotient,
+    theta_quotient_at,
+    theta_terms,
 )
 
 ONES = TruncatedSeries([1, 1, 1, 1])
@@ -236,21 +239,31 @@ def test_theta_dot_is_coefficient_n_of_the_product(P, Q, half_R, n_start, n, see
         Q = 2
     quadratic = (P, Q, 2 * half_R)
     rng = random.Random(seed)
-    row = [rng.randint(-(10**30), 10**30) for _ in range(n + 1 + rng.randint(0, 3))]
+    row = partition_generating_series(n)
     try:
         theta = alternating_theta(quadratic, n_start, n)
     except ValueError as refused:
         with pytest.raises(ValueError) as also_refused:
-            alternating_theta_dot(quadratic, n_start, row, n)
+            theta_terms(quadratic, n_start, n)
         assert str(also_refused.value) == str(refused)
-        return
-    product = theta * TruncatedSeries(row[: n + 1])
-    assert alternating_theta_dot(quadratic, n_start, row, n) == product.coeff(n)
-
-
-def test_theta_dot_refuses_a_short_row():
-    with pytest.raises(ValueError, match="the row stops at q\\^2, below q\\^3"):
-        alternating_theta_dot((1, 1, 0), 0, [1, 2, 3], 3)
+    else:
+        num, product = theta_terms(quadratic, n_start, n), theta * row
+        assert theta_quotient(num, n) == product
+        assert theta_quotient_at(num, n) == theta_quotient(num, n).coeff(n) == product.coeff(n)
+    # a random sparse numerator, some terms past q^n, against p(n - e) term by term
+    sparse = {
+        rng.randint(0, n + 5): rng.randint(-(10**30), 10**30) for _ in range(rng.randint(0, 9))
+    }
+    literal = sum(c * p_count(n - e) for e, c in sparse.items() if e <= n)
+    assert theta_quotient_at(sparse, n) == theta_quotient(sparse, n).coeff(n) == literal
+    # the weighted crank numerator of the series crank sums, against the per-m series
+    if n <= 40:
+        weights = {m: rng.randint(-5, 5) for m in range(n + 1)}
+        weighted = {}
+        for m, w in weights.items():
+            count_numerator("crank", m, n, w, weighted)
+        literal = sum(w * crank_generating_series(m, n).coeff(n) for m, w in weights.items())
+        assert theta_quotient_at(weighted, n) == theta_quotient(weighted, n).coeff(n) == literal
 
 
 class TestResidueProduct:

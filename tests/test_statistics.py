@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexstat import series as mexstat_series
 from mexstat import statistics as mexstat_statistics
 from mexstat.limits import ENUMERATION_CAP
 from mexstat.partitions import CapacityError, enumerate_partitions, p_count
@@ -443,8 +444,9 @@ def _forbidden(*args, **kwargs):
     ],
 )
 def test_series_points_refuse_bad_input_before_any_work(monkeypatch, call, message):
-    for name in ("partition_generating_series", "pentagon_like_coefficient"):
+    for name in ("theta_quotient_at", "count_numerator"):
         monkeypatch.setattr(mexstat_statistics, name, _forbidden)
+    monkeypatch.setattr(mexstat_series, "partition_generating_series", _forbidden)
     with pytest.raises(ValueError) as refused:
         call()
     assert str(refused.value) == message
