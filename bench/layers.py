@@ -30,6 +30,9 @@ Layers:
   built at precision 2000;
 * ``point.crank_moment.2000`` -- ``crank_moment(2, 2000)`` with every
   series cache cleared before each call;
+* ``crank_rows.2000`` -- the series rows ``crank_count_at_least_row(3,
+  2000)`` and ``crank_moment_row(2, 2000)``, one after the other, with
+  every series cache cleared before each pair;
 * ``theta_quotient.2000`` and ``theta_quotient_at.2000`` -- the two readers
   of a theta quotient at 2000 on the numerator of ``crank_moment(2, 2000)``,
   the sum over m of 2 m^2 times the crank numerator of m: the whole row
@@ -105,6 +108,11 @@ def clear_series_caches() -> None:
         cached.cache_clear()
 
 
+def crank_rows_2000() -> None:
+    mexstat_statistics.crank_count_at_least_row(3, 2000)
+    mexstat_statistics.crank_moment_row(2, 2000)
+
+
 def cold_census() -> None:
     mexstat_statistics._stat_census.cache_clear()
     mexstat_statistics._stat_census()
@@ -167,6 +175,7 @@ def main() -> None:
     layers["point.crank_moment.2000"] = timed(
         lambda: mexstat_statistics.crank_moment(2, 2000), repeats, clear_series_caches
     )
+    layers["crank_rows.2000"] = timed(crank_rows_2000, repeats, clear_series_caches)
     crank_moment_2 = {}
     for m in range(1, 2001):
         series.count_numerator("crank", m, 2000, 2 * m * m, crank_moment_2)

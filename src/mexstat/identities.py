@@ -184,12 +184,14 @@ def _mex_each(route: str, components: Sequence[Sequence[Term]]) -> EvaluatorFact
 def _odd_weighted_row(
     scale: int, last: int, terms_of: Callable[[int], Sequence[Term]], n_max: int
 ) -> list[int]:
-    """Entry n is scale * sum_{r=0}^{n-last} (2r+1) * (the terms_of(r) sum at n), by recurrence."""
-    rows = [_mex_row("recurrence", terms_of(r), n_max) for r in range(n_max - last + 1)]
-    return [
-        scale * sum((2 * r + 1) * rows[r][n] for r in range(n - last + 1))
-        for n in range(n_max + 1)
-    ]
+    """Entry n is scale * sum_{r=0}^{n-last} (2r+1) * (the terms_of(r) sum at n), by
+    recurrence; each r's row is added in for n >= r + last and dropped."""
+    out = [0] * (n_max + 1)
+    for r in range(n_max - last + 1):
+        weight, row = scale * (2 * r + 1), _mex_row("recurrence", terms_of(r), n_max)
+        for n in range(r + last, n_max + 1):
+            out[n] += weight * row[n]
+    return out
 
 
 def _dp(*conditions: ResidueCondition) -> EvaluatorFactory:

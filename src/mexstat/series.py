@@ -64,8 +64,10 @@ series are cached by :func:`prefix_cache`: one series per key (none, or
 m), at the largest precision built so far.  A lower precision is read as
 its prefix and a higher one is built once, exactly, and replaces it, so
 memory is one series per key and a sweep over rising precisions builds
-once per new maximum.  A point read by :func:`theta_quotient_at` touches
-only ``partition_generating_series``.
+once per new maximum.  A weighted crank sum is one numerator, not a sum of
+count series: read as a row by :func:`theta_quotient` or at n by
+:func:`theta_quotient_at`, it touches only ``partition_generating_series``,
+as does every point read.
 """
 
 from __future__ import annotations
@@ -378,6 +380,8 @@ def _binomial_product(exponents: Iterable[int], sign: int, precision: int) -> Tr
     subtracts the packed low part shifted by e slots.  The slots hold the
     weight-r bound, r the largest number of times one exponent is listed.
     """
+    if precision < 0:
+        raise ValueError("precision must be non-negative")
     counts = Counter(e for e in exponents if e <= precision)
     size = (_coefficient_bits(max(counts.values(), default=1), precision) + 7) // 8
     w = 8 * size
@@ -403,6 +407,8 @@ def _cauchy_terms(signs: Sequence[int], t_exponent: int, precision: int) -> Trun
     partitions of the shifted size.  1/(1 - q^n) is applied as the product of (1 + q^(n*2^k))
     over k, each factor one shifted add of the packed low part.
     """
+    if precision < 0:
+        raise ValueError("precision must be non-negative")
     size = (_coefficient_bits(2, precision) + 7) // 8
     w = 8 * size
     inverse, total = 1, 0  # 1/(q)_n and the sum, packed
@@ -458,8 +464,6 @@ def pochhammer_finite(n: int, precision: int) -> TruncatedSeries:
     """The finite product (1-q)(1-q^2)...(1-q^n), truncated."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if precision < 0:
-        raise ValueError("precision must be non-negative")
     return _binomial_product(range(1, min(n, precision) + 1), -1, precision)
 
 
@@ -529,8 +533,6 @@ def alternating_theta_bilateral(quadratic: Quadratic, precision: int) -> Truncat
 
 def residue_product(cond: ResidueCondition, precision: int) -> TruncatedSeries:
     """Product of (1 +- q^n) over 1 <= n <= precision with n admitted by ``cond``."""
-    if precision < 0:
-        raise ValueError("precision must be non-negative")
     sign = -1 if cond.sign == "minus" else 1
     return _binomial_product(filter(cond.admits, range(1, precision + 1)), sign, precision)
 
@@ -707,8 +709,6 @@ def cauchy_sum_specialized(t_exponent: int, negate_t: bool, precision: int) -> T
     """
     if t_exponent < 1:
         raise ValueError("t must be a positive power of q for the sum to terminate")
-    if precision < 0:
-        raise ValueError("precision must be non-negative")
     signs = [-1 if negate_t and n & 1 else 1 for n in range(precision // t_exponent + 1)]
     return _cauchy_terms(signs, t_exponent, precision)
 

@@ -11,11 +11,11 @@ smallest-part tally over tails for spt), once per process; row functions
 read slots 0..n_max of it, point functions slot n.  They share
 no code with the series engine or the pentagonal p(n).  The series flavour
 is a theta quotient: N(m, n), M(m, n) and every weighted crank sum is a
-numerator from ``series.count_numerator`` over (q)_inf.  A point function
-reads coefficient n of it with ``series.theta_quotient_at`` (a crank
-moment or crank >= j / < j count first sums the numerators of every m,
-weighted, and reads once); the series crank rows sum the per-m count
-series ``crank_generating_series(m, n_max)``.  The two flavours agree
+numerator from ``series.count_numerator`` over (q)_inf.  A crank moment or
+crank >= j / < j count has one route: the numerators of every m, weighted,
+summed into one numerator, which a row function reads with
+``series.theta_quotient`` (one multiply) and a point function reads at n
+with ``series.theta_quotient_at``.  The two flavours agree
 everywhere except the classical crank anomaly at n = 1, which is exposed,
 documented and tested rather than hidden.
 """
@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Literal
 
 from . import limits, partitions
-from .series import count_numerator, crank_generating_series, theta_quotient_at
+from .series import count_numerator, theta_quotient, theta_quotient_at
 
 Method = Literal["combinatorial", "series"]
 
@@ -241,23 +241,25 @@ def crank_histogram(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# series crank aggregates: one row over n = 0..n_max from the M(m, .) series
+# series crank aggregates: one weighted numerator over (q)_inf, read as a row or at n
 # ---------------------------------------------------------------------------
 
 
-def _crank_series_row(n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
-    # entry n is sum over m in [-n, n] of weight(m) * M(m, n); M(-m, n) = M(m, n),
-    # so the pair +-m contributes (weight(m) + weight(-m)) * M(m, n) for n >= m
+def _crank_numerator(n_max: int, weight: Callable[[int], int]) -> dict[int, int]:
+    # the sum over m <= n_max of (weight(m) + weight(-m)) times the crank numerator of
+    # m (weight(0) at m = 0), as M(-m, n) = M(m, n) and M(m, n) = 0 for m > n
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    out = [0] * (n_max + 1)
+    numerator: dict[int, int] = {}
     for m in range(n_max + 1):
-        w = weight(m) + weight(-m) if m else weight(0)
-        if w:
-            row = crank_generating_series(m, n_max).coeffs
-            for n in range(m, n_max + 1):
-                out[n] += w * row[n]
-    return tuple(out)
+        if w := weight(m) + weight(-m) if m else weight(0):
+            count_numerator("crank", m, n_max, w, numerator)
+    return numerator
+
+
+def _crank_series_row(n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
+    # entry n is the sum over m of weight(m) * M(m, n)
+    return theta_quotient(_crank_numerator(n_max, weight), n_max).coeffs
 
 
 def crank_moment_row(k: int, n_max: int) -> tuple[int, ...]:
@@ -315,16 +317,8 @@ def rank_count_below(j: int, n: int) -> int:
 
 
 def _crank_series_at(n: int, weight: Callable[[int], int]) -> int:
-    # entry n of _crank_series_row(n, weight), read off one numerator: the sum over
-    # m <= n of (weight(m) + weight(-m)) times the crank numerator of m; M(m, n) = 0
-    # for m > n
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    numerator: dict[int, int] = {}
-    for m in range(n + 1):
-        if w := weight(m) + weight(-m) if m else weight(0):
-            count_numerator("crank", m, n, w, numerator)
-    return theta_quotient_at(numerator, n)
+    # entry n of _crank_series_row(n, weight), read off the same numerator
+    return theta_quotient_at(_crank_numerator(n, weight), n)
 
 
 def _crank_at(n: int, weight: Callable[[int], int], method: Method) -> int:

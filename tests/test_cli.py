@@ -219,7 +219,7 @@ def test_series_point_queries_read_only_the_partition_series(monkeypatch, capsys
     for module, name in [
         (partitions, "p_count"),
         (mexcount, "_series_row"),
-        (statistics, "crank_generating_series"),
+        (statistics, "theta_quotient"),
         (series, "rank_generating_series"),
         (series, "crank_generating_series"),
         (series.TruncatedSeries, "__mul__"),

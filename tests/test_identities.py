@@ -1,19 +1,25 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexstat.identities import (
     CSV_HEADER,
     IdentityCheck,
     REGISTRY,
+    _mex_row,
+    _odd_weighted_row,
     build_registry,
     list_identities,
     reports_to_json,
     verify,
     verify_all,
 )
-from mexstat.partitions import CapacityError
+from mexstat.partitions import CapacityError, p_count
+from mexstat.series import crank_generating_series, partition_generating_series
 
 
 class TestRegistry:
@@ -89,6 +95,46 @@ class TestVerify:
         b = verify("cor-3.9", 12)
         assert a.to_json_dict()["failures"] == b.to_json_dict()["failures"]
         assert a.status == b.status == "pass"
+
+
+ODD_WEIGHTED_FAMILIES = {
+    "thm-3.8-rank": (2, 2, lambda r: [(1, "pbar", 3, r + 2, 0)]),
+    "thm-3.8-crank": (2, 1, lambda r: [(1, "pbar", 1, r + 1, 0)]),
+    "cor-3.9-barred": (1, 1, lambda r: [(1, "pbar", 1, r + 1, 0), (-1, "pbar", 3, r + 2, 0)]),
+    "cor-3.9-unbarred": (1, 1, lambda r: [(1, "p", 3, r + 2, 0), (-1, "p", 1, r + 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("family", ODD_WEIGHTED_FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(n_max=st.integers(min_value=0, max_value=40))
+def test_odd_weighted_row_matches_the_held_rows(family, n_max):
+    scale, last, terms_of = ODD_WEIGHTED_FAMILIES[family]
+    rows = [_mex_row("recurrence", terms_of(r), n_max) for r in range(n_max - last + 1)]
+    held = [
+        scale * sum((2 * r + 1) * rows[r][n] for r in range(n - last + 1))
+        for n in range(n_max + 1)
+    ]
+    assert _odd_weighted_row(scale, last, terms_of, n_max) == held
+
+
+@pytest.mark.parametrize("check_id", ["thm-3.8-crank", "thm-3.6"])
+def test_series_crank_checks_build_no_per_m_rows(check_id):
+    # with p(n) and 1/(q)_inf at 200 already built, the crank side is one numerator
+    # and one multiply, and the odd-weighted side one recurrence row at a time
+    p_count(200)
+    partition_generating_series(200)
+    crank_generating_series.cache_clear()
+    tracemalloc.start()
+    try:
+        report = verify(check_id, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.status == "pass"
+    # measured 0.05-0.15 MiB; a count series per m and every recurrence row held at
+    # once took 0.9-1.7 MiB
+    assert peak < 512 * 1024
 
 
 def test_catalog_matches_golden():

@@ -183,7 +183,7 @@ def test_census_rows_read_neither_pentagonal_table_nor_series(monkeypatch):
         (mexcount, "theta_quotient_at"),
         (statistics, "theta_quotient_at"),
         (statistics, "count_numerator"),
-        (statistics, "crank_generating_series"),
+        (statistics, "theta_quotient"),
         (series, "theta_terms"),
         (series, "theta_quotient"),
         (series, "theta_quotient_at"),

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -680,6 +681,39 @@ def test_parts_parity_matches_literal_loop(parity, precision):
     signs = [int(j % 2 == want) for j in range(precision + 1)]
     expected = literal_cauchy(signs, 1, precision)
     assert list(parts_parity_series(parity, precision).coeffs) == expected
+
+
+EVERY_PART = ResidueCondition(1, frozenset({0}))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        euler_product,
+        partial(pochhammer_finite, 3),
+        partial(alternating_theta, (1, 1, 0), 0),
+        partial(alternating_theta_bilateral, (3, 1, 0)),
+        partial(residue_product, EVERY_PART),
+        partial(jtp_specialized, 2, 1, "even", "sum"),
+        partial(jtp_specialized, 2, 1, "even", "product"),
+        partial(jtp_specialized, 2, 2, "odd", "product"),
+        partition_generating_series,
+        partial(theta_quotient, {0: 1}),
+        partial(rank_generating_series, 2),
+        partial(crank_generating_series, 2),
+        second_rank_moment_series,
+        second_crank_moment_series,
+        partial(cauchy_sum_specialized, 2, True),
+        partial(parts_parity_series, "even"),
+        partial(parts_parity_series, "odd"),
+    ],
+    ids=lambda build: "-".join(
+        [getattr(build, "func", build).__name__, *map(str, getattr(build, "args", ()))]
+    ),
+)
+def test_every_generator_refuses_a_negative_precision(build):
+    with pytest.raises(ValueError, match="^precision must be non-negative$"):
+        build(-1)
 
 
 # ---------------------------------------------------------------------------

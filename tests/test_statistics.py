@@ -404,6 +404,32 @@ def test_series_crank_counts_are_entry_n_of_their_rows(j, n):
     assert crank_count_below(j, n) == crank_count_below_row(j, n)[n]
 
 
+def _per_m_crank_row(n_max, weight):
+    # the per-m route: sum over m of (weight(m) + weight(-m)) times the count series of m
+    out = [0] * (n_max + 1)
+    for m in range(n_max + 1):
+        w = weight(m) + weight(-m) if m else weight(0)
+        out = [o + w * c for o, c in zip(out, crank_generating_series(m, n_max).coeffs)]
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=4), st.data())
+def test_series_crank_rows_match_the_per_m_count_series(n_max, k, data):
+    j = data.draw(st.integers(min_value=-n_max - 2, max_value=n_max + 2), label="j")
+    assert crank_moment_row(k, n_max) == _per_m_crank_row(n_max, lambda m: m**k)
+    assert crank_count_at_least_row(j, n_max) == _per_m_crank_row(n_max, lambda m: m >= j)
+    assert crank_count_below_row(j, n_max) == _per_m_crank_row(n_max, lambda m: m < j)
+
+
+def test_series_crank_rows_cache_no_count_series():
+    crank_generating_series.cache_clear()
+    crank_count_at_least_row(3, 200)
+    crank_count_below_row(-2, 200)
+    crank_moment_row(2, 200)
+    assert crank_generating_series.cache_info().currsize == 0
+
+
 def test_series_points_at_the_edges():
     for n in (0, 1):
         for m in range(-3, 4):
