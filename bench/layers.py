@@ -20,6 +20,12 @@ Layers:
 * ``jtp_product.P`` (P = 1000, 5000) -- the product side of the even
   Jacobi triple product with k = i = 1, whose factors all appear twice;
 * ``cauchy_sum.1000`` -- the sum of q^n/(q)_n over n, truncated at q^1000;
+* ``cauchy_sums.thm29.1000`` -- the thm-2.9 sum side at 1000: the six sums
+  of t^n/(q)_n at t = q^j (j = 1..5) and t = -q;
+* ``parity_pair.1000`` -- the pe-po-genfun sum side at 1000: the sums of
+  q^j/(q)_j over even and over odd j;
+* ``jtp_products.1000`` -- the product sides of thm-2.8 and jtp-even-lemma
+  at 1000, the 42 distinct Jacobi triple products with k <= 6;
 * ``parts_parity_counts.1000`` -- the even and odd part-count rows over
   n = 0..1000 from a cold cache;
 * ``restricted_row.N`` (N = 200, 2000) -- the Thm 3.10 row at M = 7,
@@ -51,8 +57,10 @@ Layers:
 * ``genfun.prefix_hit.1000`` -- ``partition_generating_series(1000)``
   with the cache holding only the series at precision 2000.
 
-A checkout timed this way must have every function named above, with the
-same signature.
+The three series-pass rows build the catalog sides through
+``identities.REGISTRY``, so they time whatever route a checkout takes for
+them.  A checkout timed this way must have every function named above, with
+the same signature.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ import statistics
 import time
 from contextlib import redirect_stdout
 
-from mexstat import cli, mexcount, partitions, series
+from mexstat import cli, identities, mexcount, partitions, series
 from mexstat import statistics as mexstat_statistics
 from mexstat.series import (
     ResidueCondition,
@@ -113,6 +121,11 @@ def crank_rows_2000() -> None:
     mexstat_statistics.crank_moment_row(2, 2000)
 
 
+def jtp_products(precision: int) -> None:
+    for check_id in ("thm-2.8", "jtp-even-lemma"):
+        identities.REGISTRY[check_id].make_rhs(precision)
+
+
 def cold_census() -> None:
     mexstat_statistics._stat_census.cache_clear()
     mexstat_statistics._stat_census()
@@ -157,6 +170,10 @@ def main() -> None:
             lambda: jtp_specialized(1, 1, "even", "product", p), repeats
         )
     layers["cauchy_sum.1000"] = timed(lambda: cauchy_sum_specialized(1, False, 1000), repeats)
+    checks = identities.REGISTRY
+    layers["cauchy_sums.thm29.1000"] = timed(lambda: checks["thm-2.9"].make_lhs(1000), repeats)
+    layers["parity_pair.1000"] = timed(lambda: checks["pe-po-genfun"].make_lhs(1000), repeats)
+    layers["jtp_products.1000"] = timed(lambda: jtp_products(1000), repeats)
     layers["parts_parity_counts.1000"] = timed(
         lambda: partitions.parts_parity_counts(1000),
         repeats,

@@ -23,6 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from operator import sub
 from typing import Callable, Mapping, Sequence
 
 from . import limits, mexcount, partitions, statistics
@@ -30,12 +31,11 @@ from .series import (
     ResidueCondition,
     TruncatedSeries,
     alternating_theta,
-    cauchy_sum_specialized,
+    cauchy_sums_specialized,
     crank_generating_series,
     euler_product,
     jtp_specialized,
-    parts_parity_series,
-    pochhammer_finite,
+    parts_parity_sums,
     rank_generating_series,
     residue_product,
     second_crank_moment_series,
@@ -154,22 +154,27 @@ def _table(build: Callable[[int], Sequence[Sequence[int]]]) -> EvaluatorFactory:
     return factory
 
 
-def _mex_row(route: str, terms: Sequence[Term], n_max: int) -> list[int]:
-    """The sum of ``terms`` at n = 0..n_max, each term read off its generating-series
-    row (route "series") or tabulated by the shifted-p(n) recurrence (route "recurrence")."""
+def _mex_row(route: str, terms: Sequence[Term], n_max: int, start: int = 0) -> list[int]:
+    """The sum of ``terms`` at n = start..n_max, each term read off its generating-series
+    row (route "series") or tabulated by the shifted-p(n) recurrence (route "recurrence");
+    the entries below ``start`` are left 0."""
+    if route not in ("series", "recurrence"):
+        raise ValueError(f"unknown route {route!r}")
     out = [0] * (n_max + 1)
     for sign, kind, A, a, shift in terms:
         params = MexParams(A, a)
         barred = kind == "pbar"
+        first = max(start, shift)
+        if first > n_max:
+            continue
         if route == "series":
             row = (mexcount.pbar_mex_series if barred else mexcount.p_mex_series)(params, n_max)
-        elif route == "recurrence":
-            point = mexcount.pbar_mex_recurrence if barred else mexcount.p_mex_recurrence
-            row = [point(params, n) for n in range(n_max + 1 - shift)]
+            row = row[first - shift : n_max + 1 - shift]
         else:
-            raise ValueError(f"unknown route {route!r}")
-        for n in range(shift, n_max + 1):
-            out[n] += sign * row[n - shift]
+            point = mexcount.pbar_mex_recurrence if barred else mexcount.p_mex_recurrence
+            row = [point(params, n) for n in range(first - shift, n_max + 1 - shift)]
+        for n, value in enumerate(row, first):
+            out[n] += sign * value
     return out
 
 
@@ -185,10 +190,11 @@ def _odd_weighted_row(
     scale: int, last: int, terms_of: Callable[[int], Sequence[Term]], n_max: int
 ) -> list[int]:
     """Entry n is scale * sum_{r=0}^{n-last} (2r+1) * (the terms_of(r) sum at n), by
-    recurrence; each r's row is added in for n >= r + last and dropped."""
+    recurrence; each r's row is built for n >= r + last only, added in and dropped."""
     out = [0] * (n_max + 1)
     for r in range(n_max - last + 1):
-        weight, row = scale * (2 * r + 1), _mex_row("recurrence", terms_of(r), n_max)
+        weight = scale * (2 * r + 1)
+        row = _mex_row("recurrence", terms_of(r), n_max, r + last)
         for n in range(r + last, n_max + 1):
             out[n] += weight * row[n]
     return out
@@ -309,16 +315,18 @@ def build_registry() -> dict[str, IdentityCheck]:
 
         return _series_each(build)
 
-    def cauchy_rhs(n_max: int) -> list[TruncatedSeries]:
+    def cauchy_rhs(n_max: int) -> list[tuple[int, ...]]:
         def inverted(sign: str) -> TruncatedSeries:
             return residue_product(ResidueCondition(1, frozenset({0}), sign=sign), n_max).invert()
 
-        # 1/((1-q^j)(1-q^(j+1))...) = (1-q)...(1-q^(j-1)) / ((1-q)(1-q^2)...)
-        all_minus, all_plus = inverted("minus"), inverted("plus")
-        return [
-            all_plus if neg else pochhammer_finite(j - 1, n_max) * all_minus
-            for j, neg in cauchy_cases
-        ]
+        # 1/((1-q^j)(1-q^(j+1))...) = (1-q)...(1-q^(j-1)) / ((1-q)(1-q^2)...): from
+        # 1/(q)_inf, one factor (1-q^j) at a time, each a shifted subtract
+        rows = [inverted("minus").coeffs]
+        for j in range(1, max(j for j, _ in cauchy_cases)):
+            row = rows[-1]
+            rows.append(tuple(map(sub, row, ((0,) * j + row)[: len(row)])))
+        all_plus = inverted("plus").coeffs
+        return [all_plus if neg else rows[j - 1] for j, neg in cauchy_cases]
 
     def thm211_product(n_max: int) -> TruncatedSeries:
         p1 = residue_product(ResidueCondition(10, frozenset({0, 3, 7})), n_max)
@@ -616,10 +624,8 @@ def build_registry() -> dict[str, IdentityCheck]:
             "sum_{n>=0} t^n/(q)_n = 1/((1-t)(1-tq)(1-tq^2)...) at t = q^j "
             f"(j = 1..{CAUCHY_T_EXPONENT_MAX}) and t = -q",
             0,
-            _series_each(
-                lambda n_max: [cauchy_sum_specialized(j, neg, n_max) for j, neg in cauchy_cases]
-            ),
-            _series_each(cauchy_rhs),
+            _series_each(lambda n_max: cauchy_sums_specialized(cauchy_cases, n_max)),
+            _table(cauchy_rhs),
             notes="lhs: termwise sums with running 1/(q)_n; rhs: inverted products",
         ),
         IdentityCheck(
@@ -664,7 +670,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "pe-po-genfun",
             "sum_j q^(2j)/(q)_(2j) and sum_j q^(2j+1)/(q)_(2j+1) generate p_e(n) and p_o(n)",
             0,
-            _series_each(lambda n: [parts_parity_series("even", n), parts_parity_series("odd", n)]),
+            _series_each(lambda n: parts_parity_sums(["even", "odd"], n)),
             _table(partitions.parts_parity_counts),
             notes="lhs: running 1/(q)_j sums; rhs: parity-tracking part DP",
         ),

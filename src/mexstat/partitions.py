@@ -178,9 +178,18 @@ def count_parts_restricted_row(
 
 
 def _restricted(rows: PackedRows, allowed: ResidueCondition, distinct=None) -> int:
-    # the packed row of count_parts_restricted_row; each partial product is a sub-count of it
-    x = 1
-    for part in range(1, rows.n_max + 1):
+    # the packed row of count_parts_restricted_row; each partial product is a sub-count
+    # of it.  A part above n_max/2 fits at most once, so its factors truncate to
+    # 1 + c q^part, c = [allowed] + [distinct], and no two of them multiply below
+    # q^n_max: together they start the row as 1 + sum c q^part, and only the
+    # parts up to n_max/2 are strided
+    n_max, size = rows.n_max, rows.size
+    start = bytearray(size * (n_max + 1))
+    start[0] = 1
+    for part in range(n_max // 2 + 1, n_max + 1):
+        start[size * part] = allowed.admits(part) + (distinct is not None and distinct.admits(part))
+    x = int.from_bytes(start, "little")
+    for part in range(1, n_max // 2 + 1):
         if allowed.admits(part):
             x = rows.stride(x, part)
         if distinct is not None and distinct.admits(part):

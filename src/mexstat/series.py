@@ -24,7 +24,7 @@ arXiv:0712.4046), a factor (1 +- q^e) is one shifted add of the low
 P+1-e slots, and intermediate slots may overflow and borrow freely.  Only
 the final coefficients must satisfy |c| < 2^(w-1): adding 2^(w-1) to every
 slot then leaves each in [0, 2^w), and one pass over the bytes reads them
-back.  The width comes from one of two places:
+back.  The width comes from one of three places:
 
 * a multiply of known operands: bitlen(max|a|) + bitlen(max|b|) +
   bitlen(nnz of the sparser operand) + 1, since no coefficient of the
@@ -34,7 +34,7 @@ back.  The width comes from one of two places:
   |c| < exp(pi*sqrt(r*P/3)).  A product of (1 +- q^e)^(r_e) with every
   r_e <= r has coefficients no larger in absolute value than those of
   prod_k (1+q^k)^r.  Write prod (1+x^k) = prod 1/(1-x^(2k-1)); at
-  x = e^-t its logarithm is sum_m 1/(2m sinh(mt)) <= sum_m 1/(2m^2 t) =
+  x = e^-t its logarithm is sum_m 1/(2m sinh(mt)) < sum_m 1/(2m^2 t) =
   pi^2/(12t), so [q^N] prod (1+q^k)^r <= x^-N exp(r pi^2/(12t)), and
   t = pi*sqrt(r/(12N)) gives exp(pi*sqrt(rN/3)) (the argument of
   T. M. Apostol, Introduction to Analytic Number Theory, Thm 14.5).  So
@@ -43,6 +43,22 @@ back.  The width comes from one of two places:
   q^(jn)/(q)_n with signs in {-1, 0, 1} counts, with signs, partitions of
   some N <= P (see :func:`_cauchy_terms`), so it takes r = 2: p(P) <
   exp(pi*sqrt(2P/3)).
+* a product of (1 +- q^e) whose exponents fall in c residue classes mod
+  M, listed with multiplicity, c' of them nonzero: every |c_N| <=
+  2^c' * exp(pi*sqrt(c*P/(3M))), which :func:`_binomial_product` takes
+  when it is the narrower (:func:`_coefficient_bits` holds equality too).  Proof: as above |c_N| <= x^-N prod (1+x^e)
+  over the exponents, no more than over every exponent of their
+  classes, and the class of r contributes sum_{n>=0}
+  log(1+x^(Mn+r)) (n >= 1 when r = 0).  For r >= 1 its n = 0 term is
+  below log 2 and its n >= 1 terms are each at most log(1+x^(Mn)); the
+  sum over n >= 1 of those is log prod (1+y^n) with y = x^M = e^-(Mt),
+  below pi^2/(12Mt).  So log |c_N| <= Nt + c' log 2 + c pi^2/(12Mt), and
+  t = pi*sqrt(c/(12MN)) gives c' log 2 + pi*sqrt(cN/(3M)), which grows
+  with N.  The bound reads only the classes the exponents are drawn
+  from, never the identity a product is checked against.  A Jacobi
+  triple product mod M draws from 3 classes, 0, i and M - i: the odd
+  one at k = 6 (M = 13, P = 1000) takes 46 bits against the 86 of
+  weight 1.
 
 Which route a multiply takes depends on the nonzero counts: a loop over
 nonzero pairs, shifted adds of the packed dense operand over the sparse
@@ -257,14 +273,16 @@ _SHIFT_ADD_SCALE = 6
 _NEWTON_SCALE = 16
 
 
-def _coefficient_bits(weight: int, precision: int) -> int:
-    """Bits of a slot, sign included, that holds every |c| < exp(pi * sqrt(weight * precision / 3)).
+def _coefficient_bits(weight: int, precision: int, modulus: int = 1) -> int:
+    """Bits of a slot, sign included, that holds every
+    |c| <= exp(pi * sqrt(weight * precision / (3 * modulus))).
 
-    21/8 > pi / (sqrt(3) * ln 2) = 2.6168..., so the bound is below
-    2^(21/8 * sqrt(weight * precision)) <= 2^(21 * (isqrt(weight * precision) + 1) / 8);
+    21/8 > pi / (sqrt(3) * ln 2) = 2.6168..., and the square root of
+    weight * precision / modulus is below isqrt(weight * precision // modulus) + 1,
+    so the bound is below 2^(21 * (isqrt(weight * precision // modulus) + 1) / 8);
     one bit more covers the floor division and one the sign.
     """
-    return 21 * (isqrt(weight * precision) + 1) // 8 + 2
+    return 21 * (isqrt(weight * precision // modulus) + 1) // 8 + 2
 
 
 def _bias(slots: int, size: int) -> int:
@@ -371,19 +389,38 @@ def _newton_inverse(a: Sequence[int]) -> list[int]:
     return b
 
 
-def _binomial_product(exponents: Iterable[int], sign: int, precision: int) -> TruncatedSeries:
+Classes = tuple[int, Sequence[int]]
+
+
+def _slot_size(counts: Mapping[int, int], precision: int, classes: Classes | None) -> int:
+    """Bytes per slot of :func:`_binomial_product`: the weight-r bound, r the
+    largest count, or the per-class bound when ``classes`` is given and it is
+    narrower (see the module docstring)."""
+    bits = _coefficient_bits(max(counts.values(), default=1), precision)
+    if classes is not None:
+        modulus, residues = classes
+        nonzero = sum(1 for r in residues if r % modulus)
+        bits = min(bits, nonzero + _coefficient_bits(len(residues), precision, modulus))
+    return (bits + 7) // 8
+
+
+def _binomial_product(
+    exponents: Iterable[int], sign: int, precision: int, classes: Classes | None = None
+) -> TruncatedSeries:
     """The product of (1 + sign*q^e) over ``exponents``, truncated at q^precision.
 
-    The factors with 2e > precision multiply to 1 + sign * sum q^e, each e
-    counted as often as it is listed (no product of two of their terms
-    fits), which is packed as the start; every other factor adds or
-    subtracts the packed low part shifted by e slots.  The slots hold the
-    weight-r bound, r the largest number of times one exponent is listed.
+    ``classes``, if given, is (M, residues): the exponents, as listed, are
+    drawn from the classes of those residues mod M, each residue listed as
+    often as its class may repeat.  The factors with 2e > precision
+    multiply to 1 + sign * sum q^e, each e counted as often as it is listed
+    (no product of two of their terms fits), which is packed as the start;
+    every other factor adds or subtracts the packed low part shifted by e
+    slots.  The slots hold the bound :func:`_slot_size` picks.
     """
     if precision < 0:
         raise ValueError("precision must be non-negative")
     counts = Counter(e for e in exponents if e <= precision)
-    size = (_coefficient_bits(max(counts.values(), default=1), precision) + 7) // 8
+    size = _slot_size(counts, precision, classes)
     w = 8 * size
     top = bytearray(size * (precision + 1))
     for e, r in counts.items():
@@ -398,36 +435,51 @@ def _binomial_product(exponents: Iterable[int], sign: int, precision: int) -> Tr
     return TruncatedSeries._of_checked(tuple(_unpack(packed, size, precision + 1)))
 
 
-def _cauchy_terms(signs: Sequence[int], t_exponent: int, precision: int) -> TruncatedSeries:
-    """The sum over n of signs[n] * q^(t_exponent*n) / ((1-q)...(1-q^n)), truncated.
+def _cauchy_terms(
+    cases: Sequence[tuple[Sequence[int], int]], precision: int
+) -> list[TruncatedSeries]:
+    """For each case (signs, t_exponent), the sum over n of
+    signs[n] * q^(t_exponent*n) / ((1-q)...(1-q^n)), truncated; one series per case.
 
-    With every sign in {-1, 0, 1} the coefficients are at most p(precision)
+    Every case reads one running 1/(q)_n, built once: 1/(1 - q^n) is
+    applied as the product of (1 + q^(n*2^k)) over k, each factor one
+    shifted add of the packed low part.  A case is live at n while it has a
+    sign there and its shift t_exponent*n is at most the precision; the
+    inverse is kept to the slots the live case of smallest t_exponent still
+    reads, and the pass stops when no case is live.  With t_exponent >= 1
+    and every sign in {-1, 0, 1} the coefficients are at most p(precision)
     in absolute value, the weight-2 bound: adding t_exponent - 1 to each of
     the n parts of a partition counted by q^n/(q)_n is injective into the
-    partitions of the shifted size.  1/(1 - q^n) is applied as the product of (1 + q^(n*2^k))
-    over k, each factor one shifted add of the packed low part.
+    partitions of the shifted size.
     """
     if precision < 0:
         raise ValueError("precision must be non-negative")
     size = (_coefficient_bits(2, precision) + 7) // 8
     w = 8 * size
-    inverse, total = 1, 0  # 1/(q)_n and the sum, packed
-    for n, sign in enumerate(signs):
-        shift = n * t_exponent
-        if shift > precision:
+    inverse, totals = 1, [0] * len(cases)  # 1/(q)_n and the sums, packed
+    n = 0
+    while True:
+        live = [c for c, (signs, t) in enumerate(cases) if n < len(signs) and n * t <= precision]
+        if not live:
             break
-        # this term and every later one read only the low ``room`` slots
-        room = precision + 1 - shift
+        # this n and every later one read only the low ``room`` slots
+        room = precision + 1 - n * min(cases[c][1] for c in live)
         inverse &= (1 << w * room) - 1
         e = n
         while 0 < e < room:
             inverse += (inverse & (1 << w * (room - e)) - 1) << w * e
             e *= 2
-        if sign > 0:
-            total += inverse << w * shift
-        elif sign < 0:
-            total -= inverse << w * shift
-    return TruncatedSeries._of_checked(tuple(_unpack(total, size, precision + 1)))
+        for c in live:
+            signs, t = cases[c]
+            if signs[n] > 0:
+                totals[c] += inverse << w * (n * t)
+            elif signs[n] < 0:
+                totals[c] -= inverse << w * (n * t)
+        n += 1
+    return [
+        TruncatedSeries._of_checked(tuple(_unpack(total, size, precision + 1)))
+        for total in totals
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +586,11 @@ def alternating_theta_bilateral(quadratic: Quadratic, precision: int) -> Truncat
 def residue_product(cond: ResidueCondition, precision: int) -> TruncatedSeries:
     """Product of (1 +- q^n) over 1 <= n <= precision with n admitted by ``cond``."""
     sign = -1 if cond.sign == "minus" else 1
-    return _binomial_product(filter(cond.admits, range(1, precision + 1)), sign, precision)
+    # every exponent up to the precision has its residue below min(M, precision + 1)
+    admitted = [r for r in range(min(cond.modulus, precision + 1)) if cond.admits(r)]
+    return _binomial_product(
+        filter(cond.admits, range(1, precision + 1)), sign, precision, (cond.modulus, admitted)
+    )
 
 
 def jtp_specialized(
@@ -571,10 +627,9 @@ def jtp_specialized(
         raise ValueError(f"side must be 'sum' or 'product', got {side!r}")
 
     # with i = k (even) the classes i and M - i coincide: each factor twice
-    exponents = [
-        e for start in (modulus, i, modulus - i) for e in range(start, precision + 1, modulus)
-    ]
-    return _binomial_product(exponents, -1, precision)
+    starts = (modulus, i, modulus - i)
+    exponents = [e for start in starts for e in range(start, precision + 1, modulus)]
+    return _binomial_product(exponents, -1, precision, (modulus, starts))
 
 
 # ---------------------------------------------------------------------------
@@ -701,16 +756,41 @@ def second_crank_moment_series(precision: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+def cauchy_sums_specialized(
+    cases: Iterable[tuple[int, bool]], precision: int
+) -> list[TruncatedSeries]:
+    """:func:`cauchy_sum_specialized` at each (t_exponent, negate_t) of ``cases``,
+    in order, from one running 1/(q)_n."""
+    signed = []
+    for t_exponent, negate_t in cases:
+        if t_exponent < 1:
+            raise ValueError("t must be a positive power of q for the sum to terminate")
+        count = precision // t_exponent + 1
+        signed.append(([-1 if negate_t and n & 1 else 1 for n in range(count)], t_exponent))
+    return _cauchy_terms(signed, precision)
+
+
 def cauchy_sum_specialized(t_exponent: int, negate_t: bool, precision: int) -> TruncatedSeries:
     """The sum over n >= 0 of t^n/((1-q)...(1-q^n)) at t = q^j or t = -q^j.
 
     ``t_exponent`` is j (must be >= 1 so the sum terminates at the
     truncation bound); ``negate_t`` selects the sign of t.
     """
-    if t_exponent < 1:
-        raise ValueError("t must be a positive power of q for the sum to terminate")
-    signs = [-1 if negate_t and n & 1 else 1 for n in range(precision // t_exponent + 1)]
-    return _cauchy_terms(signs, t_exponent, precision)
+    return cauchy_sums_specialized([(t_exponent, negate_t)], precision)[0]
+
+
+def parts_parity_sums(
+    parities: Iterable[Literal["even", "odd"]], precision: int
+) -> list[TruncatedSeries]:
+    """:func:`parts_parity_series` of each parity in ``parities``, in order, from
+    one running 1/(q)_j."""
+    signed = []
+    for parity in parities:
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        want = 0 if parity == "even" else 1
+        signed.append(([int(j % 2 == want) for j in range(precision + 1)], 1))
+    return _cauchy_terms(signed, precision)
 
 
 def parts_parity_series(parity: Literal["even", "odd"], precision: int) -> TruncatedSeries:
@@ -719,7 +799,4 @@ def parts_parity_series(parity: Literal["even", "odd"], precision: int) -> Trunc
     Built as the sum over all part-counts j of q^j/((1-q)...(1-q^j)),
     restricted to even or odd j.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    want = 0 if parity == "even" else 1
-    return _cauchy_terms([int(j % 2 == want) for j in range(precision + 1)], 1, precision)
+    return parts_parity_sums([parity], precision)[0]

@@ -171,3 +171,19 @@ def test_criterion_10_crank_moment_at_the_series_cap():
     with criterion(10, "crank_moment(2, 2000) from cold caches, equal to 2n p(n)", 1.0):
         value = crank_moment(2, 2000)
     assert value == 2 * 2000 * p_count(2000)
+
+
+# the 14 checks whose work is series arithmetic (the benchmark's series-deep set)
+SERIES_DEEP_IDS = (
+    "thm-2.1", "thm-2.8", "jtp-even-lemma", "thm-2.9", "thm-2.10a", "thm-2.10b",
+    "thm-2.11", "pe-po-genfun", "thm-3.1", "thm-1.3", "thm-3.11-series",
+    "thm-3.12-series", "thm-3.13-series", "lemma-a-gt-n",
+)
+
+
+def test_criterion_11_series_checks_at_1000():
+    # a packed slot too narrow for the coefficients at 1000 may still hold those
+    # at 200, the precision criterion 7 checks
+    with criterion(11, "the 14 series-arithmetic checks at n=1000", 5.0):
+        for check_id in SERIES_DEEP_IDS:
+            _verify_pass(check_id, 1000)

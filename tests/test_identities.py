@@ -118,6 +118,15 @@ def test_odd_weighted_row_matches_the_held_rows(family, n_max):
     assert _odd_weighted_row(scale, last, terms_of, n_max) == held
 
 
+@pytest.mark.parametrize("route", ["series", "recurrence"])
+@settings(max_examples=15, deadline=None)
+@given(n_max=st.integers(min_value=0, max_value=30), start=st.integers(min_value=0, max_value=33))
+def test_mex_row_from_a_start_is_the_full_row_with_its_head_zeroed(route, n_max, start):
+    terms = [(1, "pbar", 1, 3, 0), (-2, "p", 3, 2, 2), (1, "pbar", 2, 1, 5)]
+    full = _mex_row(route, terms, n_max)
+    assert _mex_row(route, terms, n_max, start) == [0] * min(start, n_max + 1) + full[start:]
+
+
 @pytest.mark.parametrize("check_id", ["thm-3.8-crank", "thm-3.6"])
 def test_series_crank_checks_build_no_per_m_rows(check_id):
     # with p(n) and 1/(q)_inf at 200 already built, the crank side is one numerator

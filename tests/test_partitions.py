@@ -3,7 +3,7 @@ from functools import lru_cache
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mexstat import partitions
@@ -332,10 +332,33 @@ def _list_restricted_row(n_max, allowed, distinct):
             for j in range(part, n_max + 1):
                 ways[j] += ways[j - part]
     for part in range(1, n_max + 1):
-        if distinct.admits(part):
+        if distinct is not None and distinct.admits(part):
             for j in range(n_max, part - 1, -1):
                 ways[j] += ways[j - part]
     return tuple(ways)
+
+
+@given(
+    allowed=residue_conditions,
+    distinct=st.none() | residue_conditions,
+    n_max=st.integers(min_value=0, max_value=80),
+)
+@example(allowed=ResidueCondition(1, frozenset({0})), distinct=None, n_max=0)
+@example(
+    allowed=ResidueCondition(1, frozenset({0})),
+    distinct=ResidueCondition(1, frozenset({0})),
+    n_max=1,
+)
+@example(
+    allowed=ResidueCondition(2, frozenset({1})),
+    distinct=ResidueCondition(3, frozenset({0}), mode="exclude"),
+    n_max=1,
+)
+@settings(max_examples=80, deadline=None)
+def test_restricted_row_with_free_high_parts_matches_plain_dp(allowed, distinct, n_max):
+    # the parts above n_max/2 start the packed row; the plain DP strides every part
+    row = count_parts_restricted_row(n_max, allowed, distinct)
+    assert row == _list_restricted_row(n_max, allowed, distinct)
 
 
 def test_restricted_row_width_holds_p_at_scale():

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from functools import partial
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mexstat.series as kernels
-from mexstat import mexcount
+from mexstat import identities, mexcount
 from mexstat.partitions import p_count
 from mexstat.series import (
     ResidueCondition,
@@ -14,12 +16,14 @@ from mexstat.series import (
     alternating_theta,
     alternating_theta_bilateral,
     cauchy_sum_specialized,
+    cauchy_sums_specialized,
     count_numerator,
     crank_generating_series,
     euler_product,
     jtp_specialized,
     partition_generating_series,
     parts_parity_series,
+    parts_parity_sums,
     pochhammer_finite,
     rank_generating_series,
     residue_product,
@@ -683,6 +687,46 @@ def test_parts_parity_matches_literal_loop(parity, precision):
     assert list(parts_parity_series(parity, precision).coeffs) == expected
 
 
+@st.composite
+def cauchy_cases(draw):
+    """A list of (signs, t_exponent) cases with mixed exponents and sign patterns."""
+    precision = draw(st.integers(0, 60))
+    cases = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from([-1, 0, 1]), max_size=precision + 2),
+                st.integers(1, 7),
+            ),
+            max_size=5,
+        )
+    )
+    return cases, precision
+
+
+@given(cauchy_cases())
+@settings(max_examples=80, deadline=None)
+def test_cauchy_terms_of_several_cases_match_literal_loops(case_list):
+    cases, precision = case_list
+    built = kernels._cauchy_terms(cases, precision)
+    assert [list(s.coeffs) for s in built] == [
+        literal_cauchy(signs, t, precision) for signs, t in cases
+    ]
+
+
+def test_one_pass_sums_equal_the_single_sums():
+    cases = [(1, False), (3, False), (1, True), (2, True), (5, False)]
+    assert cauchy_sums_specialized(cases, 300) == [
+        cauchy_sum_specialized(t, negate, 300) for t, negate in cases
+    ]
+    assert parts_parity_sums(["odd", "even", "odd"], 300) == [
+        parts_parity_series(parity, 300) for parity in ("odd", "even", "odd")
+    ]
+    with pytest.raises(ValueError, match="positive power of q"):
+        cauchy_sums_specialized([(1, False), (0, True)], 10)
+    with pytest.raises(ValueError, match="parity must be"):
+        parts_parity_sums(["even", "both"], 10)
+
+
 EVERY_PART = ResidueCondition(1, frozenset({0}))
 
 
@@ -704,8 +748,10 @@ EVERY_PART = ResidueCondition(1, frozenset({0}))
         second_rank_moment_series,
         second_crank_moment_series,
         partial(cauchy_sum_specialized, 2, True),
+        partial(cauchy_sums_specialized, [(1, False), (3, True)]),
         partial(parts_parity_series, "even"),
         partial(parts_parity_series, "odd"),
+        partial(parts_parity_sums, ["even", "odd"]),
     ],
     ids=lambda build: "-".join(
         [getattr(build, "func", build).__name__, *map(str, getattr(build, "args", ()))]
@@ -781,3 +827,91 @@ def test_kernel_outputs_are_tuples_of_ints(build):
     assert type(out.coeffs) is tuple
     assert all(type(c) is int for c in out.coeffs)
     assert out == TruncatedSeries(list(out.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# slot widths of the catalog's products: the per-class bound against exact coefficients
+# ---------------------------------------------------------------------------
+
+WIDTH_PRECISIONS = (0, 1, 2, 3, 50, 200, 1000)
+JTP_CASES = [
+    (parity, k, i)
+    for parity in ("even", "odd")
+    for k in range(1, 7)
+    for i in range(1, 2 * k + (parity == "odd"))
+]
+
+
+def _catalog_residue_conditions(monkeypatch):
+    """Every ResidueCondition the catalog passes to residue_product, from building each side once."""
+    seen = []
+    original = identities.residue_product
+
+    def record(cond, precision):
+        if cond not in seen:
+            seen.append(cond)
+        return original(cond, precision)
+
+    monkeypatch.setattr(identities, "residue_product", record)
+    for check in identities.REGISTRY.values():
+        n = max(3, check.valid_from)
+        check.make_lhs(n)
+        check.make_rhs(n)
+    monkeypatch.undo()
+    return seen
+
+
+def _slot_sizes(monkeypatch):
+    """Record each (exponent counts, precision, slot bytes) that _binomial_product uses."""
+    picked = []
+    original = kernels._slot_size
+
+    def record(counts, precision, classes):
+        size = original(counts, precision, classes)
+        picked.append((dict(counts), precision, size))
+        return size
+
+    monkeypatch.setattr(kernels, "_slot_size", record)
+    return picked
+
+
+def _largest_plus_coefficient(counts, precision):
+    """max over N <= precision of [q^N] prod (1+q^e)^(counts[e]), by a plain list DP."""
+    c = [1] + [0] * precision
+    for e, r in counts.items():
+        for _ in range(r):
+            c = list(map(add, c, [0] * e + c[: precision + 1 - e]))
+    return max(c)
+
+
+def test_catalog_products_stay_within_the_slots_they_get(monkeypatch):
+    conditions = _catalog_residue_conditions(monkeypatch)
+    # the thm-2.1, thm-2.9, thm-2.10, thm-2.11 and series-form products
+    assert len(conditions) >= 10
+    picked = _slot_sizes(monkeypatch)
+    for precision in WIDTH_PRECISIONS:
+        for parity, k, i in JTP_CASES:
+            jtp_specialized(k, i, parity, "product", precision)
+        for cond in conditions:
+            residue_product(cond, precision)
+    assert len(picked) == len(WIDTH_PRECISIONS) * (len(JTP_CASES) + len(conditions))
+    largest = {}
+    for counts, precision, size in picked:
+        key = (tuple(sorted(counts.items())), precision)
+        if key not in largest:
+            largest[key] = _largest_plus_coefficient(counts, precision)
+        assert largest[key] < 1 << 8 * size - 1, (counts, precision, size)
+
+
+@pytest.mark.parametrize("parity, k, i", JTP_CASES)
+def test_jtp_product_equals_sum_at_1000(parity, k, i):
+    assert jtp_specialized(k, i, parity, "product", 1000) == jtp_specialized(
+        k, i, parity, "sum", 1000
+    )
+
+
+def test_per_class_slots_are_narrower_where_the_classes_are_sparse():
+    # k = 6, M = 13, three classes: 46 bits against 86 at weight 1
+    counts = Counter(e for s in (13, 1, 12) for e in range(s, 1001, 13))
+    assert kernels._slot_size(counts, 1000, (13, (13, 1, 12))) == 6
+    assert kernels._slot_size(counts, 1000, None) == 11
