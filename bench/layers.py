@@ -50,6 +50,9 @@ Layers:
   n = 0..N from a cold census;
 * ``mex_rows.50`` -- ``mex_census_rows`` at n = 50 over the 150 pairs
   A <= 10, a <= 15 of the catalog;
+* ``recurrence_rows.2000`` -- the recurrence sides of the catalog at 2000:
+  the thm-3.8-crank rhs (one numerator weighted (2r+1) over r) and the 44
+  thm-5.1 lhs rows, with the p(n) table already built to 2000;
 * ``cli.main.rank`` -- one ``main(["compute", "rank", "--partition",
   "3,1"])`` call, after a first call that may build the parser (each time
   is a batch of 100 calls divided by 100);
@@ -138,6 +141,11 @@ def cold_stat_rows(n_max: int) -> None:
     mexstat_statistics.spt_row(n_max)
 
 
+def recurrence_rows_2000() -> None:
+    identities.REGISTRY["thm-3.8-crank"].make_rhs(2000)
+    identities.REGISTRY["thm-5.1"].make_lhs(2000)
+
+
 def cli_rank() -> None:
     with redirect_stdout(io.StringIO()):
         cli.main(["compute", "rank", "--partition", "3,1"])
@@ -208,6 +216,8 @@ def main() -> None:
         layers[f"stat_rows.{n_max}"] = timed(lambda: cold_stat_rows(n_max), repeats)
     grid = [(A, a) for A in range(1, 11) for a in range(1, 16)]
     layers["mex_rows.50"] = timed(lambda: mexcount.mex_census_rows(50, grid), repeats)
+    partitions.p_count(2000)
+    layers["recurrence_rows.2000"] = timed(recurrence_rows_2000, repeats)
     cli_rank()
     layers["cli.main.rank"] = timed(cli_rank, repeats, calls=100)
     layers["p_table.20000"] = timed(lambda: partitions.p_count(20000), repeats, cold_p_table)

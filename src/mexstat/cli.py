@@ -56,6 +56,8 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
     kind = args.kind
     if kind in ("p_aa", "pbar_aa"):
         _require(args, ["A", "a", "n"], kind)
+        if args.n < 0:
+            raise ValueError("n must be non-negative")
         params = MexParams(args.A, args.a)
         method = args.method or ("enum" if args.n <= ENUMERATION_CAP else "series")
         barred = kind == "pbar_aa"
@@ -63,8 +65,6 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
             value = (mexcount.pbar_mex_enum if barred else mexcount.p_mex_enum)(params, args.n)
             method_name = "enumeration"
         elif method == "series":
-            if args.n < 0:
-                raise ValueError("n must be non-negative for the series method")
             check_precision(args.n)
             value = mexcount.mex_series_at(params, args.n, barred)
             method_name = "series"

@@ -13,8 +13,8 @@ restricted-part DP rows, recurrence values tabulated over the range, the
 counting-DP rows of the enumerated mex, rank, crank and spt sides -- and
 returns an evaluator that only looks values up in them.  The catalog in
 :func:`build_registry` is a declaration over a few family helpers: signed
-shifted mex terms (:data:`Term`) by series or recurrence, restricted-part
-DP rows, series rows and grid sweeps.
+shifted mex terms (:data:`Term`) summed into one numerator and read once per
+route, restricted-part DP rows, series rows and grid sweeps.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .series import (
     second_crank_moment_series,
     second_rank_moment_series,
     symmetric_residues,
+    theta_quotient,
 )
 from .statistics import MexParams
 
@@ -130,7 +131,7 @@ def _fmt(value) -> str:
 
 # A signed, shifted mex count: (sign, kind, A, a, shift) is
 # sign * p_{A,a}(n - shift) for kind "p" and sign * pbar_{A,a}(n - shift) for
-# kind "pbar"; both are 0 for n < shift.
+# kind "pbar"; both are 0 for n < shift.  The sign is any integer weight.
 Term = tuple[int, str, int, int, int]
 
 
@@ -154,28 +155,22 @@ def _table(build: Callable[[int], Sequence[Sequence[int]]]) -> EvaluatorFactory:
     return factory
 
 
-def _mex_row(route: str, terms: Sequence[Term], n_max: int, start: int = 0) -> list[int]:
-    """The sum of ``terms`` at n = start..n_max, each term read off its generating-series
-    row (route "series") or tabulated by the shifted-p(n) recurrence (route "recurrence");
-    the entries below ``start`` are left 0."""
+def _mex_row(route: str, terms: Sequence[Term], n_max: int) -> list[int]:
+    """The sum of ``terms`` at n = 0..n_max: each term's numerator (``mex_numerator``
+    on route "series", ``recurrence_offsets`` on route "recurrence") scaled by its
+    sign and moved by its shift into one numerator, read once -- as a theta quotient,
+    or at each n against the pentagonal p(n) table."""
     if route not in ("series", "recurrence"):
         raise ValueError(f"unknown route {route!r}")
-    out = [0] * (n_max + 1)
+    numerator_of = mexcount.mex_numerator if route == "series" else mexcount.recurrence_offsets
+    numerator: dict[int, int] = {}
     for sign, kind, A, a, shift in terms:
-        params = MexParams(A, a)
-        barred = kind == "pbar"
-        first = max(start, shift)
-        if first > n_max:
-            continue
-        if route == "series":
-            row = (mexcount.pbar_mex_series if barred else mexcount.p_mex_series)(params, n_max)
-            row = row[first - shift : n_max + 1 - shift]
-        else:
-            point = mexcount.pbar_mex_recurrence if barred else mexcount.p_mex_recurrence
-            row = [point(params, n) for n in range(first - shift, n_max + 1 - shift)]
-        for n, value in enumerate(row, first):
-            out[n] += sign * value
-    return out
+        if shift <= n_max:
+            for d, c in numerator_of(MexParams(A, a), kind == "pbar", n_max - shift).items():
+                numerator[d + shift] = numerator.get(d + shift, 0) + sign * c
+    if route == "series":
+        return list(theta_quotient(numerator, n_max).coeffs)
+    return [mexcount.recurrence_at(numerator, n) for n in range(n_max + 1)]
 
 
 def _mex(route: str, terms: Sequence[Term]) -> EvaluatorFactory:
@@ -190,14 +185,19 @@ def _odd_weighted_row(
     scale: int, last: int, terms_of: Callable[[int], Sequence[Term]], n_max: int
 ) -> list[int]:
     """Entry n is scale * sum_{r=0}^{n-last} (2r+1) * (the terms_of(r) sum at n), by
-    recurrence; each r's row is built for n >= r + last only, added in and dropped."""
-    out = [0] * (n_max + 1)
-    for r in range(n_max - last + 1):
-        weight = scale * (2 * r + 1)
-        row = _mex_row("recurrence", terms_of(r), n_max, r + last)
-        for n in range(r + last, n_max + 1):
-            out[n] += weight * row[n]
-    return out
+    recurrence, as one term list weighted scale * (2r+1) over r <= n_max - last: the
+    terms_of(r) sum is 0 at n < r + last (pbar_{A,a}(n) = 0, p_{A,a}(n) = p(n), a > n)."""
+    terms = [
+        (scale * (2 * r + 1) * sign, kind, A, a, shift)
+        for r in range(n_max - last + 1)
+        for sign, kind, A, a, shift in terms_of(r)
+    ]
+    return _mex_row("recurrence", terms, n_max)
+
+
+def _tabulated(first: int, value: Callable[[int], Value]) -> EvaluatorFactory:
+    """A side whose parameters move with n: ``value(n)`` tabulated at n = first..n_max."""
+    return _row(lambda n_max: [value(n) if n >= first else None for n in range(n_max + 1)])
 
 
 def _dp(*conditions: ResidueCondition) -> EvaluatorFactory:
@@ -335,15 +335,12 @@ def build_registry() -> dict[str, IdentityCheck]:
         return p1 * p2 * p3
 
     def p_rec(A: int, a: int, n: int) -> int:
-        # thm-5.3 and thm-5.4 move the parameters with n, so there is no row
+        # thm-5.3 and thm-5.4 move the parameters with n, so each value is one point
         return mexcount.p_mex_recurrence(MexParams(A, a), n)
 
-    def thm54_lhs(n_max: int) -> Evaluator:
-        def ev(n: int):
-            second = p_rec(3, n + 1, n) - p_rec(1, n, n)
-            return (second,) if n < 2 else (p_rec(3, n, n) - p_rec(1, n - 1, n), second)
-
-        return ev
+    def thm54_lhs(n: int) -> tuple[int, ...]:
+        second = p_rec(3, n + 1, n) - p_rec(1, n, n)
+        return (second,) if n < 2 else (p_rec(3, n, n) - p_rec(1, n - 1, n), second)
 
     def above(n: int) -> list[tuple[int, int]]:
         # the grid pairs with a > n
@@ -352,8 +349,8 @@ def build_registry() -> dict[str, IdentityCheck]:
     def lemma_lhs(n_max: int) -> Evaluator:
         # above(n) is empty from n = SWEEP_a_MAX on, so no row is read past it
         n_top = min(n_max, SWEEP_a_MAX - 1)
-        p_rows = {pair: mexcount.p_mex_series(MexParams(*pair), n_top) for pair in grid}
-        pbar_rows = {pair: mexcount.pbar_mex_series(MexParams(*pair), n_top) for pair in grid}
+        p_rows = {(A, a): _mex_row("series", [(1, "p", A, a, 0)], n_top) for A, a in grid}
+        pbar_rows = {(A, a): _mex_row("series", [(1, "pbar", A, a, 0)], n_top) for A, a in grid}
         return lambda n: tuple(p_rows[pair][n] for pair in above(n)) + tuple(
             pbar_rows[pair][n] for pair in above(n)
         )
@@ -697,16 +694,16 @@ def build_registry() -> dict[str, IdentityCheck]:
             "thm-5.3",
             "p_{k,k}(k) = p_{k,k-1}(k) = p(k) - 1 for k >= 2 (checked at n = k)",
             2,
-            lambda n_max: lambda k: (p_rec(k, k, k), p_rec(k, k - 1, k)),
-            lambda n_max: lambda k: (partitions.p_count(k) - 1, partitions.p_count(k) - 1),
+            _tabulated(2, lambda k: (p_rec(k, k, k), p_rec(k, k - 1, k))),
+            _tabulated(2, lambda k: (partitions.p_count(k) - 1,) * 2),
             notes="lhs: recurrence; rhs: pentagonal p(k) minus one",
         ),
         IdentityCheck(
             "thm-5.4",
             "p_{3,n}(n) - p_{1,n-1}(n) = 0 (n >= 2) and p_{3,n+1}(n) - p_{1,n}(n) = 1 (n >= 1)",
             1,
-            thm54_lhs,
-            lambda n_max: lambda n: (1,) if n < 2 else (0, 1),
+            _tabulated(1, thm54_lhs),
+            _tabulated(1, lambda n: (1,) if n < 2 else (0, 1)),
             notes="lhs: recurrence differences; rhs: stated constants",
         ),
         IdentityCheck(

@@ -9,22 +9,22 @@ Together they exhaust p(n).  Three independent routes are provided:
                  the rows 0..n_max at once, without listing partitions or
                  supports (the name is kept; it is the per-partition
                  definition, counted);
-* series       - the theta quotient of :func:`mex_numerator` over (q)_inf:
-                 read as a row by ``series.theta_quotient`` (cached per
-                 (A, a, bar) for the identity checks) or at n alone by
-                 ``series.theta_quotient_at``;
-* recurrence   - fold shifted partition numbers p(n - offset) with the
-                 memoized pentagonal table.
+* series       - the theta quotient of :func:`mex_numerator` over (q)_inf,
+                 read as a row by ``series.theta_quotient`` or at n alone
+                 by ``series.theta_quotient_at``;
+* recurrence   - the signed offsets of :func:`recurrence_offsets` (from
+                 off(k) = A*k(k-1)/2 + a*k), read at n against the
+                 pentagonal p(n) table by :func:`recurrence_at`.
 
-The enumeration route keeps the contract n <= ``limits.ENUMERATION_CAP``
-(checked once, in :func:`mex_census_rows`); the recurrence stops at the
-p(n) table cap.
+A signed sum of shifted counts is one sparse numerator on either route.
+The enumeration route keeps n <= ``limits.ENUMERATION_CAP`` (checked once,
+in :func:`mex_census_rows`); the recurrence checks the p(n) table cap first.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from . import limits, partitions
 from .series import TruncatedSeries, prefix_cache, theta_quotient, theta_quotient_at, theta_terms
@@ -73,35 +73,37 @@ def mex_series_at(params: MexParams, n: int, barred: bool) -> int:
     return theta_quotient_at(mex_numerator(params, barred, n), n)
 
 
-def p_mex_recurrence(params: MexParams, n: int) -> int:
-    """p_{A,a}(n) by folding shifted partition numbers; 0 for negative n.
-
-    Evaluates p(n) + sum_{m>=1} [p(n - off(2m)) - p(n - off(2m-1))] with
-    off(k) = A*k*(k-1)/2 + a*k, stopping at the first m where both shifted
-    arguments are negative (the offsets are strictly increasing in m).
-    """
-    if n < 0:
-        return 0
+def recurrence_offsets(params: MexParams, barred: bool, n: int) -> dict[int, int]:
+    """The shifted-p(n) numerator {d: c} of p_{A,a} (pbar_{A,a} when ``barred``): the
+    count at n is sum c * p(n - d), c = (-1)^k at d = A*k*(k-1)/2 + a*k for k >= 0, or
+    barred (pbar = p - p_{A,a}) c = (-1)^(k+1) for k >= 1.  Offsets past n are left
+    out (all, for negative n); past the p(n) table cap it raises CapacityError first."""
+    limits.check_p_table(n)
     A, a = params.A, params.a
-    total = partitions.p_count(n)
-    m = 1
-    while True:
-        k_odd = 2 * m - 1
-        off_odd = A * (k_odd * (k_odd - 1) // 2) + a * k_odd
-        if off_odd > n:
-            break
-        k_even = 2 * m
-        off_even = A * (k_even * (k_even - 1) // 2) + a * k_even
-        total += partitions.p_count(n - off_even) - partitions.p_count(n - off_odd)
-        m += 1
-    return total
+    offsets = {}
+    k = int(barred)
+    while (d := A * (k * (k - 1) // 2) + a * k) <= n:
+        offsets[d] = -1 if (k + barred) & 1 else 1
+        k += 1
+    return offsets
+
+
+def recurrence_at(offsets: Mapping[int, int], n: int) -> int:
+    """The sum of c * p(n - d) over the ``offsets`` {d: c} with d <= n, p read
+    off the pentagonal table (:func:`partitions.p_count`); 0 for negative n."""
+    limits.check_p_table(n)
+    p = partitions.p_count
+    return sum([c * p(n - d) for d, c in offsets.items() if d <= n])
+
+
+def p_mex_recurrence(params: MexParams, n: int) -> int:
+    """p_{A,a}(n) by folding shifted partition numbers; 0 for negative n."""
+    return recurrence_at(recurrence_offsets(params, False, n), n)
 
 
 def pbar_mex_recurrence(params: MexParams, n: int) -> int:
-    """pbar_{A,a}(n) = p(n) - p_{A,a}(n); 0 for negative n."""
-    if n < 0:
-        return 0
-    return partitions.p_count(n) - p_mex_recurrence(params, n)
+    """pbar_{A,a}(n) by folding shifted partition numbers; 0 for negative n."""
+    return recurrence_at(recurrence_offsets(params, True, n), n)
 
 
 def mex_census_rows(

@@ -39,6 +39,14 @@ class TestCompute:
             assert code == 0
             assert "= 8" in out
 
+    @pytest.mark.parametrize("kind", ["p_aa", "pbar_aa"])
+    @pytest.mark.parametrize("method", [None, "enum", "series", "recurrence"])
+    def test_negative_n_is_refused_on_every_route(self, capsys, kind, method):
+        argv = ["compute", kind, "--A", "2", "--a", "3", "--n", "-3"]
+        code, out, err = run_cli(capsys, *argv, *(["--method", method] if method else []))
+        assert (code, out) == (2, "")
+        assert "n must be non-negative" in err
+
     def test_spt(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "spt", "--n", "5")
         assert code == 0

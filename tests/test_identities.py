@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexstat import identities, mexcount, partitions, series
 from mexstat.identities import (
     CSV_HEADER,
     IdentityCheck,
@@ -20,6 +21,7 @@ from mexstat.identities import (
 )
 from mexstat.partitions import CapacityError, p_count
 from mexstat.series import crank_generating_series, partition_generating_series
+from mexstat.statistics import MexParams
 
 
 class TestRegistry:
@@ -118,19 +120,136 @@ def test_odd_weighted_row_matches_the_held_rows(family, n_max):
     assert _odd_weighted_row(scale, last, terms_of, n_max) == held
 
 
-@pytest.mark.parametrize("route", ["series", "recurrence"])
-@settings(max_examples=15, deadline=None)
-@given(n_max=st.integers(min_value=0, max_value=30), start=st.integers(min_value=0, max_value=33))
-def test_mex_row_from_a_start_is_the_full_row_with_its_head_zeroed(route, n_max, start):
-    terms = [(1, "pbar", 1, 3, 0), (-2, "p", 3, 2, 2), (1, "pbar", 2, 1, 5)]
-    full = _mex_row(route, terms, n_max)
-    assert _mex_row(route, terms, n_max, start) == [0] * min(start, n_max + 1) + full[start:]
+def _literal_p_mex(A, a, n):
+    # p(n) + sum_{m>=1} [p(n - off(2m)) - p(n - off(2m-1))], off(k) = A*k*(k-1)/2 + a*k
+    if n < 0:
+        return 0
+    total = p_count(n)
+    m = 1
+    while True:
+        k_odd = 2 * m - 1
+        off_odd = A * (k_odd * (k_odd - 1) // 2) + a * k_odd
+        if off_odd > n:
+            break
+        k_even = 2 * m
+        off_even = A * (k_even * (k_even - 1) // 2) + a * k_even
+        total += p_count(n - off_even) - p_count(n - off_odd)
+        m += 1
+    return total
+
+
+def _literal_term(kind, A, a, n):
+    if n < 0:
+        return 0
+    p = _literal_p_mex(A, a, n)
+    return p if kind == "p" else p_count(n) - p
+
+
+TERMS = st.lists(
+    st.tuples(
+        st.integers(min_value=-7, max_value=7),
+        st.sampled_from(["p", "pbar"]),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=0, max_value=70),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=TERMS, n_max=st.integers(min_value=0, max_value=60))
+def test_recurrence_row_matches_the_literal_recurrence(terms, n_max):
+    # shifts reach past n_max, so some terms never enter the row
+    expected = [
+        sum(sign * _literal_term(kind, A, a, n - shift) for sign, kind, A, a, shift in terms)
+        for n in range(n_max + 1)
+    ]
+    assert _mex_row("recurrence", terms, n_max) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(terms=TERMS, n_max=st.integers(min_value=0, max_value=60))
+def test_the_two_routes_give_the_same_row(terms, n_max):
+    assert _mex_row("series", terms, n_max) == _mex_row("recurrence", terms, n_max)
+
+
+def _forbid(monkeypatch, names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("this route must not be read here")
+
+    for module, name in names:
+        monkeypatch.setattr(module, name, forbidden)
+
+
+# the catalog sides built on the shifted-p(n) recurrence, and on the theta quotient
+RECURRENCE_SIDES = [
+    ("thm-3.2", "rhs"), ("thm-3.6", "lhs"), ("cor-3.7", "lhs"), ("thm-1.1", "lhs"),
+    ("thm-1.2", "lhs"), ("thm-3.8-rank", "rhs"), ("thm-3.8-crank", "rhs"), ("cor-3.9", "rhs"),
+    ("thm-3.10-even", "lhs"), ("thm-3.10-odd", "lhs"), ("psi-minus-q", "lhs"),
+    ("thm-3.11", "lhs"), ("thm-3.12", "lhs"), ("thm-3.13", "lhs"), ("thm-5.1", "lhs"),
+    ("cor-5.2", "lhs"), ("thm-5.3", "lhs"), ("thm-5.4", "lhs"),
+]
+SERIES_SIDES = [
+    ("thm-3.1", "lhs"), ("thm-3.3", "lhs"), ("cor-3.4", "lhs"), ("cor-3.5", "lhs"),
+    ("thm-1.3", "lhs"), ("thm-3.11-series", "lhs"), ("thm-3.12-series", "lhs"),
+    ("thm-3.13-series", "lhs"), ("thm-5.1", "rhs"), ("lemma-a-gt-n", "lhs"),
+]
+
+
+def _side_values(check_id, side, n_max):
+    check = REGISTRY[check_id]
+    evaluate = (check.make_lhs if side == "lhs" else check.make_rhs)(n_max)
+    return [evaluate(n) for n in range(check.valid_from, n_max + 1)]
+
+
+def test_the_recurrence_route_reads_no_series(monkeypatch):
+    n_max = 30
+    _forbid(monkeypatch, [
+        (series, "theta_terms"),
+        (series, "theta_quotient"),
+        (series, "partition_generating_series"),
+        (mexcount, "theta_terms"),
+        (mexcount, "theta_quotient"),
+        (mexcount, "theta_quotient_at"),
+        (mexcount, "mex_numerator"),
+        (identities, "theta_quotient"),
+    ])
+    values = {key: _side_values(*key, n_max) for key in RECURRENCE_SIDES}
+    cases = [(MexParams(2, 3), 30), (MexParams(1, 1), 17), (MexParams(5, 2), 0)]
+    points = [
+        (mexcount.p_mex_recurrence(params, n), mexcount.pbar_mex_recurrence(params, n))
+        for params, n in cases
+    ]
+    monkeypatch.undo()
+    for check_id, side in RECURRENCE_SIDES:
+        other = "rhs" if side == "lhs" else "lhs"
+        assert values[check_id, side] == _side_values(check_id, other, n_max), check_id
+    assert points == [
+        (mexcount.mex_series_at(params, n, False), mexcount.mex_series_at(params, n, True))
+        for params, n in cases
+    ]
+
+
+def test_the_series_route_reads_no_pentagonal_table(monkeypatch):
+    n_max = 30
+    series.partition_generating_series.cache_clear()
+    _forbid(monkeypatch, [
+        (partitions, "p_count"),
+        (mexcount, "recurrence_offsets"),
+        (mexcount, "recurrence_at"),
+    ])
+    values = {key: _side_values(*key, n_max) for key in SERIES_SIDES}
+    monkeypatch.undo()
+    for check_id, side in SERIES_SIDES:
+        other = "rhs" if side == "lhs" else "lhs"
+        assert values[check_id, side] == _side_values(check_id, other, n_max), check_id
 
 
 @pytest.mark.parametrize("check_id", ["thm-3.8-crank", "thm-3.6"])
 def test_series_crank_checks_build_no_per_m_rows(check_id):
     # with p(n) and 1/(q)_inf at 200 already built, the crank side is one numerator
-    # and one multiply, and the odd-weighted side one recurrence row at a time
+    # and one multiply, and the odd-weighted side one recurrence numerator read at each n
     p_count(200)
     partition_generating_series(200)
     crank_generating_series.cache_clear()
