@@ -777,7 +777,9 @@ def verify_all(
     *,
     registry: dict[str, IdentityCheck] | None = None,
 ) -> list[IdentityReport]:
-    """Run every registered check; enumeration-backed ones capped at n_max_enum."""
+    """Run every registered check, enumeration-backed ones to n_max_enum, none below valid_from."""
+    if min(n_max_enum, n_max_series) < 0:
+        raise ValueError(f"bounds must be non-negative, got {n_max_enum} and {n_max_series}")
     reg = REGISTRY if registry is None else registry
     reports = []
     for check_id, check in reg.items():

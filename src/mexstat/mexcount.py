@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from . import limits, partitions
+from . import limits, partitions, series
 from .series import TruncatedSeries, prefix_cache, theta_quotient, theta_quotient_at, theta_terms
 from .statistics import MexParams
 
@@ -111,7 +111,7 @@ def mex_census_rows(
 ) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
     """Rows (p_{A,a}(0..n_max), pbar_{A,a}(0..n_max)) for every (A, a) in ``pairs``.
 
-    A counting automaton per pair, on packed rows (:class:`partitions.PackedRows`).
+    A counting automaton per pair, on packed rows (:class:`series.PackedRows`).
     It walks the part sizes upwards and keeps one row: the partitions whose
     parts decided so far include every chain element a, a+A, ... passed.
     A free part size j multiplies it by 1/(1-q^j).  At chain element c_k
@@ -129,7 +129,7 @@ def mex_census_rows(
     pairs = list(dict.fromkeys(pairs))
     if any(A < 1 or a < 1 for A, a in pairs):
         raise ValueError("A and a must be positive integers")
-    rows = partitions.PackedRows(n_max)
+    rows = series.PackedRows(n_max)
     tails = rows.tails()
     out = {}
     for A, a in pairs:
@@ -139,10 +139,10 @@ def mex_census_rows(
         while c <= n_max and chain:
             for j in range(part, c):
                 chain = rows.stride(chain, j)
-            counts[k & 1] += chain * tails[c] & rows.mask
+            counts[k & 1] += rows.truncate(chain * tails[c])
             chain = rows.stride(rows.shift(chain, c), c)
             part, c, k = c + 1, c + A, k + 1
-        counts[k & 1] += chain * tails[part - 1] & rows.mask
+        counts[k & 1] += rows.truncate(chain * tails[part - 1])
         out[A, a] = (rows.unpack(counts[0]), rows.unpack(counts[1]))
     return out
 

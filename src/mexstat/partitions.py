@@ -3,15 +3,16 @@
 A partition is represented as a plain tuple of positive ints in
 non-increasing (canonical) order.  Counting goes through the pentagonal
 recurrence and bounded dynamic programming, deliberately independent of
-the series engine so the two can cross-check each other.
-:class:`PackedRows`, whose slot width reads no p(n), is the one packing of
-every counting DP: the restricted-part and parity rows here and the rows
-that stand in for enumeration in ``statistics`` and ``mexcount``.  No
-library route walks partitions one by one, and :func:`enumerate_partitions`
-(tables, tests) stops at ``limits.ENUMERATION_CAP``.  :func:`p_count` reads one shared
-p(n) table: it grows, under a lock, to the largest n asked so far and
-never shrinks, so every smaller n is a list read; it stops at
-``limits.P_TABLE_CAP``.
+the series engine so the two can cross-check each other.  Every counting
+DP -- the restricted-part and parity rows here and the rows that stand in
+for enumeration in ``statistics`` and ``mexcount`` -- runs on
+``series.PackedRows`` (re-exported here), whose slot width reads no p(n):
+shared integer arithmetic, not a route, as no DP reads a series, a theta
+sum or the pentagonal p(n).  No library route walks partitions one by one,
+and :func:`enumerate_partitions` (tables, tests) stops at
+``limits.ENUMERATION_CAP``.  :func:`p_count` reads one shared p(n) table:
+it grows, under a lock, to the largest n asked so far and never shrinks,
+so every smaller n is a list read; it stops at ``limits.P_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import threading
 from bisect import bisect_right
 from functools import lru_cache
 from math import isqrt
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator
 
 from . import limits
 from .limits import CapacityError  # noqa: F401  (re-exported: callers import it from here)
-from .series import ResidueCondition, _coefficient_bits
+from .series import PackedRows, ResidueCondition
 
 Partition = tuple[int, ...]
 
@@ -183,16 +184,13 @@ def _restricted(rows: PackedRows, allowed: ResidueCondition, distinct=None) -> i
     # 1 + c q^part, c = [allowed] + [distinct], and no two of them multiply below
     # q^n_max: together they start the row as 1 + sum c q^part, and only the
     # parts up to n_max/2 are strided
-    n_max, size = rows.n_max, rows.size
-    start = bytearray(size * (n_max + 1))
-    start[0] = 1
-    for part in range(n_max // 2 + 1, n_max + 1):
-        start[size * part] = allowed.admits(part) + (distinct is not None and distinct.admits(part))
-    x = int.from_bytes(start, "little")
-    for part in range(1, n_max // 2 + 1):
+    marks = (lambda part: False) if distinct is None else distinct.admits
+    half = rows.n_max // 2
+    x = 1 + rows.place({p: allowed.admits(p) + marks(p) for p in range(half + 1, rows.n_max + 1)})
+    for part in range(1, half + 1):
         if allowed.admits(part):
             x = rows.stride(x, part)
-        if distinct is not None and distinct.admits(part):
+        if marks(part):
             x += rows.shift(x, part)
     return x
 
@@ -208,61 +206,6 @@ def count_parts_restricted(
     row anyway, so read it there when many n are needed.
     """
     return count_parts_restricted_row(n, allowed, distinct)[n]
-
-
-# ---------------------------------------------------------------------------
-# packed counting rows (every counting DP of partitions, statistics and mexcount)
-# ---------------------------------------------------------------------------
-
-
-class PackedRows:
-    """Rows of non-negative counts over n = 0..n_max, each held in one int.
-
-    Entry n of a row sits in bits [n * width, (n + 1) * width).  The counting
-    DPs built on this add rows and multiply them by q^e, by 1/(1-q^e) and by
-    each other; every count they form at n is below exp(pi*sqrt(weight*n/3))
-    (Apostol's bound on p(n), see ``series._coefficient_bits``): weight 2 for
-    sub-counts of p(n), 3 for overpartitions, 4 for pairs of partitions.  So
-    whole-byte slots of that many bits, less the sign bit the counts do not
-    need, never overflow up to n_max, a carry only moves up, and the mask
-    drops what lands past slot n_max -- the truncation at q^n_max.
-    """
-
-    def __init__(self, n_max: int, weight: int = 2) -> None:
-        if n_max < 0:
-            raise ValueError("n must be non-negative")
-        self.n_max = n_max
-        self.size = (_coefficient_bits(weight, n_max) + 6) // 8
-        self.width = 8 * self.size
-        self.mask = (1 << self.width * (n_max + 1)) - 1
-
-    def shift(self, x: int, e: int) -> int:
-        """x * q^e, truncated at q^n_max."""
-        return x << self.width * e & self.mask
-
-    def stride(self, x: int, e: int) -> int:
-        """x / (1 - q^e) = x + q^e x + q^2e x + ..., truncated at q^n_max.
-
-        Doubling: after t steps x carries the factor 1 + q^e + ... + q^((2^t - 1)e).
-        """
-        step = e
-        while step <= self.n_max:
-            x = (x + (x << self.width * step)) & self.mask
-            step <<= 1
-        return x
-
-    def tails(self) -> list[int]:
-        """[T_0, ..., T_n_max] with T_s = prod_{j>s} 1/(1-q^j): parts above s, freely."""
-        out = [1] * (self.n_max + 1)
-        for s in range(self.n_max, 0, -1):
-            out[s - 1] = self.stride(out[s], s)
-        return out
-
-    def unpack(self, x: int) -> tuple[int, ...]:
-        """The counts of a packed row, entry n at index n, from one byte string."""
-        s = self.size
-        data = x.to_bytes(s * (self.n_max + 1), "little")
-        return tuple([int.from_bytes(data[i : i + s], "little") for i in range(0, len(data), s)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +231,9 @@ def parts_parity_counts(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     every = _restricted(rows, ResidueCondition(1, frozenset({0})))
     no_part = ResidueCondition(1, frozenset({0}), mode="exclude")
     half = every - _restricted(rows, no_part, ResidueCondition(2, frozenset({1}))) >> 1
-    pair = b"\xff" * rows.size + bytes(rows.size)
-    even_slots = int.from_bytes(pair * (n_max // 2 + 1), "little")
-    odd = (half & even_slots) | (every - half & even_slots << rows.width)
-    return rows.unpack(every - odd), rows.unpack(odd)
+    p, odd = rows.unpack(every), list(rows.unpack(half))
+    odd[1::2] = map(sub, p[1::2], odd[1::2])
+    return tuple(map(sub, p, odd)), tuple(odd)
 
 
 def p_even_parts(n: int) -> int:

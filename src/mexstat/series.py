@@ -24,7 +24,8 @@ arXiv:0712.4046), a factor (1 +- q^e) is one shifted add of the low
 P+1-e slots, and intermediate slots may overflow and borrow freely.  Only
 the final coefficients must satisfy |c| < 2^(w-1): adding 2^(w-1) to every
 slot then leaves each in [0, 2^w), and one pass over the bytes reads them
-back.  The width comes from one of three places:
+back.  :class:`PackedRows` holds this format for these kernels and the
+counting DPs alike.  The width comes from one of three places:
 
 * a multiply of known operands: bitlen(max|a|) + bitlen(max|b|) +
   bitlen(nnz of the sparser operand) + 1, since no coefficient of the
@@ -285,28 +286,93 @@ def _coefficient_bits(weight: int, precision: int, modulus: int = 1) -> int:
     return 21 * (isqrt(weight * precision // modulus) + 1) // 8 + 2
 
 
-def _bias(slots: int, size: int) -> int:
-    """2^(8*size - 1) in each of ``slots`` slots of ``size`` bytes."""
-    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+class PackedRows:
+    """Series truncated at q^n_max, each one int: coefficient n in the byte-aligned slot
+    of bits [n * width, (n + 1) * width), the series at X = 2^width; the one code that
+    knows this layout.  ``PackedRows(n_max, weight)`` holds counting DPs' rows: each
+    count at n is below exp(pi*sqrt(weight*n/3)), weight 2 for sub-counts of p(n),
+    3 for overpartitions, 4 for pairs of partitions, so whole-byte slots of
+    :func:`_coefficient_bits` less the sign bit never overflow.  The series kernels
+    pick their own slot size (:meth:`of_size`) and signed coefficients."""
 
+    def __init__(self, n_max: int, weight: int = 2) -> None:
+        if n_max < 0:
+            raise ValueError("n must be non-negative")
+        self._fit(n_max, (_coefficient_bits(weight, n_max) + 6) // 8)
 
-def _pack(coeffs: Sequence[int], size: int) -> int:
-    """The sum of coeffs[i] * 2^(8*size*i); each |coeffs[i]| < 2^(8*size - 1)."""
-    half = 1 << 8 * size - 1
-    data = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
-    return int.from_bytes(data, "little") - _bias(len(coeffs), size)
+    @classmethod
+    def of_size(cls, n_max: int, size: int) -> PackedRows:
+        """Rows over q^0..q^n_max in slots of ``size`` bytes."""
+        rows = cls.__new__(cls)
+        rows._fit(n_max, size)
+        return rows
 
+    def _fit(self, n_max: int, size: int) -> None:
+        self.n_max, self.size, self.width = n_max, size, 8 * size
+        self.mask, self._slot_mask = (1 << self.width * (n_max + 1)) - 1, (1 << self.width) - 1
 
-def _unpack(packed: int, size: int, stop: int) -> list[int]:
-    """Coefficients 0..stop-1 of ``packed``, exact if each is below 2^(8*size - 1)
-    in absolute value; slots at stop and above may hold anything."""
-    bias = _bias(stop, size)
-    data = ((packed + bias) & (1 << 8 * size * stop) - 1).to_bytes(size * stop, "little")
-    half = 1 << 8 * size - 1
-    return [
-        int.from_bytes(data[i : i + size], "little") - half
-        for i in range(0, size * stop, size)
-    ]
+    def _bias(self, slots: int) -> int:
+        # 2^(width - 1) in each of the low ``slots`` slots
+        return int.from_bytes((bytes(self.size - 1) + b"\x80") * slots, "little")
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        """The sum of coeffs[n] * X^n, n <= n_max, each |coeffs[n]| < 2^(width - 1)."""
+        half = 1 << self.width - 1
+        data = b"".join([(c + half).to_bytes(self.size, "little") for c in coeffs])
+        return int.from_bytes(data, "little") - self._bias(len(coeffs))
+
+    def place(self, terms: Mapping[int, int]) -> int:
+        """The row sum c * q^e over ``terms`` {e: c}, each e <= n_max and c a
+        multiplicity, 0 <= c < 256: it fills the low byte of its slot."""
+        data = bytearray(self.size * (self.n_max + 1))
+        for e, c in terms.items():
+            data[self.size * e] = c
+        return int.from_bytes(data, "little")
+
+    def truncate(self, x: int) -> int:
+        """x modulo q^(n_max + 1)."""
+        return x & self.mask
+
+    def shift(self, x: int, e: int) -> int:
+        """x * q^e, truncated at q^n_max."""
+        return x << self.width * e & self.mask
+
+    def stride(self, x: int, e: int) -> int:
+        """x / (1 - q^e) = x + q^e x + q^2e x + ..., truncated at q^n_max; e >= 1.
+
+        Doubling: after t steps x carries the factor 1 + q^e + ... + q^((2^t - 1)e).
+        """
+        if e < 1:
+            raise ValueError(f"stride needs a positive exponent, got {e}")
+        step = e
+        while step <= self.n_max:
+            x = (x + (x << self.width * step)) & self.mask
+            step <<= 1
+        return x
+
+    def tails(self) -> list[int]:
+        """[T_0, ..., T_n_max] with T_s = prod_{j>s} 1/(1-q^j): parts above s, freely."""
+        out = [1] * (self.n_max + 1)
+        for s in range(self.n_max, 0, -1):
+            out[s - 1] = self.stride(out[s], s)
+        return out
+
+    def slot(self, x: int, n: int) -> int:
+        """Entry n of a row of non-negative counts."""
+        return x >> self.width * n & self._slot_mask
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The entries of a row of non-negative counts, entry n at index n."""
+        s = self.size
+        data = x.to_bytes(s * (self.n_max + 1), "little")
+        return tuple([int.from_bytes(data[i : i + s], "little") for i in range(0, len(data), s)])
+
+    def signed(self, x: int) -> list[int]:
+        """Coefficients 0..n_max of x, exact if each |c| < 2^(width - 1); higher
+        slots may hold anything.  The bias puts each slot in [0, 2^width)."""
+        s, half, stop = self.size, 1 << self.width - 1, self.n_max + 1
+        data = self.truncate(x + self._bias(stop)).to_bytes(s * stop, "little")
+        return [int.from_bytes(data[i : i + s], "little") - half for i in range(0, len(data), s)]
 
 
 def _bit_length(coeffs: Sequence[int]) -> int:
@@ -345,19 +411,19 @@ def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _shift_add(sparse: Sequence[int], dense: Sequence[int], size: int) -> list[int]:
     """Truncated product as one shifted add of the packed ``dense`` per nonzero of ``sparse``."""
-    stop = len(sparse)
-    w = 8 * size
-    packed = _pack(dense, size)
+    rows = PackedRows.of_size(len(sparse) - 1, size)
+    packed = rows.truncate(rows.pack(dense))  # non-negative: each shift then costs less
     acc = 0
     for e, c in enumerate(sparse):
         if c:
-            acc += c * ((packed & (1 << w * (stop - e)) - 1) << w * e)
-    return _unpack(acc, size, stop)
+            acc += c * rows.shift(packed, e)
+    return rows.signed(acc)
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
     """Truncated product as one multiply of the packed operands."""
-    return _unpack(_pack(a, size) * _pack(b, size), size, len(a))
+    rows = PackedRows.of_size(len(a) - 1, size)
+    return rows.signed(rows.pack(a) * rows.pack(b))
 
 
 def _recurrence_inverse(a: Sequence[int]) -> list[int]:
@@ -413,26 +479,22 @@ def _binomial_product(
     drawn from the classes of those residues mod M, each residue listed as
     often as its class may repeat.  The factors with 2e > precision
     multiply to 1 + sign * sum q^e, each e counted as often as it is listed
-    (no product of two of their terms fits), which is packed as the start;
-    every other factor adds or subtracts the packed low part shifted by e
-    slots.  The slots hold the bound :func:`_slot_size` picks.
+    (no product of two of their terms fits), which is placed as the start;
+    every other factor adds or subtracts the row shifted by e slots.  A
+    difference is reduced modulo q^(precision+1), as a shift of a negative
+    int costs more.  The slots hold the bound :func:`_slot_size` picks.
     """
     if precision < 0:
         raise ValueError("precision must be non-negative")
     counts = Counter(e for e in exponents if e <= precision)
-    size = _slot_size(counts, precision, classes)
-    w = 8 * size
-    top = bytearray(size * (precision + 1))
-    for e, r in counts.items():
-        if 2 * e > precision:
-            top[size * e : size * (e + 1)] = r.to_bytes(size, "little")
-    packed = 1 + sign * int.from_bytes(top, "little")
+    rows = PackedRows.of_size(precision, _slot_size(counts, precision, classes))
+    packed = 1 + sign * rows.place({e: r for e, r in counts.items() if 2 * e > precision})
     for e, r in counts.items():
         if 2 * e <= precision:
             for _ in range(r):
-                low = (packed & (1 << w * (precision + 1 - e)) - 1) << w * e
-                packed = packed + low if sign > 0 else packed - low
-    return TruncatedSeries._of_checked(tuple(_unpack(packed, size, precision + 1)))
+                low = rows.shift(packed, e)
+                packed = packed + low if sign > 0 else rows.truncate(packed - low)
+    return TruncatedSeries._of_checked(tuple(rows.signed(packed)))
 
 
 def _cauchy_terms(
@@ -441,12 +503,11 @@ def _cauchy_terms(
     """For each case (signs, t_exponent), the sum over n of
     signs[n] * q^(t_exponent*n) / ((1-q)...(1-q^n)), truncated; one series per case.
 
-    Every case reads one running 1/(q)_n, built once: 1/(1 - q^n) is
-    applied as the product of (1 + q^(n*2^k)) over k, each factor one
-    shifted add of the packed low part.  A case is live at n while it has a
-    sign there and its shift t_exponent*n is at most the precision; the
-    inverse is kept to the slots the live case of smallest t_exponent still
-    reads, and the pass stops when no case is live.  With t_exponent >= 1
+    Every case reads one running 1/(q)_n, built once: 1/(1 - q^n) is one
+    :meth:`PackedRows.stride`.  A case is live at n while it has a sign
+    there and its shift t_exponent*n is at most the precision; the inverse
+    is strided on rows as narrow as the slots the live case of smallest
+    t_exponent still reads, and the pass stops when no case is live.  With t_exponent >= 1
     and every sign in {-1, 0, 1} the coefficients are at most p(precision)
     in absolute value, the weight-2 bound: adding t_exponent - 1 to each of
     the n parts of a partition counted by q^n/(q)_n is injective into the
@@ -455,31 +516,26 @@ def _cauchy_terms(
     if precision < 0:
         raise ValueError("precision must be non-negative")
     size = (_coefficient_bits(2, precision) + 7) // 8
-    w = 8 * size
+    rows = PackedRows.of_size(precision, size)
     inverse, totals = 1, [0] * len(cases)  # 1/(q)_n and the sums, packed
     n = 0
     while True:
         live = [c for c, (signs, t) in enumerate(cases) if n < len(signs) and n * t <= precision]
         if not live:
             break
-        # this n and every later one read only the low ``room`` slots
-        room = precision + 1 - n * min(cases[c][1] for c in live)
-        inverse &= (1 << w * room) - 1
-        e = n
-        while 0 < e < room:
-            inverse += (inverse & (1 << w * (room - e)) - 1) << w * e
-            e *= 2
+        if n:
+            # this n and every later one read only the low ``room`` slots
+            room = precision + 1 - n * min(cases[c][1] for c in live)
+            narrow = PackedRows.of_size(room - 1, size)
+            inverse = narrow.stride(narrow.truncate(inverse), n)
         for c in live:
             signs, t = cases[c]
             if signs[n] > 0:
-                totals[c] += inverse << w * (n * t)
+                totals[c] += rows.shift(inverse, n * t)
             elif signs[n] < 0:
-                totals[c] -= inverse << w * (n * t)
+                totals[c] -= rows.shift(inverse, n * t)
         n += 1
-    return [
-        TruncatedSeries._of_checked(tuple(_unpack(total, size, precision + 1)))
-        for total in totals
-    ]
+    return [TruncatedSeries._of_checked(tuple(rows.signed(total))) for total in totals]
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Literal
 
-from . import limits, partitions
-from .series import count_numerator, theta_quotient, theta_quotient_at
+from . import limits
+from .series import PackedRows, count_numerator, theta_quotient, theta_quotient_at
 
 Method = Literal["combinatorial", "series"]
 
@@ -83,12 +83,12 @@ def crank(parts: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=1)
-def _stat_census() -> tuple[partitions.PackedRows, dict[str, dict[int, int]]]:
+def _stat_census() -> tuple[PackedRows, dict[str, dict[int, int]]]:
     # (packer, rows by statistic and then by value m), packed over n = 0..ENUMERATION_CAP;
     # spt is one row, under m = 0, so its total is the zeroth moment.  Weight 4, as spt(n)
     # <= p_2(n): lambda with k of its smallest parts s marked -> (lambda - s^k, s^k) is 1-1
     n_max = limits.ENUMERATION_CAP
-    rows = partitions.PackedRows(n_max, 4)
+    rows = PackedRows(n_max, 4)
     rank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
     crank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
     rank_rows[0] = crank_rows[0] = 1
@@ -101,10 +101,10 @@ def _stat_census() -> tuple[partitions.PackedRows, dict[str, dict[int, int]]]:
     binomials = [1]
     for m in range(n_max):
         if m:
-            keep = (1 << rows.width * (n_max - m)) - 1
+            kept = PackedRows.of_size(n_max - m - 1, rows.size)
             binomials = [
-                ((binomials[j - 1] if j else 0) + (binomials[j] << rows.width * j if j < m else 0))
-                & keep
+                kept.truncate(binomials[j - 1] if j else 0)
+                + (kept.shift(binomials[j], j) if j < m else 0)
                 for j in range(m + 1)
             ]
         for j, box in enumerate(binomials):
@@ -135,7 +135,7 @@ def _stat_census() -> tuple[partitions.PackedRows, dict[str, dict[int, int]]]:
     return rows, {"rank": rank_rows, "crank": crank_rows, "spt": {0: spt}}
 
 
-def _census(n: int, least: int) -> tuple[partitions.PackedRows, dict[str, dict[int, int]]]:
+def _census(n: int, least: int) -> tuple[PackedRows, dict[str, dict[int, int]]]:
     # the census, once n is checked: at least ``least`` (0 or 1) and within the cap
     if n < least:
         raise ValueError("n must be at least 1" if least else "n must be non-negative")
@@ -171,8 +171,7 @@ def _census_at(stat: str, n: int, weight: Callable[[int], int]) -> int:
 def _census_slots(stat: str, n: int) -> dict[int, int]:
     # value m -> count of ``stat`` = m at n, slot n of each census row read once; no zeros
     packer, by_stat = _census(n, 1)
-    top, slot = packer.width * n, (1 << packer.width) - 1
-    return {m: c for m, x in by_stat[stat].items() if (c := x >> top & slot)}
+    return {m: c for m, x in by_stat[stat].items() if (c := packer.slot(x, n))}
 
 
 # The weights, each a function of the statistic's value m.

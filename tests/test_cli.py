@@ -475,6 +475,20 @@ class TestVerifyCommand:
         header = out.splitlines()[0]
         assert header == "id,n_from,n_to,status,num_failures"
 
+    @pytest.mark.parametrize(
+        "bounds", [["--max-n", "-5"], ["--max-n", "6", "--max-n-series", "-3"]]
+    )
+    def test_all_with_a_negative_bound_exits_2(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "verify", "all", *bounds)
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
+
+    def test_all_at_zero_checks_each_first_value(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "0")
+        assert code == 0
+        assert out.startswith("pass  thm-3.1             n=1..1")
+
     def test_capacity_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "cor-3.4", "--max-n", "200")
         assert code == 2

@@ -92,6 +92,17 @@ class TestVerify:
         assert len(reports) == len(REGISTRY)
         assert all(r.status == "pass" for r in reports)
 
+    @pytest.mark.parametrize("bounds", [(-5, 5), (5, -3), (-1, -1)])
+    def test_verify_all_refuses_a_negative_bound(self, bounds):
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_all(*bounds)
+
+    def test_verify_all_raises_a_zero_bound_to_each_valid_from(self):
+        reports = verify_all(0, 0)
+        assert len(reports) == len(REGISTRY)
+        assert all(r.n_to == REGISTRY[r.check_id].valid_from for r in reports)
+        assert all(r.status == "pass" for r in reports)
+
     def test_deterministic_reports(self):
         a = verify("cor-3.9", 12)
         b = verify("cor-3.9", 12)

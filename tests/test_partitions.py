@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mexstat import partitions
+from mexstat import partitions, series
 from mexstat.limits import P_TABLE_CAP
 from mexstat.partitions import (
     CapacityError,
@@ -400,3 +400,33 @@ def test_parts_parity_counts_match_quadratic_dp_at_every_width():
 def test_parts_parity_counts_reject_negative_n(count):
     with pytest.raises(ValueError, match="n must be non-negative"):
         count(-1)
+
+
+def test_restricted_and_parity_rows_read_neither_series_nor_pentagonal_table(monkeypatch):
+    # the rhs of thm-3.10..3.13, psi-minus-q, thm-1.3 and pe-po-genfun: the rows share
+    # series.PackedRows arithmetic with the series route, and nothing else
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the counting DPs must not use this route")
+
+    parts_parity_counts.cache_clear()
+    for module, name in [
+        (series, "_product"),
+        (series, "_binomial_product"),
+        (series, "_cauchy_terms"),
+        (series, "residue_product"),
+        (series, "partition_generating_series"),
+        (series.TruncatedSeries, "__init__"),
+        (series.TruncatedSeries, "_of_checked"),
+        (partitions, "p_count"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    not_0_3_4 = ResidueCondition(7, frozenset({0, 3, 4}), mode="exclude")
+    odd, even = ResidueCondition(2, frozenset({1})), ResidueCondition(2, frozenset({0}))
+    cases = [(not_0_3_4, None), (odd, even), (not_0_3_4, odd)]
+    rows = [count_parts_restricted_row(60, allowed, distinct) for allowed, distinct in cases]
+    parity = parts_parity_counts(60)
+    monkeypatch.undo()
+    for row, (allowed, distinct) in zip(rows, cases):
+        assert row == _list_restricted_row(60, allowed, distinct)
+    even_counts, odd_counts = _parity_counts_quadratic(60)
+    assert parity == (even_counts, odd_counts)

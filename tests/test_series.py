@@ -915,3 +915,81 @@ def test_per_class_slots_are_narrower_where_the_classes_are_sparse():
     counts = Counter(e for s in (13, 1, 12) for e in range(s, 1001, 13))
     assert kernels._slot_size(counts, 1000, (13, (13, 1, 12))) == 6
     assert kernels._slot_size(counts, 1000, None) == 11
+
+
+# ---------------------------------------------------------------------------
+# PackedRows: the one packed format of the series kernels and the counting DPs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def signed_rows(draw):
+    """(rows, coefficients): a slot size, n_max and coefficients within its signed range."""
+    size, n_max = draw(st.integers(1, 4)), draw(st.integers(0, 20))
+    top = (1 << 8 * size - 1) - 1
+    edge = st.sampled_from([top, -top, 0, 1, -1])
+    coeffs = draw(st.lists(st.integers(-top, top) | edge, min_size=n_max + 1, max_size=n_max + 1))
+    return kernels.PackedRows.of_size(n_max, size), coeffs
+
+
+@given(signed_rows())
+@settings(max_examples=100, deadline=None)
+def test_packed_signed_reads_back_what_pack_packs(case):
+    rows, coeffs = case
+    packed = rows.pack(coeffs)
+    assert packed == sum(c << rows.width * n for n, c in enumerate(coeffs))
+    assert rows.signed(packed) == coeffs
+    # a row of counts fills whole slots, sign bit included
+    counts = [2 * abs(c) + 1 for c in coeffs]
+    row = sum(c << rows.width * n for n, c in enumerate(counts))
+    assert rows.unpack(row) == tuple(counts)
+    assert [rows.slot(row, n) for n in range(rows.n_max + 1)] == counts
+
+
+@pytest.mark.parametrize("size", [1, 2, 9])
+def test_packed_signed_reads_the_extremes_at_both_signs(size):
+    top = (1 << 8 * size - 1) - 1
+    coeffs = [top, -top, -top, top, 0, -top, top]
+    rows = kernels.PackedRows.of_size(len(coeffs) - 1, size)
+    assert rows.signed(rows.pack(coeffs)) == coeffs
+    # a higher slot may hold anything: the low slots read the same
+    assert rows.signed(rows.pack(coeffs) + (12345 << rows.width * len(coeffs))) == coeffs
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 25),
+    st.dictionaries(st.integers(0, 25), st.integers(0, 255), max_size=10),
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_place_is_the_literal_sum_and_slot_reads_each_entry(size, n_max, terms):
+    rows = kernels.PackedRows.of_size(n_max, size)
+    terms = {e: c for e, c in terms.items() if e <= n_max}
+    placed = rows.place(terms)
+    assert placed == sum(c << rows.width * e for e, c in terms.items())
+    entries = rows.unpack(placed)
+    assert list(entries) == [terms.get(n, 0) for n in range(n_max + 1)]
+    assert [rows.slot(placed, n) for n in range(n_max + 1)] == list(entries)
+    with pytest.raises(ValueError):
+        rows.place({n_max: 256})  # a multiplicity fills one byte, never a slot silently
+
+
+@given(signed_rows(), st.integers(0, 20), st.integers(0, 20))
+@settings(max_examples=80, deadline=None)
+def test_narrower_rows_truncate_as_the_low_mask(case, keep, e):
+    # the low masks the series kernels built by hand: 1 << w * slots, less one
+    rows, coeffs = case
+    keep, e, w = min(keep, rows.n_max), min(e, rows.n_max), 8 * rows.size
+    narrow = kernels.PackedRows.of_size(keep, rows.size)
+    packed = rows.pack(coeffs)
+    assert narrow.truncate(packed) == packed & (1 << w * (keep + 1)) - 1
+    assert narrow.signed(packed) == coeffs[: keep + 1]
+    stop = rows.n_max + 1
+    assert rows.shift(packed, e) == (packed & (1 << w * (stop - e)) - 1) << w * e
+
+
+@pytest.mark.parametrize("e", [-1, -7, 0])
+def test_packed_stride_refuses_a_non_positive_exponent(e):
+    # 1/(1 - q^0) has no series, and a zero doubling step would never end
+    with pytest.raises(ValueError, match="positive"):
+        kernels.PackedRows(10).stride(1, e)
