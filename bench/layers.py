@@ -19,6 +19,14 @@ Layers:
   n <= P;
 * ``jtp_product.P`` (P = 1000, 5000) -- the product side of the even
   Jacobi triple product with k = i = 1, whose factors all appear twice;
+* ``packed.signed.1000.S`` and ``packed.pack.1000.S`` (S = 1..40) -- one
+  ``PackedRows.signed`` decode and one ``pack`` of 1001 signed coefficients
+  in S-byte slots (each time is a batch of 20 calls divided by 20); at
+  P = 1000 the triple products decode 6- to 8-byte slots and the Cauchy sums
+  and the products with the partition series 15-byte slots, and at P = 5000
+  the Cauchy sums take 34;
+* ``recurrence_inverse.5000`` -- the inverse of the Euler product at 5000,
+  which takes the sparse recurrence: the partition generating series;
 * ``cauchy_sum.1000`` -- the sum of q^n/(q)_n over n, truncated at q^1000;
 * ``cauchy_sums.thm29.1000`` -- the thm-2.9 sum side at 1000: the six sums
   of t^n/(q)_n at t = q^j (j = 1..5) and t = -q;
@@ -73,6 +81,7 @@ import io
 import json
 import os
 import platform
+import random
 import statistics
 import time
 from contextlib import redirect_stdout
@@ -177,6 +186,16 @@ def main() -> None:
         layers[f"jtp_product.{p}"] = timed(
             lambda: jtp_specialized(1, 1, "even", "product", p), repeats
         )
+    rng = random.Random(1)
+    for size in range(1, 41):
+        rows = series.PackedRows.of_size(1000, size)
+        top = (1 << 8 * size - 1) - 1
+        coeffs = [rng.randint(-top, top) for _ in range(1001)]
+        packed = rows.pack(coeffs)
+        layers[f"packed.signed.1000.{size}"] = timed(lambda: rows.signed(packed), repeats, calls=20)
+        layers[f"packed.pack.1000.{size}"] = timed(lambda: rows.pack(coeffs), repeats, calls=20)
+    euler = series.euler_product(5000)
+    layers["recurrence_inverse.5000"] = timed(euler.invert, repeats)
     layers["cauchy_sum.1000"] = timed(lambda: cauchy_sum_specialized(1, False, 1000), repeats)
     checks = identities.REGISTRY
     layers["cauchy_sums.thm29.1000"] = timed(lambda: checks["thm-2.9"].make_lhs(1000), repeats)

@@ -342,9 +342,14 @@ def build_registry() -> dict[str, IdentityCheck]:
         second = p_rec(3, n + 1, n) - p_rec(1, n, n)
         return (second,) if n < 2 else (p_rec(3, n, n) - p_rec(1, n - 1, n), second)
 
+    # the grid pairs with a > n, for each n below SWEEP_a_MAX; none from there on
+    above_at = [
+        [(A, a) for A in range(1, SWEEP_A_MAX + 1) for a in range(n + 1, SWEEP_a_MAX + 1)]
+        for n in range(SWEEP_a_MAX)
+    ]
+
     def above(n: int) -> list[tuple[int, int]]:
-        # the grid pairs with a > n
-        return [(A, a) for A in range(1, SWEEP_A_MAX + 1) for a in range(n + 1, SWEEP_a_MAX + 1)]
+        return above_at[n] if n < SWEEP_a_MAX else []
 
     def lemma_lhs(n_max: int) -> Evaluator:
         # above(n) is empty from n = SWEEP_a_MAX on, so no row is read past it

@@ -25,7 +25,15 @@ P+1-e slots, and intermediate slots may overflow and borrow freely.  Only
 the final coefficients must satisfy |c| < 2^(w-1): adding 2^(w-1) to every
 slot then leaves each in [0, 2^w), and one pass over the bytes reads them
 back.  :class:`PackedRows` holds this format for these kernels and the
-counting DPs alike.  The width comes from one of three places:
+counting DPs alike, and converts whole rows in bulk.  A slot of at most 8
+bytes is widened to an 8-byte word by one extended-slice copy per byte
+position, and one ``struct`` call with an explicit little-endian format
+reads or writes every word; in a biased slot the top byte with its bias
+bit flipped is the top byte of c in two's complement, and the sign fill of
+the word is a second ``bytes.translate`` of that byte.  A wider slot is
+read as one ``struct`` string each, by ``int.from_bytes`` through ``map``,
+and written by one ``to_bytes`` per slot, which splitting into words does
+not beat.  The width comes from one of three places:
 
 * a multiply of known operands: bitlen(max|a|) + bitlen(max|b|) +
   bitlen(nnz of the sparser operand) + 1, since no coefficient of the
@@ -61,6 +69,15 @@ counting DPs alike.  The width comes from one of three places:
   one at k = 6 (M = 13, P = 1000) takes 46 bits against the 86 of
   weight 1.
 
+A sum of s(n) q^(tn)/(q)_n with periodic signs, s(n) = pattern[n mod L],
+needs 1/(q)_n only while it still changes where the terms read it.  Term m
+reads 1/(q)_m below degree P - tm, and 1/(q)_m agrees with 1/(q)_n below
+degree n + 1 whenever m >= n.  At n = ceil((P - t)/(t + 1)), P - t(n+1) <= n,
+so every term from n on reads 1/(q)_n itself, and the tail is exactly
+(sum_{j<L} s(n+j) q^(t(n+j))) / (q)_n / (1 - q^(tL)): one period of terms
+and one stride (see :func:`_cauchy_terms`).  For t = 1 the running inverse
+stops at n = P/2 instead of P.
+
 Which route a multiply takes depends on the nonzero counts: a loop over
 nonzero pairs, shifted adds of the packed dense operand over the sparse
 operand's nonzeros, or one Kronecker multiply.  Dense series invert by
@@ -89,11 +106,13 @@ as does every point read.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass
 from functools import _CacheInfo, wraps
+from itertools import chain, repeat
 from math import isqrt
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 Sign = Literal["minus", "plus"]
@@ -286,6 +305,13 @@ def _coefficient_bits(weight: int, precision: int, modulus: int = 1) -> int:
     return 21 * (isqrt(weight * precision // modulus) + 1) // 8 + 2
 
 
+# bytes.translate tables on the top byte of a slot biased by 2^(width - 1): the same
+# byte with the bias bit flipped (the top byte of c in two's complement), and the
+# sign fill of the word that widens the slot (0xff where c < 0)
+_FLIP = bytes([b ^ 0x80 for b in range(256)])
+_NEGATIVE_FILL = b"\xff" * 128 + bytes(128)
+
+
 class PackedRows:
     """Series truncated at q^n_max, each one int: coefficient n in the byte-aligned slot
     of bits [n * width, (n + 1) * width), the series at X = 2^width; the one code that
@@ -317,9 +343,19 @@ class PackedRows:
 
     def pack(self, coeffs: Sequence[int]) -> int:
         """The sum of coeffs[n] * X^n, n <= n_max, each |coeffs[n]| < 2^(width - 1)."""
-        half = 1 << self.width - 1
-        data = b"".join([(c + half).to_bytes(self.size, "little") for c in coeffs])
-        return int.from_bytes(data, "little") - self._bias(len(coeffs))
+        s, count = self.size, len(coeffs)
+        if s <= 8:
+            # two's complement words; their low s bytes, bias bit flipped, are c + 2^(w-1)
+            words = struct.pack(f"<{count}q", *coeffs)
+            data = bytearray(s * count)
+            for i in range(s - 1):
+                data[i::s] = words[i::8]
+            data[s - 1 :: s] = words[s - 1 :: 8].translate(_FLIP)
+        else:
+            # one to_bytes per slot: through map, or split into words, it is no faster
+            half = 1 << self.width - 1
+            data = b"".join([(c + half).to_bytes(s, "little") for c in coeffs])
+        return int.from_bytes(data, "little") - self._bias(count)
 
     def place(self, terms: Mapping[int, int]) -> int:
         """The row sum c * q^e over ``terms`` {e: c}, each e <= n_max and c a
@@ -336,6 +372,11 @@ class PackedRows:
     def shift(self, x: int, e: int) -> int:
         """x * q^e, truncated at q^n_max."""
         return x << self.width * e & self.mask
+
+    def lift(self, x: int, e: int) -> int:
+        """x * q^e, not truncated: slots above n_max are left for a later
+        :meth:`truncate` or :meth:`signed` to drop."""
+        return x << self.width * e
 
     def stride(self, x: int, e: int) -> int:
         """x / (1 - q^e) = x + q^e x + q^2e x + ..., truncated at q^n_max; e >= 1.
@@ -363,16 +404,35 @@ class PackedRows:
 
     def unpack(self, x: int) -> tuple[int, ...]:
         """The entries of a row of non-negative counts, entry n at index n."""
-        s = self.size
-        data = x.to_bytes(s * (self.n_max + 1), "little")
-        return tuple([int.from_bytes(data[i : i + s], "little") for i in range(0, len(data), s)])
+        return tuple(self._slots(x.to_bytes(self.size * (self.n_max + 1), "little"), False))
 
     def signed(self, x: int) -> list[int]:
         """Coefficients 0..n_max of x, exact if each |c| < 2^(width - 1); higher
         slots may hold anything.  The bias puts each slot in [0, 2^width)."""
-        s, half, stop = self.size, 1 << self.width - 1, self.n_max + 1
-        data = self.truncate(x + self._bias(stop)).to_bytes(s * stop, "little")
-        return [int.from_bytes(data[i : i + s], "little") - half for i in range(0, len(data), s)]
+        stop = self.n_max + 1
+        data = self.truncate(x + self._bias(stop)).to_bytes(self.size * stop, "little")
+        return list(self._slots(data, True))
+
+    def _slots(self, data: bytes, biased: bool) -> Iterable[int]:
+        # The slots of ``data`` as ints, less 2^(width - 1) each if ``biased``.  Slots
+        # of at most 8 bytes are widened to 8-byte words by extended-slice copies, the
+        # high bytes of a biased slot filled with its sign, and struct reads every word
+        # at once; wider slots are read one struct string at a time by int.from_bytes.
+        s, count = self.size, self.n_max + 1
+        if s > 8:
+            chunks = chain.from_iterable(struct.iter_unpack(f"<{s}s", data))
+            slots = map(int.from_bytes, chunks, repeat("little"))
+            return map(sub, slots, repeat(1 << self.width - 1)) if biased else slots
+        words = bytearray(8 * count)
+        for i in range(s - 1 if biased else s):
+            words[i::8] = data[i::s]
+        if biased:
+            top = data[s - 1 :: s]
+            words[s - 1 :: 8] = top.translate(_FLIP)
+            fill = top.translate(_NEGATIVE_FILL)
+            for i in range(s, 8):
+                words[i::8] = fill
+        return struct.unpack(f"<{count}{'q' if biased else 'Q'}", words)
 
 
 def _bit_length(coeffs: Sequence[int]) -> int:
@@ -427,16 +487,23 @@ def _kronecker(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
 
 
 def _recurrence_inverse(a: Sequence[int]) -> list[int]:
-    """1/a for a[0] = +-1 from b[m] = -a[0] * sum_k a[k] b[m-k], over the nonzero a[k]."""
-    nonzero = [(k, ak) for k, ak in enumerate(a) if ak and k]
-    b = [a[0]] + [0] * (len(a) - 1)
+    """1/a for a[0] = +-1 from b[m] = -a[0] * sum_k a[k] b[m-k], over the nonzero a[k].
+
+    With m entries of b known, b[m-k] is b[-k]: the terms of one coefficient value v
+    are gathered by one itemgetter over the offsets -k of its k <= m, rebuilt when m
+    reaches a new k of that value.
+    """
+    b = [a[0]]
+    offsets: dict[int, list[int]] = {}
+    getters: dict[int, Callable[[list[int]], Sequence[int]]] = {}
     for m in range(1, len(a)):
-        s = 0
-        for k, ak in nonzero:
-            if k > m:
-                break
-            s += ak * b[m - k]
-        b[m] = -a[0] * s
+        v = a[m]
+        if v:
+            ks = offsets.setdefault(v, [])
+            ks.append(-m)
+            # itemgetter of one index returns the item: read it as a one-item slice
+            getters[v] = itemgetter(*ks) if len(ks) > 1 else itemgetter(slice(-m, 1 - m or None))
+        b.append(-b[0] * sum([v * sum(get(b)) for v, get in getters.items()]))
     return b
 
 
@@ -500,40 +567,55 @@ def _binomial_product(
 def _cauchy_terms(
     cases: Sequence[tuple[Sequence[int], int]], precision: int
 ) -> list[TruncatedSeries]:
-    """For each case (signs, t_exponent), the sum over n of
-    signs[n] * q^(t_exponent*n) / ((1-q)...(1-q^n)), truncated; one series per case.
+    """For each case (pattern, t), the sum over n >= 0 of
+    pattern[n % len(pattern)] * q^(t*n) / ((1-q)...(1-q^n)), truncated; one series
+    per case.  Each pattern is non-empty and each t >= 1.
 
     Every case reads one running 1/(q)_n, built once: 1/(1 - q^n) is one
-    :meth:`PackedRows.stride`.  A case is live at n while it has a sign
-    there and its shift t_exponent*n is at most the precision; the inverse
-    is strided on rows as narrow as the slots the live case of smallest
-    t_exponent still reads, and the pass stops when no case is live.  With t_exponent >= 1
-    and every sign in {-1, 0, 1} the coefficients are at most p(precision)
-    in absolute value, the weight-2 bound: adding t_exponent - 1 to each of
-    the n parts of a partition counted by q^n/(q)_n is injective into the
+    :meth:`PackedRows.stride`.  Term m reads 1/(q)_m only below degree
+    precision - t*m, and 1/(q)_m = 1/(q)_n below degree n + 1 for m >= n.  So from
+    n = ceil((precision - t) / (t + 1)) on, where precision - t*(n + 1) <= n, every
+    term reads 1/(q)_n itself, and the tail of the case is the terms n .. n + L - 1
+    (L = len(pattern)) over 1/(q)_n, divided by 1 - q^(t*L): one stride.  A case is
+    live until that n.  The inverse is strided on rows as narrow as the slots the
+    live case of smallest t still reads, and the pass stops when no case is live.
+    Terms before the tail are added untruncated; the final decode drops what lies
+    above the precision.  With every sign in {-1, 0, 1} the coefficients are at
+    most p(precision) in absolute value, the weight-2 bound: adding t - 1 to each
+    of the n parts of a partition counted by q^n/(q)_n is injective into the
     partitions of the shifted size.
     """
     if precision < 0:
         raise ValueError("precision must be non-negative")
     size = (_coefficient_bits(2, precision) + 7) // 8
     rows = PackedRows.of_size(precision, size)
+    tails = [max(0, -((t - precision) // (t + 1))) for _, t in cases]
     inverse, totals = 1, [0] * len(cases)  # 1/(q)_n and the sums, packed
+    live = range(len(cases))
     n = 0
-    while True:
-        live = [c for c, (signs, t) in enumerate(cases) if n < len(signs) and n * t <= precision]
-        if not live:
-            break
+    while live:
         if n:
             # this n and every later one read only the low ``room`` slots
             room = precision + 1 - n * min(cases[c][1] for c in live)
             narrow = PackedRows.of_size(room - 1, size)
             inverse = narrow.stride(narrow.truncate(inverse), n)
         for c in live:
-            signs, t = cases[c]
-            if signs[n] > 0:
-                totals[c] += rows.shift(inverse, n * t)
-            elif signs[n] < 0:
-                totals[c] -= rows.shift(inverse, n * t)
+            pattern, t = cases[c]
+            if n < tails[c]:
+                sign = pattern[n % len(pattern)]
+                if sign > 0:
+                    totals[c] += rows.lift(inverse, n * t)
+                elif sign < 0:
+                    totals[c] -= rows.lift(inverse, n * t)
+                continue
+            period = len(pattern)
+            tail = sum(
+                pattern[m % period] * rows.lift(inverse, m * t)
+                for m in range(n, n + period)
+                if m * t <= precision and pattern[m % period]
+            )
+            totals[c] += rows.stride(rows.truncate(tail), t * period)
+        live = [c for c in live if n < tails[c]]
         n += 1
     return [TruncatedSeries._of_checked(tuple(rows.signed(total))) for total in totals]
 
@@ -817,13 +899,12 @@ def cauchy_sums_specialized(
 ) -> list[TruncatedSeries]:
     """:func:`cauchy_sum_specialized` at each (t_exponent, negate_t) of ``cases``,
     in order, from one running 1/(q)_n."""
-    signed = []
+    patterns = []
     for t_exponent, negate_t in cases:
         if t_exponent < 1:
             raise ValueError("t must be a positive power of q for the sum to terminate")
-        count = precision // t_exponent + 1
-        signed.append(([-1 if negate_t and n & 1 else 1 for n in range(count)], t_exponent))
-    return _cauchy_terms(signed, precision)
+        patterns.append(((1, -1) if negate_t else (1,), t_exponent))
+    return _cauchy_terms(patterns, precision)
 
 
 def cauchy_sum_specialized(t_exponent: int, negate_t: bool, precision: int) -> TruncatedSeries:
@@ -840,13 +921,12 @@ def parts_parity_sums(
 ) -> list[TruncatedSeries]:
     """:func:`parts_parity_series` of each parity in ``parities``, in order, from
     one running 1/(q)_j."""
-    signed = []
+    patterns = []
     for parity in parities:
         if parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-        want = 0 if parity == "even" else 1
-        signed.append(([int(j % 2 == want) for j in range(precision + 1)], 1))
-    return _cauchy_terms(signed, precision)
+        patterns.append(((1, 0) if parity == "even" else (0, 1), 1))
+    return _cauchy_terms(patterns, precision)
 
 
 def parts_parity_series(parity: Literal["even", "odd"], precision: int) -> TruncatedSeries:

@@ -103,8 +103,9 @@ def _stat_census() -> tuple[PackedRows, dict[str, dict[int, int]]]:
         if m:
             kept = PackedRows.of_size(n_max - m - 1, rows.size)
             binomials = [
-                kept.truncate(binomials[j - 1] if j else 0)
-                + (kept.shift(binomials[j], j) if j < m else 0)
+                kept.truncate(
+                    (binomials[j - 1] if j else 0) + (kept.lift(binomials[j], j) if j < m else 0)
+                )
                 for j in range(m + 1)
             ]
         for j, box in enumerate(binomials):

@@ -614,6 +614,25 @@ def test_invert_routes_agree_and_invert(a):
     assert literal_product(a, newton) == one
 
 
+def literal_recurrence_inverse(a):
+    """1/a for a[0] = +-1, one term a[k] b[m-k] at a time."""
+    b = [a[0]] + [0] * (len(a) - 1)
+    for m in range(1, len(a)):
+        b[m] = -a[0] * sum(a[k] * b[m - k] for k in range(1, m + 1) if a[k])
+    return b
+
+
+@given(
+    st.sampled_from([1, -1]),
+    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5, 17]), max_size=120),
+)
+@settings(max_examples=80, deadline=None)
+def test_recurrence_inverse_matches_the_literal_loop(unit, rest):
+    # coefficients beyond +-1 and values that recur, so each gatherer grows from one offset
+    a = [unit] + rest
+    assert kernels._recurrence_inverse(a) == literal_recurrence_inverse(a)
+
+
 @pytest.mark.parametrize("route", ["_newton_inverse", "_recurrence_inverse"])
 def test_each_invert_route_is_taken(monkeypatch, route):
     called = spy(monkeypatch, route)
@@ -689,13 +708,14 @@ def test_parts_parity_matches_literal_loop(parity, precision):
 
 @st.composite
 def cauchy_cases(draw):
-    """A list of (signs, t_exponent) cases with mixed exponents and sign patterns."""
+    """A list of (pattern, t_exponent) cases: periodic sign patterns of length 1-3,
+    zeros included, with small exponents and exponents at or past the precision."""
     precision = draw(st.integers(0, 60))
     cases = draw(
         st.lists(
             st.tuples(
-                st.lists(st.sampled_from([-1, 0, 1]), max_size=precision + 2),
-                st.integers(1, 7),
+                st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=3),
+                st.integers(1, 7) | st.integers(max(1, precision), precision + 3),
             ),
             max_size=5,
         )
@@ -706,10 +726,12 @@ def cauchy_cases(draw):
 @given(cauchy_cases())
 @settings(max_examples=80, deadline=None)
 def test_cauchy_terms_of_several_cases_match_literal_loops(case_list):
+    # the sign at n is pattern[n % len(pattern)]; the literal loop reads it term by term
     cases, precision = case_list
     built = kernels._cauchy_terms(cases, precision)
     assert [list(s.coeffs) for s in built] == [
-        literal_cauchy(signs, t, precision) for signs, t in cases
+        literal_cauchy([pattern[n % len(pattern)] for n in range(precision + 1)], t, precision)
+        for pattern, t in cases
     ]
 
 
@@ -944,6 +966,46 @@ def test_packed_signed_reads_back_what_pack_packs(case):
     row = sum(c << rows.width * n for n, c in enumerate(counts))
     assert rows.unpack(row) == tuple(counts)
     assert [rows.slot(row, n) for n in range(rows.n_max + 1)] == counts
+
+
+def literal_pack(rows, coeffs):
+    half = 1 << rows.width - 1
+    data = b"".join([(c + half).to_bytes(rows.size, "little") for c in coeffs])
+    return int.from_bytes(data, "little") - sum(half << rows.width * n for n in range(len(coeffs)))
+
+
+def literal_slots(rows, x):
+    size = rows.size
+    data = (x & rows.mask).to_bytes(size * (rows.n_max + 1), "little")
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+def literal_signed(rows, x):
+    half = 1 << rows.width - 1
+    bias = sum(half << rows.width * n for n in range(rows.n_max + 1))
+    return [slot - half for slot in literal_slots(rows, x + bias)]
+
+
+@pytest.mark.parametrize("size", range(1, 41))
+@given(st.integers(0, 300), st.randoms(use_true_random=False), st.integers(-(1 << 600), 1 << 600))
+@settings(max_examples=5, deadline=None)
+def test_packed_conversions_match_the_per_slot_literal_loops(size, n_max, rng, garbage):
+    # every slot size, coefficients at the ends of the signed range among random ones,
+    # and a signed int in the slots above n_max for ``signed`` to ignore
+    rows = kernels.PackedRows.of_size(n_max, size)
+    top = (1 << rows.width - 1) - 1
+    edges = [top, -top, 0, 1, -1]
+    coeffs = [
+        rng.choice(edges) if rng.random() < 0.3 else rng.randint(-top, top)
+        for _ in range(n_max + 1)
+    ]
+    coeffs[rng.randrange(n_max + 1)] = rng.choice([top, -top])
+    packed = rows.pack(coeffs)
+    assert packed == literal_pack(rows, coeffs)
+    above = packed + (garbage << rows.width * (n_max + 1))
+    assert rows.signed(above) == literal_signed(rows, above) == coeffs
+    counts = rows.truncate(packed + rows.pack([top] * (n_max + 1)))
+    assert rows.unpack(counts) == tuple(literal_slots(rows, counts))
 
 
 @pytest.mark.parametrize("size", [1, 2, 9])
