@@ -66,7 +66,16 @@ Layers:
   is a batch of 100 calls divided by 100);
 * ``p_table.20000`` -- ``p_count(20000)`` from an empty p(n) table;
 * ``genfun.prefix_hit.1000`` -- ``partition_generating_series(1000)``
-  with the cache holding only the series at precision 2000.
+  with the cache holding only the series at precision 2000;
+* ``cold_start.import_cli`` -- from starting a fresh interpreter to
+  ``import mexstat.cli`` done, as ``perfbench/run.py`` times ``setup_s``;
+* ``cold_start.compute_p_aa`` -- the whole run of a fresh
+  ``python -m mexstat compute p_aa --A 2 --a 3 --n 40 --format json``.
+
+The two cold-start rows are the median of COLD_STARTS fresh interpreters
+after one discarded start, each started with this process's environment,
+so on its ``PYTHONPATH``; with ``PYTHONDONTWRITEBYTECODE`` set, every start
+compiles the sources it imports.
 
 The three series-pass rows build the catalog sides through
 ``identities.REGISTRY``, so they time whatever route a checkout takes for
@@ -83,6 +92,8 @@ import os
 import platform
 import random
 import statistics
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 
@@ -97,6 +108,7 @@ from mexstat.series import (
 from mexstat.statistics import MexParams
 
 PRECISIONS = (500, 1000, 2000, 4000)
+COLD_STARTS = 15
 
 
 def timed(call, repeats: int, setup=None, calls: int = 1) -> dict:
@@ -110,6 +122,20 @@ def timed(call, repeats: int, setup=None, calls: int = 1) -> dict:
         for _ in range(calls):
             call()
         times.append((time.perf_counter() - start) / calls)
+    return {"median_s": statistics.median(times), "times_s": times}
+
+
+def cold_start(args: list[str], imported: bool) -> dict:
+    """Seconds per fresh ``python args``: to the child's printed monotonic clock
+    if ``imported``, else to its exit; the median of COLD_STARTS after one
+    discarded start."""
+    times = []
+    for i in range(COLD_STARTS + 1):
+        start = time.monotonic()
+        out = subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True)
+        end = float(out.stdout.split()[-1]) if imported else time.monotonic()
+        if i:
+            times.append(end - start)
     return {"median_s": statistics.median(times), "times_s": times}
 
 
@@ -173,7 +199,14 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=5)
     repeats = ap.parse_args().repeats
-    layers = {}
+    layers = {
+        "cold_start.import_cli": cold_start(
+            ["-c", "import mexstat.cli, time; print(time.monotonic())"], True
+        ),
+        "cold_start.compute_p_aa": cold_start(
+            "-m mexstat compute p_aa --A 2 --a 3 --n 40 --format json".split(), False
+        ),
+    }
     rogers_ramanujan = ResidueCondition(5, frozenset({1, 4}))
     for p in PRECISIONS:
         dense = residue_product(rogers_ramanujan, p)

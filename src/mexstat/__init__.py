@@ -1,14 +1,10 @@
-"""mexstat: exact mex-classified partition counts, partition statistics, and identity checks."""
+"""mexstat: exact mex-classified partition counts, partition statistics, and identity checks.
 
-from .identities import (
-    IdentityCheck,
-    IdentityReport,
-    REGISTRY,
-    build_registry,
-    list_identities,
-    verify,
-    verify_all,
-)
+The names of the identity catalog are loaded on first use (module
+``__getattr__``), so that ``import mexstat`` and the CLI's point queries do
+not build the catalog.
+"""
+
 from .limits import ENUMERATION_CAP, CapacityError
 from .mexcount import (
     mex_census,
@@ -54,6 +50,27 @@ from .statistics import (
 )
 
 __version__ = "0.1.0"
+
+_IDENTITY_NAMES = frozenset(
+    {
+        "IdentityCheck",
+        "IdentityReport",
+        "REGISTRY",
+        "build_registry",
+        "list_identities",
+        "verify",
+        "verify_all",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _IDENTITY_NAMES:
+        from . import identities
+
+        return getattr(identities, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CapacityError",

@@ -2,6 +2,11 @@
 
 Exit codes: 0 success (all verifications pass), 1 verification failure,
 2 usage error.  Every number printed is an exact decimal string.
+
+Importing this module loads only what ``compute`` and ``series`` read; the
+identity catalog (``verify``, ``list-identities``) and the reference tables
+(``table``) are imported by their subcommands, since a point query is one
+fresh process and their import would cost more than the query.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import io
 import json
 import sys
 
-from . import identities, mexcount, partitions, statistics, tables
+from . import mexcount, partitions, statistics
 from .limits import ENUMERATION_CAP, CapacityError, check_precision
 from .series import (
     ResidueCondition,
@@ -86,12 +91,13 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
     if kind in ("rank", "crank"):
         _require(args, ["partition"], kind)
         fn = statistics.rank if kind == "rank" else statistics.crank
-        return f"{kind}({tables.format_partition(args.partition)})", str(fn(args.partition)), "direct"
+        label = f"{kind}({partitions.format_partition(args.partition)})"
+        return label, str(fn(args.partition)), "direct"
     if kind == "mex":
         _require(args, ["partition", "A", "a"], kind)
         value = statistics.mex(args.partition, MexParams(args.A, args.a))
         return (
-            f"mex_{{{args.A},{args.a}}}({tables.format_partition(args.partition)})",
+            f"mex_{{{args.A},{args.a}}}({partitions.format_partition(args.partition)})",
             str(value),
             "direct",
         )
@@ -140,6 +146,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import tables
+
     if args.format == "csv":
         sys.stdout.write(tables.render_csv(args.table_id))
     elif args.format == "json":
@@ -219,6 +227,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import identities
+
     if args.check_id == "all":
         n_series = args.max_n_series if args.max_n_series is not None else args.max_n
         check_precision(n_series)
@@ -242,6 +252,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_list_identities(args: argparse.Namespace) -> int:
+    from . import identities
+
     catalog = identities.list_identities()
     if args.format == "json":
         print(json.dumps(catalog, indent=2))

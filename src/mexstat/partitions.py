@@ -40,6 +40,11 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return ps
 
 
+def format_partition(parts: Partition) -> str:
+    """Render a partition as '5+1'; the empty partition as '-'."""
+    return "+".join(str(p) for p in parts) if parts else "-"
+
+
 def _descending_partitions(remaining: int, largest: int) -> Iterator[Partition]:
     if remaining == 0:
         yield ()

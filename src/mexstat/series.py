@@ -108,11 +108,10 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from functools import _CacheInfo, wraps
 from itertools import chain, repeat
 from math import isqrt
-from operator import add, itemgetter, sub
+from operator import add, attrgetter, itemgetter, sub
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 Sign = Literal["minus", "plus"]
@@ -230,8 +229,40 @@ class TruncatedSeries:
         return f"TruncatedSeries([{shown}], precision={self.precision})"
 
 
-@dataclass(frozen=True)
-class ResidueCondition:
+class FrozenRecord:
+    """A record of read-only fields, with the repr, equality and hash over its
+    fields that a frozen dataclass has, without importing ``dataclasses`` (and
+    ``inspect``) at start-up.  A subclass names its fields, two or more, in
+    ``__slots__`` and sets them in ``__init__`` by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+
+class ResidueCondition(FrozenRecord):
     """Selects integers by residue class, for products of (1 +- q^n) and part filters.
 
     ``mode="include"`` keeps n whose residue mod ``modulus`` lies in
@@ -239,23 +270,28 @@ class ResidueCondition:
     the factor (1 - q^n) or (1 + q^n) when the condition drives a product.
     """
 
+    __slots__ = ("modulus", "residues", "sign", "mode")
     modulus: int
     residues: frozenset[int]
-    sign: Sign = "minus"
-    mode: Mode = "include"
+    sign: Sign
+    mode: Mode
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
+    def __init__(
+        self, modulus: int, residues: Iterable[int], sign: Sign = "minus", mode: Mode = "include"
+    ) -> None:
+        if modulus < 1:
             raise ValueError("modulus must be a positive integer")
-        object.__setattr__(self, "residues", frozenset(self.residues))
-        if any(not 0 <= r < self.modulus for r in self.residues):
-            raise ValueError(f"residues must lie in [0, {self.modulus})")
-        if self.sign not in ("minus", "plus"):
-            raise ValueError(f"sign must be 'minus' or 'plus', got {self.sign!r}")
-        if self.mode not in ("include", "exclude"):
-            raise ValueError(f"mode must be 'include' or 'exclude', got {self.mode!r}")
-        if self.mode == "include" and not self.residues:
+        residues = frozenset(residues)
+        if any(not 0 <= r < modulus for r in residues):
+            raise ValueError(f"residues must lie in [0, {modulus})")
+        if sign not in ("minus", "plus"):
+            raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
+        if mode not in ("include", "exclude"):
+            raise ValueError(f"mode must be 'include' or 'exclude', got {mode!r}")
+        if mode == "include" and not residues:
             raise ValueError("an include condition needs a non-empty residue set")
+        for name, value in zip(self.__slots__, (modulus, residues, sign, mode)):
+            object.__setattr__(self, name, value)
 
     def admits(self, n: int) -> bool:
         inside = n % self.modulus in self.residues
@@ -378,16 +414,22 @@ class PackedRows:
         :meth:`truncate` or :meth:`signed` to drop."""
         return x << self.width * e
 
-    def stride(self, x: int, e: int) -> int:
+    def stride(self, x: int, e: int, slots: int | None = None) -> int:
         """x / (1 - q^e) = x + q^e x + q^2e x + ..., truncated at q^n_max; e >= 1.
+        With ``slots``, 1 <= slots <= n_max + 1, x and the result are truncated
+        below q^slots instead.
 
         Doubling: after t steps x carries the factor 1 + q^e + ... + q^((2^t - 1)e).
         """
         if e < 1:
             raise ValueError(f"stride needs a positive exponent, got {e}")
+        mask, top = self.mask, self.n_max
+        if slots is not None:
+            mask, top = (1 << self.width * slots) - 1, slots - 1
+            x &= mask
         step = e
-        while step <= self.n_max:
-            x = (x + (x << self.width * step)) & self.mask
+        while step <= top:
+            x = (x + (x << self.width * step)) & mask
             step <<= 1
         return x
 
@@ -538,22 +580,22 @@ def _slot_size(counts: Mapping[int, int], precision: int, classes: Classes | Non
 
 
 def _binomial_product(
-    exponents: Iterable[int], sign: int, precision: int, classes: Classes | None = None
+    counts: Mapping[int, int], sign: int, precision: int, classes: Classes | None = None
 ) -> TruncatedSeries:
-    """The product of (1 + sign*q^e) over ``exponents``, truncated at q^precision.
+    """The product of (1 + sign*q^e)^r over ``counts`` {e: r}, each
+    1 <= e <= precision, truncated at q^precision.
 
-    ``classes``, if given, is (M, residues): the exponents, as listed, are
-    drawn from the classes of those residues mod M, each residue listed as
-    often as its class may repeat.  The factors with 2e > precision
-    multiply to 1 + sign * sum q^e, each e counted as often as it is listed
-    (no product of two of their terms fits), which is placed as the start;
-    every other factor adds or subtracts the row shifted by e slots.  A
-    difference is reduced modulo q^(precision+1), as a shift of a negative
-    int costs more.  The slots hold the bound :func:`_slot_size` picks.
+    ``classes``, if given, is (M, residues): the exponents are drawn from
+    the classes of those residues mod M, each residue listed as often as
+    its class may repeat.  The factors with 2e > precision multiply to
+    1 + sign * sum r q^e (no product of two of their terms fits), which is
+    placed as the start; every other factor adds or subtracts the row
+    shifted by e slots.  A difference is reduced modulo q^(precision+1), as
+    a shift of a negative int costs more.  The slots hold the bound
+    :func:`_slot_size` picks.
     """
     if precision < 0:
         raise ValueError("precision must be non-negative")
-    counts = Counter(e for e in exponents if e <= precision)
     rows = PackedRows.of_size(precision, _slot_size(counts, precision, classes))
     packed = 1 + sign * rows.place({e: r for e, r in counts.items() if 2 * e > precision})
     for e, r in counts.items():
@@ -597,8 +639,7 @@ def _cauchy_terms(
         if n:
             # this n and every later one read only the low ``room`` slots
             room = precision + 1 - n * min(cases[c][1] for c in live)
-            narrow = PackedRows.of_size(room - 1, size)
-            inverse = narrow.stride(narrow.truncate(inverse), n)
+            inverse = rows.stride(inverse, n, room)
         for c in live:
             pattern, t = cases[c]
             if n < tails[c]:
@@ -654,7 +695,7 @@ def pochhammer_finite(n: int, precision: int) -> TruncatedSeries:
     """The finite product (1-q)(1-q^2)...(1-q^n), truncated."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _binomial_product(range(1, min(n, precision) + 1), -1, precision)
+    return _binomial_product(dict.fromkeys(range(1, min(n, precision) + 1), 1), -1, precision)
 
 
 def _indices(quadratic: Quadratic, n_start: int, bound: int) -> range:
@@ -724,11 +765,12 @@ def alternating_theta_bilateral(quadratic: Quadratic, precision: int) -> Truncat
 def residue_product(cond: ResidueCondition, precision: int) -> TruncatedSeries:
     """Product of (1 +- q^n) over 1 <= n <= precision with n admitted by ``cond``."""
     sign = -1 if cond.sign == "minus" else 1
-    # every exponent up to the precision has its residue below min(M, precision + 1)
-    admitted = [r for r in range(min(cond.modulus, precision + 1)) if cond.admits(r)]
-    return _binomial_product(
-        filter(cond.admits, range(1, precision + 1)), sign, precision, (cond.modulus, admitted)
-    )
+    # every exponent up to the precision has its residue below min(M, precision + 1);
+    # the exponents of residue r are r (or M for r = 0) plus the multiples of M
+    modulus = cond.modulus
+    admitted = [r for r in range(min(modulus, precision + 1)) if cond.admits(r)]
+    exponents = chain.from_iterable(range(r or modulus, precision + 1, modulus) for r in admitted)
+    return _binomial_product(dict.fromkeys(exponents, 1), sign, precision, (modulus, admitted))
 
 
 def jtp_specialized(
@@ -766,8 +808,8 @@ def jtp_specialized(
 
     # with i = k (even) the classes i and M - i coincide: each factor twice
     starts = (modulus, i, modulus - i)
-    exponents = [e for start in starts for e in range(start, precision + 1, modulus)]
-    return _binomial_product(exponents, -1, precision, (modulus, starts))
+    exponents = chain.from_iterable(range(start, precision + 1, modulus) for start in starts)
+    return _binomial_product(Counter(exponents), -1, precision, (modulus, starts))
 
 
 # ---------------------------------------------------------------------------

@@ -22,28 +22,29 @@ documented and tested rather than hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Literal
 
 from . import limits
-from .series import PackedRows, count_numerator, theta_quotient, theta_quotient_at
+from .series import FrozenRecord, PackedRows, count_numerator, theta_quotient, theta_quotient_at
 
 Method = Literal["combinatorial", "series"]
 
 MAX_MOMENT_ORDER = 4
 
 
-@dataclass(frozen=True)
-class MexParams:
+class MexParams(FrozenRecord):
     """The pair (A, a): step and base residue of the arithmetic progression a, a+A, ..."""
 
+    __slots__ = ("A", "a")
     A: int
     a: int
 
-    def __post_init__(self) -> None:
-        if self.A < 1 or self.a < 1:
-            raise ValueError(f"A and a must be positive integers, got A={self.A}, a={self.a}")
+    def __init__(self, A: int, a: int) -> None:
+        if A < 1 or a < 1:
+            raise ValueError(f"A and a must be positive integers, got A={A}, a={a}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "a", a)
 
 
 def mex(parts: Iterable[int], params: MexParams) -> int:

@@ -18,11 +18,6 @@ TABLE2_N_MAX = 8
 TABLE3_N_MAX = 5
 
 
-def format_partition(parts: tuple[int, ...]) -> str:
-    """Render a partition as '5+1'; the empty partition as '-'."""
-    return "+".join(str(p) for p in parts) if parts else "-"
-
-
 def table1_rows() -> list[dict[str, str]]:
     """Partitions of 6 with their mex_{2,3} value and which counter they feed."""
     params = MexParams(2, 3)
@@ -32,7 +27,7 @@ def table1_rows() -> list[dict[str, str]]:
         in_p = m % (2 * params.A) == params.a % (2 * params.A)
         rows.append(
             {
-                "partition": format_partition(parts),
+                "partition": partitions.format_partition(parts),
                 "mex_2_3": str(m),
                 "p_2_3": "x" if in_p else "",
                 "pbar_2_3": "" if in_p else "x",
@@ -49,12 +44,12 @@ def table2_rows() -> list[dict[str, str]]:
     rows = []
     for n in range(1, TABLE2_N_MAX + 1):
         rank_list = [
-            format_partition(p)
+            partitions.format_partition(p)
             for p in partitions.enumerate_partitions(n)
             if statistics.rank(p) >= 2
         ]
         crank_list = [
-            format_partition(p)
+            partitions.format_partition(p)
             for p in partitions.enumerate_partitions(n)
             if statistics.crank(p) >= 2
         ]

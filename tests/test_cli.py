@@ -518,3 +518,59 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert "627" in proc.stdout
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter on this checkout's sources; returns the finished process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_importing_the_cli_loads_only_the_compute_modules():
+    # a point query is one fresh process: the catalog, the tables and
+    # dataclasses (with inspect) would cost more to import than the query
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import mexstat.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"mexstat.identities", "mexstat.tables", "dataclasses", "inspect"}
+    compute = {"limits", "series", "partitions", "statistics", "mexcount"}
+    assert {f"mexstat.{m}" for m in compute} <= loaded
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import mexstat\nfor name in mexstat.__all__:\n    getattr(mexstat, name)\n",
+        "import mexstat\nfrom mexstat import *\n"
+        "assert [n for n in mexstat.__all__ if n not in globals()] == []\n",
+    ],
+    ids=["attributes", "star-import"],
+)
+def test_every_public_name_resolves_in_a_fresh_process(code):
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["verify", "thm-3.1", "--max-n", "10"], "pass"),
+        (["table", "1"], "mex_2_3"),
+        (["list-identities"], "thm-3.13"),
+    ],
+)
+def test_subcommands_that_import_on_demand_run_in_a_fresh_process(argv, shown):
+    proc = _fresh_python("-m", "mexstat", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert shown in proc.stdout

@@ -288,9 +288,10 @@ def _literal_stride(row, e):
     n_max=st.integers(min_value=0, max_value=30),
     e=st.integers(min_value=1, max_value=35),
     seed_row=st.lists(st.integers(min_value=0, max_value=3), min_size=31, max_size=31),
+    slots=st.integers(min_value=1, max_value=31),
 )
 @settings(max_examples=60, deadline=None)
-def test_packed_stride_matches_literal_loop(n_max, e, seed_row):
+def test_packed_stride_matches_literal_loop(n_max, e, seed_row, slots):
     # weight 7 sizes slots for counts below exp(pi * sqrt(7 * n_max / 3)), and a slot
     # is a whole byte at least: a stride of entries <= 3 stays below 3 * 31 < 2**8
     rows = PackedRows(n_max, 7)
@@ -298,6 +299,10 @@ def test_packed_stride_matches_literal_loop(n_max, e, seed_row):
     packed = sum(c << rows.width * n for n, c in enumerate(row))
     assert rows.unpack(packed) == tuple(row)
     assert list(rows.unpack(rows.stride(packed, e))) == _literal_stride(row, e)
+    # a narrower stride keeps the low ``slots`` entries only, of its input too
+    slots = min(slots, n_max + 1)
+    narrow = _literal_stride(row[:slots], e) + [0] * (n_max + 1 - slots)
+    assert list(rows.unpack(rows.stride(packed, e, slots))) == narrow
     shifted = [0] * min(e, n_max + 1) + row[: max(n_max + 1 - e, 0)]
     assert list(rows.unpack(rows.shift(packed, e))) == shifted
 

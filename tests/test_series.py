@@ -34,6 +34,7 @@ from mexstat.series import (
     theta_quotient_at,
     theta_terms,
 )
+from mexstat.statistics import MexParams
 
 ONES = TruncatedSeries([1, 1, 1, 1])
 
@@ -288,12 +289,44 @@ class TestResidueProduct:
         assert nz == {0: 1, 8: 1, 12: 1, 20: 1}  # 8, 12, and 8+12
 
     def test_residue_validation(self):
-        with pytest.raises(ValueError):
-            ResidueCondition(4, frozenset({5}))
-        with pytest.raises(ValueError):
-            ResidueCondition(4, frozenset(), mode="include")
-        with pytest.raises(ValueError):
-            ResidueCondition(0, frozenset({0}))
+        refused = [
+            ((4, frozenset({5})), {}, r"^residues must lie in \[0, 4\)$"),
+            ((4, frozenset({-1})), {}, r"^residues must lie in \[0, 4\)$"),
+            ((4, frozenset()), {}, "^an include condition needs a non-empty residue set$"),
+            ((0, frozenset({0})), {}, "^modulus must be a positive integer$"),
+            ((4, {1}), {"sign": "x"}, "^sign must be 'minus' or 'plus', got 'x'$"),
+            ((4, {1}), {"mode": "y"}, "^mode must be 'include' or 'exclude', got 'y'$"),
+        ]
+        for args, kwargs, message in refused:
+            with pytest.raises(ValueError, match=message):
+                ResidueCondition(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "record, twin, text, fields",
+    [
+        (MexParams(2, 3), MexParams(A=2, a=3), "MexParams(A=2, a=3)", ("A", "a")),
+        (
+            ResidueCondition(7, [0, 3, 4], mode="exclude"),
+            ResidueCondition(7, frozenset({4, 3, 0}), "minus", "exclude"),
+            "ResidueCondition(modulus=7, residues=frozenset({0, 3, 4}),"
+            " sign='minus', mode='exclude')",
+            ("modulus", "residues", "sign", "mode"),
+        ),
+    ],
+)
+def test_records_read_like_frozen_dataclasses(record, twin, text, fields):
+    assert repr(record) == text
+    assert record == twin and hash(record) == hash(twin) and record is not twin
+    assert record != text and len({record, twin}) == 1
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record) == text
 
 
 class TestJtp:
@@ -815,7 +848,8 @@ def test_coefficient_bits_of_weight_two_hold_the_partition_count():
 def test_binomial_product_matches_factor_loop(exponent_repeats, sign, precision):
     exponents = [e for e, r in exponent_repeats for _ in range(r)]
     expected = literal_factors([e for e in exponents if e <= precision], sign, precision)
-    assert list(kernels._binomial_product(exponents, sign, precision).coeffs) == expected
+    counts = Counter(e for e in exponents if e <= precision)
+    assert list(kernels._binomial_product(counts, sign, precision).coeffs) == expected
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])

@@ -58,10 +58,10 @@ class TestMex:
         assert got == [3, 3, 3, 3, 5, 5, 5, 3, 3, 3, 3]
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            MexParams(0, 1)
-        with pytest.raises(ValueError):
-            MexParams(1, 0)
+        for A, a in [(0, 1), (1, 0), (-2, -3)]:
+            message = f"^A and a must be positive integers, got A={A}, a={a}$"
+            with pytest.raises(ValueError, match=message):
+                MexParams(A, a)
 
 
 class TestRankCrank:
