@@ -64,6 +64,14 @@ Layers:
 * ``cli.main.rank`` -- one ``main(["compute", "rank", "--partition",
   "3,1"])`` call, after a first call that may build the parser (each time
   is a batch of 100 calls divided by 100);
+* ``cli.parse.compute`` -- the 1000 argvs of the queries workload of
+  ``perfbench/worker.py`` at seed 1 through one ``build_parser()`` parser,
+  one ``parse_args`` each (the time is of all 1000);
+* ``census.point.70`` -- every combinatorial point reader of the census
+  (``rank_count``, ``crank_count``, ``rank_moment``,
+  ``crank_moment_enumerated``, ``goe_count``, ``spt_direct``,
+  ``rank_count_at_least``, ``rank_count_below``) at each n = 1..70, with
+  the census already built (the time is of all 560 reads);
 * ``p_table.20000`` -- ``p_count(20000)`` from an empty p(n) table;
 * ``genfun.prefix_hit.1000`` -- ``partition_generating_series(1000)``
   with the cache holding only the series at precision 2000;
@@ -96,6 +104,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 from mexstat import cli, identities, mexcount, partitions, series
 from mexstat import statistics as mexstat_statistics
@@ -106,6 +115,9 @@ from mexstat.series import (
     residue_product,
 )
 from mexstat.statistics import MexParams
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from worker import argv_of, make_queries  # noqa: E402  (the queries workload's argvs)
 
 PRECISIONS = (500, 1000, 2000, 4000)
 COLD_STARTS = 15
@@ -184,6 +196,24 @@ def recurrence_rows_2000() -> None:
 def cli_rank() -> None:
     with redirect_stdout(io.StringIO()):
         cli.main(["compute", "rank", "--partition", "3,1"])
+
+
+def parse_all(parser: argparse.ArgumentParser, argvs: list[list[str]]) -> None:
+    for argv in argvs:
+        parser.parse_args(argv)
+
+
+def census_points() -> None:
+    st = mexstat_statistics
+    for n in range(1, 71):
+        st.rank_count(n // 3, n)
+        st.crank_count(-(n // 4), n)
+        st.rank_moment(2, n)
+        st.crank_moment_enumerated(2, n)
+        st.goe_count(n)
+        st.spt_direct(n)
+        st.rank_count_at_least(1, n)
+        st.rank_count_below(-1, n)
 
 
 def cold_p_table() -> None:
@@ -272,6 +302,10 @@ def main() -> None:
     layers["recurrence_rows.2000"] = timed(recurrence_rows_2000, repeats)
     cli_rank()
     layers["cli.main.rank"] = timed(cli_rank, repeats, calls=100)
+    parser, argvs = cli.build_parser(), [argv_of(q) for q in make_queries(1)]
+    layers["cli.parse.compute"] = timed(lambda: parse_all(parser, argvs), repeats)
+    census_points()
+    layers["census.point.70"] = timed(census_points, repeats)
     layers["p_table.20000"] = timed(lambda: partitions.p_count(20000), repeats, cold_p_table)
     layers["genfun.prefix_hit.1000"] = timed(
         lambda: series.partition_generating_series(1000), repeats, genfun_at_2000

@@ -32,10 +32,9 @@ from .statistics import MexParams
 
 def _parse_partition(text: str) -> tuple[int, ...]:
     try:
-        parts = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ValueError(f"cannot parse partition {text!r}; expected comma-separated integers")
-    return partitions.as_partition(parts)
+        return partitions.as_partition(_parse_int_list(text, "partition"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_int_list(text: str, label: str) -> list[int]:
@@ -84,6 +83,8 @@ def _compute_value(args: argparse.Namespace) -> tuple[str, str, str]:
         return f"{name}_{{{args.A},{args.a}}}({args.n})", str(value), method_name
     if kind == "p":
         _require(args, ["n"], kind)
+        if args.n < 0:
+            raise ValueError("n must be non-negative")
         return f"p({args.n})", str(partitions.p_count(args.n)), "pentagonal recurrence"
     if kind == "spt":
         _require(args, ["n"], kind)
@@ -287,12 +288,28 @@ def _print_csv(rows: list[list[str]]) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parses an argv whose first token names a subcommand by that subcommand's
+    parser alone, as argparse's subparsers action does after matching every token
+    against the top level's own options; any other argv takes argparse's path."""
+
+    commands: dict[str, argparse.ArgumentParser] = {}  # none in the subparsers
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        command = self.commands.get(args[0]) if args and namespace is None else None
+        if command is None:
+            return super().parse_known_args(args, namespace)
+        return command.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mexstat",
         description="Exact computations and identity checks for mex-classified partition counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")

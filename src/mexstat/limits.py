@@ -8,7 +8,7 @@
   It also sizes the rank, crank and spt census that every process builds once
   over all n <= the cap: 3 ms at 70, 50 ms at 200 (2-core host, CPython 3.11).
 * ``P_TABLE_CAP`` bounds how far the shared pentagonal p(n) table grows;
-  ``p_count(50000)`` takes about 1.3 s from cold (2-core host, CPython 3.11).
+  ``p_count(50000)`` takes 0.7-0.8 s from cold (2-core host, CPython 3.11).
 * The series precision cap, ``MEXSTAT_MAX_PRECISION`` (default 2000),
   bounds what the command line asks of the series routes; library series
   functions take any precision.

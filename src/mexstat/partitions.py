@@ -139,8 +139,8 @@ def p_count(n: int) -> int:
     p(m) = sum over k >= 1 of (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)].
     With the table holding p(0..m-1), the term p(m - g) is ``table[-g]``, so
     each step is one gather of the offsets g <= m with k odd, minus one with
-    k even.  The gathers are kept for the last offset count, so they are
-    rebuilt only when m reaches the next offset, also across calls.
+    k even.  The table grows one run of m between consecutive offsets at a
+    time, each run with one pair of gathers; the last pair is kept across calls.
     Growing the table past ``limits.P_TABLE_CAP`` raises CapacityError.
     """
     if n < 0:
@@ -150,9 +150,13 @@ def p_count(n: int) -> int:
         return table[n]
     limits.check_p_table(n)
     with _p_lock:
+        count = bisect_right(_PENTAGONAL, len(table))
         while len(table) <= n:
-            take_plus, take_minus = _pentagonal_gathers(bisect_right(_PENTAGONAL, len(table)))
-            table.append(sum(take_plus(table)) - sum(take_minus(table)))
+            # every m below the next offset gathers the same offsets
+            take_plus, take_minus = _pentagonal_gathers(count)
+            for _ in range(len(table), min(n + 1, _PENTAGONAL[count])):
+                table.append(sum(take_plus(table)) - sum(take_minus(table)))
+            count += 1
     return table[n]
 
 

@@ -371,7 +371,7 @@ class PackedRows:
 
     def _fit(self, n_max: int, size: int) -> None:
         self.n_max, self.size, self.width = n_max, size, 8 * size
-        self.mask, self._slot_mask = (1 << self.width * (n_max + 1)) - 1, (1 << self.width) - 1
+        self.mask = (1 << self.width * (n_max + 1)) - 1
 
     def _bias(self, slots: int) -> int:
         # 2^(width - 1) in each of the low ``slots`` slots
@@ -440,9 +440,18 @@ class PackedRows:
             out[s - 1] = self.stride(out[s], s)
         return out
 
-    def slot(self, x: int, n: int) -> int:
-        """Entry n of a row of non-negative counts."""
-        return x >> self.width * n & self._slot_mask
+    def blob(self, rows: Iterable[int]) -> bytes:
+        """Rows of non-negative counts laid end to end, for :meth:`column`."""
+        length = self.size * (self.n_max + 1)
+        return b"".join([x.to_bytes(length, "little") for x in rows])
+
+    def column(self, blob: bytes, n: int) -> tuple[int, ...]:
+        """Entry n of every row of a :meth:`blob`, in row order, in one conversion."""
+        s, stride = self.size, self.size * (self.n_max + 1)
+        data = bytearray(len(blob) // stride * s)
+        for i in range(s):
+            data[i::s] = blob[s * n + i :: stride]
+        return tuple(self._slots(data, False))
 
     def unpack(self, x: int) -> tuple[int, ...]:
         """The entries of a row of non-negative counts, entry n at index n."""
@@ -460,7 +469,7 @@ class PackedRows:
         # of at most 8 bytes are widened to 8-byte words by extended-slice copies, the
         # high bytes of a biased slot filled with its sign, and struct reads every word
         # at once; wider slots are read one struct string at a time by int.from_bytes.
-        s, count = self.size, self.n_max + 1
+        s, count = self.size, len(data) // self.size
         if s > 8:
             chunks = chain.from_iterable(struct.iter_unpack(f"<{s}s", data))
             slots = map(int.from_bytes, chunks, repeat("little"))

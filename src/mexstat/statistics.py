@@ -171,9 +171,17 @@ def _census_at(stat: str, n: int, weight: Callable[[int], int]) -> int:
 
 
 def _census_slots(stat: str, n: int) -> dict[int, int]:
-    # value m -> count of ``stat`` = m at n, slot n of each census row read once; no zeros
-    packer, by_stat = _census(n, 1)
-    return {m: c for m, x in by_stat[stat].items() if (c := packer.slot(x, n))}
+    # value m -> count of ``stat`` = m at n, slot n of every census row in one read; no zeros
+    packer, _ = _census(n, 1)
+    values, blob = _census_blob(stat)
+    return {m: c for m, c in zip(values, packer.column(blob, n)) if c}
+
+
+@lru_cache(maxsize=None)
+def _census_blob(stat: str) -> tuple[tuple[int, ...], bytes]:
+    # the values m of ``stat`` and the blob of its census rows, built at its first point read
+    packer, by_stat = _stat_census()
+    return tuple(by_stat[stat]), packer.blob(by_stat[stat].values())
 
 
 # The weights, each a function of the statistic's value m.

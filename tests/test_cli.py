@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -6,7 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ class TestCompute:
             assert code == 0
             assert "= 8" in out
 
-    @pytest.mark.parametrize("kind", ["p_aa", "pbar_aa"])
+    @pytest.mark.parametrize("kind", ["p_aa", "pbar_aa", "p"])
     @pytest.mark.parametrize("method", [None, "enum", "series", "recurrence"])
     def test_negative_n_is_refused_on_every_route(self, capsys, kind, method):
         argv = ["compute", kind, "--A", "2", "--a", "3", "--n", "-3"]
@@ -67,6 +68,18 @@ class TestCompute:
     def test_bad_partition_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "compute", "rank", "--partition", "3,0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0", "partition parts must be positive integers, got 0"),
+            ("3,x", "cannot parse partition '3,x'; expected comma-separated integers"),
+        ],
+    )
+    def test_bad_partition_names_the_fault(self, capsys, text, message):
+        code, out, err = run_cli(capsys, "compute", "rank", "--partition", text)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"mexstat compute: error: argument --partition: {message}"
 
     def test_missing_args_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "compute", "p_aa", "--A", "2")
@@ -217,6 +230,74 @@ class TestParserReuse:
         assert code == 2 and out == "" and "cap" in err
         code, out, _ = run_cli(capsys, "compute", "p", "--n", "20")
         assert code == 0 and "p(20) = 627" in out
+
+
+# Each argv gives the same namespace, or the same output and exit code, when its
+# first token goes straight to the subcommand's parser as through argparse's own path.
+PARSER_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "compute"],
+    ["nonsense"],
+    ["--bogus", "compute", "p", "--n", "5"],
+    ["--", "compute", "p", "--n", "5"],
+    ["compute"],
+    ["compute", "-h"],
+    ["compute", "p", "--he"],
+    ["compute", "p", "--n", "5"],
+    ["compute", "p", "--n"],
+    ["compute", "p", "--n", "x"],
+    ["compute", "p", "--n", "-1"],
+    ["compute", "nonsense-kind", "--n", "5"],
+    ["compute", "N", "--m", "-3", "--n", "10"],
+    ["compute", "M", "--m", "-3", "--n", "10", "--method", "series", "--form", "json"],
+    ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "6", "--method", "recurrence"],
+    ["compute", "moment", "--stat", "rank", "--k", "2", "--n", "4", "--format", "csv"],
+    ["compute", "moment", "--stat", "mean", "--k", "2", "--n", "4"],
+    ["compute", "rank", "--partition", "5,3,1"],
+    ["compute", "rank", "--partition", "0"],
+    ["compute", "p", "--n", "5", "--bogus"],
+    ["compute", "p", "--n", "5", "extra", "--bogus", "x"],
+    ["compute", "--", "p"],
+    ["compute", "p", "--n", "5", "--"],
+    ["compute", "p", "--", "--n", "5"],
+    ["table", "1"],
+    ["table", "4"],
+    ["table", "-h"],
+    ["series", "--help"],
+    ["series", "euler", "--precision", "5", "--format", "json"],
+    ["series", "theta", "--quadratic", "-1,0,0"],
+    ["series", "theta", "--quadratic=-1,0,0", "--n-start", "-2"],
+    ["series", "jtp", "--k", "1", "--i", "1", "--parity", "even", "--side", "product"],
+    ["verify", "thm-2.1", "--max-n", "5"],
+    ["verify", "all", "--max-n", "-1"],
+    ["verify"],
+    ["list-identities"],
+    ["list-identities", "--format", "csv"],
+    ["list-identities", "x"],
+]
+
+
+def _parse_outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return namespace, out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_the_subcommand_shortcut_parses_as_argparse_does(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    inherited = build_parser()
+    inherited.commands = {}  # every argv takes argparse's own path
+    shortcut = _parse_outcome(build_parser(), argv)
+    assert shortcut == _parse_outcome(inherited, argv)
+    if argv[:1] == ["compute"] and shortcut[0] is not None:
+        assert shortcut[0]["command"] == "compute"
 
 
 def test_series_point_queries_read_only_the_partition_series(monkeypatch, capsys):

@@ -117,6 +117,11 @@ def _literal_p_table(n_max):
     return table
 
 
+@lru_cache(maxsize=1)
+def _literal_p_table_3000():
+    return _literal_p_table(3000)
+
+
 @pytest.fixture
 def cold_p_table():
     """Empty the shared p(n) table down to p(0) and put it back afterwards."""
@@ -134,6 +139,20 @@ class TestPentagonalTable:
             p_count(n)
             assert len(cold_p_table) == max(n + 1, 1)
         assert cold_p_table == _literal_p_table(3000)
+
+    @given(st.lists(st.integers(0, 3000), min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_grown_to_random_targets_in_random_order_matches_the_literal_loop(self, targets):
+        # each growth starts mid-run between two pentagonal offsets, from a cold table
+        literal = _literal_p_table_3000()
+        saved = list(partitions._p_table)
+        del partitions._p_table[1:]
+        try:
+            for n in targets:
+                assert p_count(n) == literal[n]
+            assert partitions._p_table == literal[: max(targets) + 1]
+        finally:
+            partitions._p_table[:] = saved
 
     def test_negative_argument(self, cold_p_table):
         assert p_count(-5) == 0

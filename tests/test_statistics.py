@@ -12,6 +12,7 @@ from mexstat.partitions import CapacityError, enumerate_partitions, p_count
 from mexstat.series import crank_generating_series, rank_generating_series
 from mexstat.statistics import (
     MexParams,
+    _census_blob,
     _stat_census,
     crank,
     crank_count,
@@ -296,6 +297,8 @@ def test_crank_anomaly_pinned_in_the_histogram():
 
 
 def test_aggregate_rows_read_like_the_point_functions():
+    # every point reader is entry n of its row function, read off freshly built blobs
+    _census_blob.cache_clear()
     n_max = ENUMERATION_CAP
     js = range(-3, 4)
     rank_rows, crank_rows = rank_count_rows(n_max), crank_count_rows(n_max)
@@ -374,9 +377,12 @@ def test_every_combinatorial_aggregate_reads_one_census():
     calls += [(row, n) for row in rows for n in range(0, ENUMERATION_CAP + 1, 10)]
     random.Random(7).shuffle(calls)
     _stat_census.cache_clear()
+    _census_blob.cache_clear()
     for call, n in calls:
         call(n)
     assert _stat_census.cache_info().misses == 1
+    # and the point readers one blob per statistic: rank, crank and spt
+    assert _census_blob.cache_info().misses == 3
 
 
 # ---------------------------------------------------------------------------
