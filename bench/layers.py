@@ -72,6 +72,12 @@ Layers:
   ``crank_moment_enumerated``, ``goe_count``, ``spt_direct``,
   ``rank_count_at_least``, ``rank_count_below``) at each n = 1..70, with
   the census already built (the time is of all 560 reads);
+* ``census.rows.70`` -- the census row readers that the catalog's sides
+  call, each distinct call once at n_max = 70 (``rank_count_at_least_row``
+  and ``rank_count_below_row`` at j = 0..8, ``rank_count_at_least_row(-1)``,
+  ``goe_row``, ``rank_moment_row(2)``, ``crank_moment_enumerated_row(2)``,
+  ``spt_row``, ``rank_count_rows`` and ``crank_count_rows``), with the
+  census already built;
 * ``p_table.20000`` -- ``p_count(20000)`` from an empty p(n) table;
 * ``genfun.prefix_hit.1000`` -- ``partition_generating_series(1000)``
   with the cache holding only the series at precision 2000;
@@ -216,6 +222,20 @@ def census_points() -> None:
         st.rank_count_below(-1, n)
 
 
+def census_rows() -> None:
+    st = mexstat_statistics
+    for j in range(identities.RANK_CRANK_J_MAX + 1):
+        st.rank_count_at_least_row(j, 70)
+        st.rank_count_below_row(j, 70)
+    st.rank_count_at_least_row(-1, 70)
+    st.goe_row(70)
+    st.rank_moment_row(2, 70)
+    st.crank_moment_enumerated_row(2, 70)
+    st.spt_row(70)
+    st.rank_count_rows(70)
+    st.crank_count_rows(70)
+
+
 def cold_p_table() -> None:
     del partitions._p_table[1:]
 
@@ -306,6 +326,7 @@ def main() -> None:
     layers["cli.parse.compute"] = timed(lambda: parse_all(parser, argvs), repeats)
     census_points()
     layers["census.point.70"] = timed(census_points, repeats)
+    layers["census.rows.70"] = timed(census_rows, repeats)
     layers["p_table.20000"] = timed(lambda: partitions.p_count(20000), repeats, cold_p_table)
     layers["genfun.prefix_hit.1000"] = timed(
         lambda: series.partition_generating_series(1000), repeats, genfun_at_2000

@@ -245,15 +245,14 @@ def _congruence_classes(cases: Sequence[tuple[int, int]]) -> tuple[EvaluatorFact
     lhs = _mex_each(
         "recurrence", [[(1, "p", M, M - i, 0), (-1, "pbar", M, i, 0)] for M, i in cases]
     )
-    rhs = _table(
-        lambda n_max: [
-            partitions.count_parts_restricted_row(
-                n_max, ResidueCondition(M, frozenset({0, i % M, -i % M}), mode="exclude")
-            )
-            for M, i in cases
-        ]
-    )
-    return lhs, rhs
+    # (M, i) and (M, M - i) exclude the same classes: each row is built once per n_max
+    excluded = [ResidueCondition(M, frozenset({0, i, M - i}), mode="exclude") for M, i in cases]
+
+    def rhs(n_max: int) -> list[tuple[int, ...]]:
+        rows = {c: partitions.count_parts_restricted_row(n_max, c) for c in set(excluded)}
+        return [rows[c] for c in excluded]
+
+    return lhs, _table(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -455,7 +455,11 @@ class PackedRows:
 
     def unpack(self, x: int) -> tuple[int, ...]:
         """The entries of a row of non-negative counts, entry n at index n."""
-        return tuple(self._slots(x.to_bytes(self.size * (self.n_max + 1), "little"), False))
+        return self.entries(x.to_bytes(self.size * (self.n_max + 1), "little"))
+
+    def entries(self, blob: bytes) -> tuple[int, ...]:
+        """The entries of every row of a :meth:`blob`, row after row, in one conversion."""
+        return tuple(self._slots(blob, False))
 
     def signed(self, x: int) -> list[int]:
         """Coefficients 0..n_max of x, exact if each |c| < 2^(width - 1); higher

@@ -7,8 +7,9 @@ statistic without listing partitions: counting DPs build one census of the
 rank, crank and spt rows over all of n = 0..``limits.ENUMERATION_CAP``
 (the hook and Gaussian-binomial count of Ferrers diagrams for the rank,
 the split by the number of ones for the Andrews-Garvan crank, the
-smallest-part tally over tails for spt), once per process; row functions
-read slots 0..n_max of it, point functions slot n.  They share
+smallest-part tally over tails for spt), once per process, and kept as one
+packed blob per statistic: row functions read rows |m| <= n_max of it to
+slot n_max, point functions slot n of rows |m| <= n.  They share
 no code with the series engine or the pentagonal p(n).  The series flavour
 is a theta quotient: N(m, n), M(m, n) and every weighted crank sum is a
 numerator from ``series.count_numerator`` over (q)_inf.  A crank moment or
@@ -16,13 +17,16 @@ crank >= j / < j count has one route: the numerators of every m, weighted,
 summed into one numerator, which a row function reads with
 ``series.theta_quotient`` (one multiply) and a point function reads at n
 with ``series.theta_quotient_at``.  The two flavours agree
-everywhere except the classical crank anomaly at n = 1, which is exposed,
-documented and tested rather than hidden.
+everywhere except at two points, each exposed, documented and tested rather
+than hidden: the classical crank anomaly at n = 1, and the rank at n = 0,
+where the census counts the empty partition (rank 0) and the rank series
+has no q^0 term (the crank flavours agree at n = 0).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Literal
 
 from . import limits
@@ -84,10 +88,11 @@ def crank(parts: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=1)
-def _stat_census() -> tuple[PackedRows, dict[str, dict[int, int]]]:
-    # (packer, rows by statistic and then by value m), packed over n = 0..ENUMERATION_CAP;
-    # spt is one row, under m = 0, so its total is the zeroth moment.  Weight 4, as spt(n)
-    # <= p_2(n): lambda with k of its smallest parts s marked -> (lambda - s^k, s^k) is 1-1
+def _stat_census() -> tuple[PackedRows, dict[str, bytes]]:
+    # (packer, one blob per statistic) over n = 0..ENUMERATION_CAP: the rank and crank
+    # rows of m = -n_max..n_max in value order; spt is one row, read as m = 0, so its
+    # total is the zeroth moment.  Weight 4, as spt(n) <= p_2(n): lambda with k of its
+    # smallest parts s marked -> (lambda - s^k, s^k) is 1-1
     n_max = limits.ENUMERATION_CAP
     rows = PackedRows(n_max, 4)
     rank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
@@ -134,65 +139,60 @@ def _stat_census() -> tuple[PackedRows, dict[str, dict[int, int]]]:
     spt = 0
     for s in range(1, n_max + 1):
         spt += rows.stride(rows.stride(rows.shift(tails[s], s), s), s)
-    return rows, {"rank": rank_rows, "crank": crank_rows, "spt": {0: spt}}
+    by_stat = {"rank": rank_rows.values(), "crank": crank_rows.values(), "spt": [spt]}
+    return rows, {stat: rows.blob(values) for stat, values in by_stat.items()}
 
 
-def _census(n: int, least: int) -> tuple[PackedRows, dict[str, dict[int, int]]]:
-    # the census, once n is checked: at least ``least`` (0 or 1) and within the cap
+def _census_block(stat: str, n: int, least: int) -> tuple[PackedRows, range, bytes]:
+    # the census packer, the values m with |m| <= n and the slice of the blob of
+    # ``stat`` that holds their rows (the rows of |m| > n are zero at slots 0..n),
+    # once n is checked: at least ``least`` (0 or 1) and within the cap
     if n < least:
         raise ValueError("n must be at least 1" if least else "n must be non-negative")
     limits.check_enumeration(n)
-    return _stat_census()
+    packer, blobs = _stat_census()
+    blob, stride = blobs[stat], packer.size * (packer.n_max + 1)
+    middle = len(blob) // stride // 2  # the row of m = 0
+    top = min(n, middle)
+    start = (middle - top) * stride
+    return packer, range(-top, top + 1), blob[start : start + (2 * top + 1) * stride]
+
+
+def _census_rows(stat: str, n_max: int) -> dict[int, tuple[int, ...]]:
+    # value m -> (count of ``stat`` = m at n for n = 0..n_max), for m in [-n_max, n_max]
+    packer, values, block = _census_block(stat, n_max, 0)
+    entries, stride = packer.entries(block), packer.n_max + 1
+    return {m: entries[i * stride : i * stride + n_max + 1] for i, m in enumerate(values)}
 
 
 def _census_row(stat: str, n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
     # entry n is the sum over m of weight(m) * (count of ``stat`` = m at n); the rows
     # of one weight count disjoint sets of partitions, so are summed packed
-    packer, by_stat = _census(n_max, 0)
+    packer, values, block = _census_block(stat, n_max, 0)
+    rows, stride = PackedRows.of_size(n_max, packer.size), packer.size * (packer.n_max + 1)
     by_weight: dict[int, int] = {}
-    for m, x in by_stat[stat].items():
+    for start, m in zip(range(0, len(block), stride), values):
         if w := weight(m):
-            by_weight[w] = by_weight.get(w, 0) + x
-    out = [0] * (n_max + 1)
-    for w, x in by_weight.items():
-        out = [o + w * c for o, c in zip(out, packer.unpack(x))]  # to slot n_max
-    return tuple(out)
+            row = int.from_bytes(block[start : start + rows.size * (n_max + 1)], "little")
+            by_weight[w] = by_weight.get(w, 0) + row
+    weighted = [[w * c for c in rows.unpack(x)] for w, x in by_weight.items()]
+    return tuple(map(sum, zip([0] * (n_max + 1), *weighted)))
 
 
-def _census_rows(stat: str, n_max: int) -> dict[int, tuple[int, ...]]:
-    # value m -> (count of ``stat`` = m at n for n = 0..n_max), for m in [-n_max, n_max]
-    packer, by_stat = _census(n_max, 0)
-    return {m: packer.unpack(by_stat[stat][m])[: n_max + 1] for m in range(-n_max, n_max + 1)}
+def _census_column(stat: str, n: int) -> tuple[range, tuple[int, ...]]:
+    # the values |m| <= n and the count of ``stat`` = m at n of each: slot n of their rows
+    packer, values, block = _census_block(stat, n, 1)
+    return values, packer.column(block, n)
 
 
 def _census_at(stat: str, n: int, weight: Callable[[int], int]) -> int:
     # entry n of _census_row(stat, n, weight), read off slot n alone
-    return sum(w * c for m, c in _census_slots(stat, n).items() if (w := weight(m)))
+    values, column = _census_column(stat, n)
+    return sum(map(mul, map(weight, values), column))
 
 
-def _census_slots(stat: str, n: int) -> dict[int, int]:
-    # value m -> count of ``stat`` = m at n, slot n of every census row in one read; no zeros
-    packer, _ = _census(n, 1)
-    values, blob = _census_blob(stat)
-    return {m: c for m, c in zip(values, packer.column(blob, n)) if c}
-
-
-@lru_cache(maxsize=None)
-def _census_blob(stat: str) -> tuple[tuple[int, ...], bytes]:
-    # the values m of ``stat`` and the blob of its census rows, built at its first point read
-    packer, by_stat = _stat_census()
-    return tuple(by_stat[stat]), packer.blob(by_stat[stat].values())
-
-
-# The weights, each a function of the statistic's value m.
-def _at_least(j: int) -> Callable[[int], bool]:
-    return lambda m: m >= j
-
-
-def _below(j: int) -> Callable[[int], bool]:
-    return lambda m: m < j
-
-
+# The weights, each a function of the statistic's value m: m >= j is j.__le__(m),
+# m < j is j.__gt__(m), m == j is j.__eq__(m).
 def _moment(k: int) -> Callable[[int], int]:
     if not 0 <= k <= MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
@@ -211,12 +211,12 @@ def crank_count_rows(n_max: int) -> dict[int, tuple[int, ...]]:
 
 def rank_count_at_least_row(j: int, n_max: int) -> tuple[int, ...]:
     """Partitions of n with rank >= j, for n = 0..n_max (counting DP)."""
-    return _census_row("rank", n_max, _at_least(j))
+    return _census_row("rank", n_max, j.__le__)
 
 
 def rank_count_below_row(j: int, n_max: int) -> tuple[int, ...]:
     """Partitions of n with rank < j, for n = 0..n_max (counting DP)."""
-    return _census_row("rank", n_max, _below(j))
+    return _census_row("rank", n_max, j.__gt__)
 
 
 def rank_moment_row(k: int, n_max: int) -> tuple[int, ...]:
@@ -231,7 +231,7 @@ def crank_moment_enumerated_row(k: int, n_max: int) -> tuple[int, ...]:
 
 def goe_row(n_max: int) -> tuple[int, ...]:
     """Garden-of-Eden counts (rank <= -2) for n = 0..n_max (counting DP)."""
-    return _census_row("rank", n_max, _below(-1))
+    return _census_row("rank", n_max, (-1).__gt__)
 
 
 def spt_row(n_max: int) -> tuple[int, ...]:
@@ -241,12 +241,12 @@ def spt_row(n_max: int) -> tuple[int, ...]:
 
 def rank_histogram(n: int) -> dict[int, int]:
     """Map rank value -> number of partitions of n with that rank."""
-    return _census_slots("rank", n)
+    return {m: c for m, c in zip(*_census_column("rank", n)) if c}
 
 
 def crank_histogram(n: int) -> dict[int, int]:
     """Map crank value -> number of partitions of n with that crank."""
-    return _census_slots("crank", n)
+    return {m: c for m, c in zip(*_census_column("crank", n)) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +266,19 @@ def _crank_numerator(n_max: int, weight: Callable[[int], int]) -> dict[int, int]
     return numerator
 
 
-def _crank_series_row(n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
-    # entry n is the sum over m of weight(m) * M(m, n)
-    return theta_quotient(_crank_numerator(n_max, weight), n_max).coeffs
-
-
 def crank_moment_row(k: int, n_max: int) -> tuple[int, ...]:
     """Series crank moments sum_m m^k M(m, n) for n = 0..n_max."""
-    return _crank_series_row(n_max, _moment(k))
+    return theta_quotient(_crank_numerator(n_max, _moment(k)), n_max).coeffs
 
 
 def crank_count_at_least_row(j: int, n_max: int) -> tuple[int, ...]:
     """Series counts of partitions of n with crank >= j, for n = 0..n_max."""
-    return _crank_series_row(n_max, _at_least(j))
+    return theta_quotient(_crank_numerator(n_max, j.__le__), n_max).coeffs
 
 
 def crank_count_below_row(j: int, n_max: int) -> tuple[int, ...]:
     """Series counts of partitions of n with crank < j, for n = 0..n_max."""
-    return _crank_series_row(n_max, _below(j))
+    return theta_quotient(_crank_numerator(n_max, j.__gt__), n_max).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,11 @@ def _count(stat: str, m: int, n: int, method: Method) -> int:
 
 
 def rank_count(m: int, n: int, method: Method = "combinatorial") -> int:
-    """N(m, n): partitions of n with rank exactly m."""
+    """N(m, n): partitions of n with rank exactly m.
+
+    The combinatorial method needs n >= 1.  At n = 0 the series gives 0 for
+    every m, while the census row gives N(0, 0) = 1 for the empty partition.
+    """
     return _count("rank", m, n, method)
 
 
@@ -317,22 +316,18 @@ def crank_count(m: int, n: int, method: Method = "combinatorial") -> int:
 
 def rank_count_at_least(j: int, n: int) -> int:
     """Partitions of n with rank >= j (combinatorial)."""
-    return _census_at("rank", n, _at_least(j))
+    return _census_at("rank", n, j.__le__)
 
 
 def rank_count_below(j: int, n: int) -> int:
     """Partitions of n with rank < j (combinatorial)."""
-    return _census_at("rank", n, _below(j))
-
-
-def _crank_series_at(n: int, weight: Callable[[int], int]) -> int:
-    # entry n of _crank_series_row(n, weight), read off the same numerator
-    return theta_quotient_at(_crank_numerator(n, weight), n)
+    return _census_at("rank", n, j.__gt__)
 
 
 def _crank_at(n: int, weight: Callable[[int], int], method: Method) -> int:
+    # entry n of the series crank row of ``weight``, read off the same numerator
     if method == "series":
-        return _crank_series_at(n, weight)
+        return theta_quotient_at(_crank_numerator(n, weight), n)
     if method == "combinatorial":
         return _census_at("crank", n, weight)
     raise ValueError(f"unknown method {method!r}")
@@ -340,12 +335,12 @@ def _crank_at(n: int, weight: Callable[[int], int], method: Method) -> int:
 
 def crank_count_at_least(j: int, n: int, method: Method = "series") -> int:
     """Partitions of n with crank >= j (entry n of :func:`crank_count_at_least_row`)."""
-    return _crank_at(n, _at_least(j), method)
+    return _crank_at(n, j.__le__, method)
 
 
 def crank_count_below(j: int, n: int, method: Method = "series") -> int:
     """Partitions of n with crank < j (entry n of :func:`crank_count_below_row`)."""
-    return _crank_at(n, _below(j), method)
+    return _crank_at(n, j.__gt__, method)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +364,7 @@ def crank_moment(k: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _crank_series_at(n, _moment(k))
+    return _crank_at(n, _moment(k), "series")
 
 
 def crank_moment_enumerated(k: int, n: int) -> int:
@@ -384,4 +379,4 @@ def spt_direct(n: int) -> int:
 
 def goe_count(n: int) -> int:
     """Partitions of n with rank <= -2 (Garden-of-Eden partitions)."""
-    return _census_at("rank", n, _below(-1))
+    return _census_at("rank", n, (-1).__gt__)

@@ -276,6 +276,21 @@ def test_series_crank_checks_build_no_per_m_rows(check_id):
     assert peak < 512 * 1024
 
 
+@pytest.mark.parametrize("check_id, rows", [("thm-3.10-even", 10), ("thm-3.10-odd", 15)])
+def test_congruence_classes_build_each_restricted_row_once(monkeypatch, check_id, rows):
+    # (M, i) and (M, M - i) exclude the same classes 0, +-i mod M
+    calls = []
+    row = partitions.count_parts_restricted_row
+
+    def counted(n_max, *conditions):
+        calls.append(conditions)
+        return row(n_max, *conditions)
+
+    monkeypatch.setattr(partitions, "count_parts_restricted_row", counted)
+    assert verify(check_id, 60).status == "pass"
+    assert len(calls) == len(set(calls)) == rows
+
+
 def test_catalog_matches_golden():
     # list_identities() and verify_all(12, 60) without timings, recorded
     # before the catalog was declared over row evaluators

@@ -1085,6 +1085,8 @@ def test_packed_column_reads_slot_n_of_every_row_as_the_literal_shift(size, n_ma
     blob = rows.blob(xs)
     for n in range(n_max + 1):
         assert rows.column(blob, n) == tuple(x >> 8 * size * n & mask for x in xs)
+    # and every entry at once, row after row, as each row's own unpack
+    assert rows.entries(blob) == sum(map(rows.unpack, xs), ())
 
 
 @given(signed_rows(), st.integers(0, 20), st.integers(0, 20))

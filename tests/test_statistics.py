@@ -12,7 +12,6 @@ from mexstat.partitions import CapacityError, enumerate_partitions, p_count
 from mexstat.series import crank_generating_series, rank_generating_series
 from mexstat.statistics import (
     MexParams,
-    _census_blob,
     _stat_census,
     crank,
     crank_count,
@@ -290,6 +289,17 @@ def test_rows_match_literal_tallies_at_every_n(n_max):
         assert spt[n] == spt_n
 
 
+def test_rank_flavours_disagree_at_zero():
+    # the empty partition has rank 0 in the census; the rank series has no q^0 term at
+    # m = 0, while the crank flavours agree there
+    assert rank_count_rows(0)[0] == (1,)
+    assert rank_count_rows(5)[0][0] == 1
+    assert rank_count(0, 0, "series") == 0
+    assert crank_count_rows(0)[0] == (1,)
+    assert crank_count(0, 0, "series") == 1
+    assert [rank_count(m, 0, "series") for m in range(-3, 4)] == [0] * 7
+
+
 def test_crank_anomaly_pinned_in_the_histogram():
     # the one partition of 1 has one 1 and no larger part: crank 0 - 1
     assert crank_histogram(1) == {-1: 1}
@@ -297,8 +307,8 @@ def test_crank_anomaly_pinned_in_the_histogram():
 
 
 def test_aggregate_rows_read_like_the_point_functions():
-    # every point reader is entry n of its row function, read off freshly built blobs
-    _census_blob.cache_clear()
+    # every point reader is entry n of its row function, read off a freshly built census
+    _stat_census.cache_clear()
     n_max = ENUMERATION_CAP
     js = range(-3, 4)
     rank_rows, crank_rows = rank_count_rows(n_max), crank_count_rows(n_max)
@@ -377,12 +387,31 @@ def test_every_combinatorial_aggregate_reads_one_census():
     calls += [(row, n) for row in rows for n in range(0, ENUMERATION_CAP + 1, 10)]
     random.Random(7).shuffle(calls)
     _stat_census.cache_clear()
-    _census_blob.cache_clear()
     for call, n in calls:
         call(n)
     assert _stat_census.cache_info().misses == 1
-    # and the point readers one blob per statistic: rank, crank and spt
-    assert _census_blob.cache_info().misses == 3
+    # one packed blob per statistic, the rows and the points alike read: rank, crank, spt
+    packer, blobs = _stat_census()
+    stride = packer.size * (ENUMERATION_CAP + 1)
+    assert {stat: len(blob) // stride for stat, blob in blobs.items()} == {
+        "rank": 2 * ENUMERATION_CAP + 1,
+        "crank": 2 * ENUMERATION_CAP + 1,
+        "spt": 1,
+    }
+
+
+def test_one_clear_frees_the_whole_census():
+    # after rows and points of every statistic, clearing the census leaves no cache holding
+    for read in (rank_count_rows, crank_count_rows, spt_row, rank_histogram, spt_direct):
+        read(40)
+    _stat_census.cache_clear()
+    cached = [
+        value
+        for value in vars(mexstat_statistics).values()
+        if callable(getattr(value, "cache_info", None))
+        and value.__module__ == mexstat_statistics.__name__
+    ]
+    assert cached and all(fn.cache_info().currsize == 0 for fn in cached)
 
 
 # ---------------------------------------------------------------------------
