@@ -81,6 +81,9 @@ Layers:
 * ``p_table.20000`` -- ``p_count(20000)`` from an empty p(n) table;
 * ``genfun.prefix_hit.1000`` -- ``partition_generating_series(1000)``
   with the cache holding only the series at precision 2000;
+* ``genfun.sweep.1200`` -- ``mex_series_at(MexParams(2, 3), n, False)``
+  for n = 1..1200 in turn, from an empty ``partition_generating_series``
+  cache: each point reads the series one coefficient further;
 * ``cold_start.import_cli`` -- from starting a fresh interpreter to
   ``import mexstat.cli`` done, as ``perfbench/run.py`` times ``setup_s``;
 * ``cold_start.compute_p_aa`` -- the whole run of a fresh
@@ -245,6 +248,11 @@ def genfun_at_2000() -> None:
     series.partition_generating_series(2000)
 
 
+def rising_sweep() -> None:
+    for n in range(1, 1201):
+        mexcount.mex_series_at(MexParams(2, 3), n, False)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -330,6 +338,9 @@ def main() -> None:
     layers["p_table.20000"] = timed(lambda: partitions.p_count(20000), repeats, cold_p_table)
     layers["genfun.prefix_hit.1000"] = timed(
         lambda: series.partition_generating_series(1000), repeats, genfun_at_2000
+    )
+    layers["genfun.sweep.1200"] = timed(
+        rising_sweep, repeats, series.partition_generating_series.cache_clear
     )
     print(
         json.dumps(

@@ -95,11 +95,21 @@ series.
 
 Caches.  ``partition_generating_series`` and the rank and crank count
 series are cached by :func:`prefix_cache`: one series per key (none, or
-m), at the largest precision built so far.  A lower precision is read as
-its prefix and a higher one is built once, exactly, and replaces it, so
-memory is one series per key and a sweep over rising precisions builds
-once per new maximum.  A weighted crank sum is one numerator, not a sum of
-count series: read as a row by :func:`theta_quotient` or at n by
+m), at the largest precision reached so far, and a lower precision is
+read as its prefix.  The 1/(q)_inf row grows: the sparse recurrence over
+the Euler product reads only the coefficients below the one it computes
+(the online, "relaxed" setting of J. van der Hoeven, "Relax, but don't be
+too lazy", J. Symbolic Comput. 2002), so a request above the held
+precision resumes it after the coefficients held, and a sweep over rising
+precisions computes each coefficient once.  The theta-quotient rows on it
+(the rank and crank count series here, the mex rows of ``mexcount``) are
+one multiply each and rebuild once per new maximum.  Rising precisions
+within one process come from point queries: the ``queries`` workload of
+``perfbench`` reads the row at the n of each series query, and a sweep of
+``mex_series_at`` over n grows it by one coefficient per point, while the
+identity catalog and the deep series checks build it at one or two
+precisions.  A weighted crank sum is one numerator, not a sum of count
+series: read as a row by :func:`theta_quotient` or at n by
 :func:`theta_quotient_at`, it touches only ``partition_generating_series``,
 as does every point read.
 """
@@ -107,9 +117,10 @@ as does every point read.
 from __future__ import annotations
 
 import struct
+from _thread import allocate_lock
 from collections import Counter
-from functools import _CacheInfo, wraps
-from itertools import chain, repeat
+from functools import _CacheInfo, partial, wraps
+from itertools import chain, compress, repeat
 from math import isqrt
 from operator import add, attrgetter, itemgetter, sub
 from typing import Callable, Iterable, Literal, Mapping, Sequence
@@ -453,6 +464,18 @@ class PackedRows:
             data[i::s] = blob[s * n + i :: stride]
         return tuple(self._slots(data, False))
 
+    def total(self, blob: bytes) -> int:
+        """The sum of the rows of a :meth:`blob`, in one conversion: the upper half
+        of the rows is added slot by slot to the lower half until one row is left,
+        so each slot of the sum must fit its slot."""
+        length = self.size * (self.n_max + 1)
+        count, x = len(blob) // length, int.from_bytes(blob, "little")
+        while count > 1:
+            count = (count + 1) // 2
+            low = 8 * length * count
+            x = (x & (1 << low) - 1) + (x >> low)
+        return x
+
     def unpack(self, x: int) -> tuple[int, ...]:
         """The entries of a row of non-negative counts, entry n at index n."""
         return self.entries(x.to_bytes(self.size * (self.n_max + 1), "little"))
@@ -541,25 +564,37 @@ def _kronecker(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
     return rows.signed(rows.pack(a) * rows.pack(b))
 
 
-def _recurrence_inverse(a: Sequence[int]) -> list[int]:
+def _recurrence_inverse(a: Sequence[int], known: Sequence[int] = ()) -> list[int]:
     """1/a for a[0] = +-1 from b[m] = -a[0] * sum_k a[k] b[m-k], over the nonzero a[k].
 
+    ``known``, if given, holds b[0..len(known) - 1], no more entries than ``a``: it
+    is kept and the recurrence resumes after it, as b[m] reads only the b below m.
     With m entries of b known, b[m-k] is b[-k]: the terms of one coefficient value v
     are gathered by one itemgetter over the offsets -k of its k <= m, rebuilt when m
     reaches a new k of that value.
     """
-    b = [a[0]]
+    b = list(known) or [a[0]]
     offsets: dict[int, list[int]] = {}
-    getters: dict[int, Callable[[list[int]], Sequence[int]]] = {}
-    for m in range(1, len(a)):
+    for k in compress(range(1, len(b)), a[1 : len(b)]):
+        offsets.setdefault(a[k], []).append(-k)
+    getters = {v: _gather(ks) for v, ks in offsets.items()}
+    for m in range(len(b), len(a)):
         v = a[m]
         if v:
             ks = offsets.setdefault(v, [])
             ks.append(-m)
-            # itemgetter of one index returns the item: read it as a one-item slice
-            getters[v] = itemgetter(*ks) if len(ks) > 1 else itemgetter(slice(-m, 1 - m or None))
+            getters[v] = _gather(ks)
         b.append(-b[0] * sum([v * sum(get(b)) for v, get in getters.items()]))
     return b
+
+
+def _gather(offsets: list[int]) -> Callable[[list[int]], Sequence[int]]:
+    # the items at the negative ``offsets``; itemgetter of one index returns the item,
+    # so one offset is read as a one-item slice
+    if len(offsets) > 1:
+        return itemgetter(*offsets)
+    k = offsets[0]
+    return itemgetter(slice(k, k + 1 or None))
 
 
 def _newton_inverse(a: Sequence[int]) -> list[int]:
@@ -701,7 +736,7 @@ def euler_product(precision: int) -> TruncatedSeries:
         if e2 <= precision:
             c[e2] += sign
         m += 1
-    return TruncatedSeries(c)
+    return TruncatedSeries._of_checked(tuple(c))
 
 
 def pochhammer_finite(n: int, precision: int) -> TruncatedSeries:
@@ -830,19 +865,28 @@ def jtp_specialized(
 # ---------------------------------------------------------------------------
 
 
-def prefix_cache(build: Callable[..., TruncatedSeries]) -> Callable[..., TruncatedSeries]:
+def prefix_cache(
+    build: Callable[..., TruncatedSeries], grow: Callable[..., TruncatedSeries] | None = None
+) -> Callable[..., TruncatedSeries]:
     """Cache ``build(*key, precision)`` by key, serving lower precisions by prefix.
 
-    One entry per key holds the series at the largest precision built so far.
+    One entry per key holds the series at the largest precision reached so far.
     A request at or below it is that entry truncated (the entry itself at
     equal precision): a truncated product is the product built at the lower
-    precision.  A request above it builds exactly the requested precision
-    and replaces the entry.  So memory is one series per key, and a sweep of
-    rising precisions builds once per new maximum.  ``cache_info()`` and
+    precision.  A request above it is a miss: ``grow(held, *key, precision)``,
+    if given, extends the held series without computing its coefficients
+    again, and otherwise ``build`` builds the whole series.  The result
+    replaces the entry whole unless a concurrent caller stored a longer one
+    meanwhile; callers share nothing mutable but the entries, so at worst
+    they repeat work.  So memory is one series per key, and a sweep of
+    rising precisions computes each coefficient once with ``grow`` and
+    rebuilds once per new maximum without.  ``cache_info()`` and
     ``cache_clear()`` behave as those of ``functools.lru_cache`` (``maxsize``
-    is None, ``currsize`` counts keys).
+    is None, ``currsize`` counts keys, a growth is a miss); after a clear
+    every key builds from scratch.
     """
     entries: dict[tuple, TruncatedSeries] = {}
+    store = allocate_lock()
     hits = misses = 0
 
     @wraps(build)
@@ -854,7 +898,11 @@ def prefix_cache(build: Callable[..., TruncatedSeries]) -> Callable[..., Truncat
             hits += 1
             return held if precision == held.precision else held.truncate(precision)
         misses += 1
-        entries[key] = value = build(*args)
+        value = build(*args) if held is None or grow is None else grow(held, *args)
+        with store:
+            held = entries.get(key)
+            if held is None or held.precision < precision:
+                entries[key] = value
         return value
 
     def cache_info() -> _CacheInfo:
@@ -870,9 +918,19 @@ def prefix_cache(build: Callable[..., TruncatedSeries]) -> Callable[..., Truncat
     return cached
 
 
-@prefix_cache
+def _grow_partition_series(held: TruncatedSeries, precision: int) -> TruncatedSeries:
+    # the sparse recurrence over euler_product(precision), resumed after the held
+    # coefficients
+    row = _recurrence_inverse(euler_product(precision).coeffs, held.coeffs)
+    return TruncatedSeries._of_checked(tuple(row))
+
+
+@partial(prefix_cache, grow=_grow_partition_series)
 def partition_generating_series(precision: int) -> TruncatedSeries:
-    """1/((1-q)(1-q^2)...) truncated: coefficient of q^n is the partition count p(n)."""
+    """1/((1-q)(1-q^2)...) truncated: coefficient of q^n is the partition count p(n).
+
+    The sparse recurrence inverts the Euler product; the cached series grows
+    from the coefficients it holds (see :func:`prefix_cache`)."""
     return euler_product(precision).invert()
 
 

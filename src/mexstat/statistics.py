@@ -26,6 +26,7 @@ has no q^0 term (the crank flavours agree at n = 0).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from operator import mul
 from typing import Callable, Iterable, Literal
 
@@ -167,14 +168,21 @@ def _census_rows(stat: str, n_max: int) -> dict[int, tuple[int, ...]]:
 
 def _census_row(stat: str, n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
     # entry n is the sum over m of weight(m) * (count of ``stat`` = m at n); the rows
-    # of one weight count disjoint sets of partitions, so are summed packed
+    # of one weight count disjoint sets of partitions, so are summed packed: each run
+    # of adjacent rows of one weight, cut to slots 0..n_max, in one conversion
     packer, values, block = _census_block(stat, n_max, 0)
     rows, stride = PackedRows.of_size(n_max, packer.size), packer.size * (packer.n_max + 1)
+    cut = rows.size * (n_max + 1)
     by_weight: dict[int, int] = {}
-    for start, m in zip(range(0, len(block), stride), values):
-        if w := weight(m):
-            row = int.from_bytes(block[start : start + rows.size * (n_max + 1)], "little")
-            by_weight[w] = by_weight.get(w, 0) + row
+    start = 0
+    for w, run in groupby(map(weight, values)):
+        end = start + stride * len(list(run))
+        if w:
+            kept = block[start:end]
+            if cut < stride:
+                kept = b"".join([kept[i : i + cut] for i in range(0, end - start, stride)])
+            by_weight[w] = by_weight.get(w, 0) + rows.total(kept)
+        start = end
     weighted = [[w * c for c in rows.unpack(x)] for w, x in by_weight.items()]
     return tuple(map(sum, zip([0] * (n_max + 1), *weighted)))
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 from functools import partial
 from operator import add
@@ -463,6 +465,78 @@ class TestPrefixCaches:
         _clear_prefix_caches()
 
 
+def _count_recurrence_coefficients(monkeypatch):
+    """Record, per call of the sparse recurrence, (coefficients held, coefficients computed)."""
+    calls = []
+    original = kernels._recurrence_inverse
+
+    def counted(a, *known):
+        row = original(a, *known)
+        held = len(known[0]) if known else 0
+        calls.append((held, len(row) - held))
+        return row
+
+    monkeypatch.setattr(kernels, "_recurrence_inverse", counted)
+    return calls
+
+
+class TestGrowingPartitionSeries:
+    """The 1/(q)_inf row grows from the coefficients it holds."""
+
+    def test_a_rising_sweep_computes_each_coefficient_once(self, monkeypatch):
+        calls = _count_recurrence_coefficients(monkeypatch)
+        partition_generating_series.cache_clear()
+        rows = [partition_generating_series(p) for p in range(301)]
+        assert sum(computed for _, computed in calls) == 301
+        assert [held for held, _ in calls] == list(range(301))
+        assert partition_generating_series.cache_info() == (0, 301, None, 1)
+        cold = euler_product(300).invert().coeffs
+        assert all(row.coeffs == cold[: p + 1] for p, row in enumerate(rows))
+        partition_generating_series.cache_clear()
+
+    def test_a_clear_starts_the_next_build_from_an_empty_prefix(self, monkeypatch):
+        calls = _count_recurrence_coefficients(monkeypatch)
+        partition_generating_series.cache_clear()
+        partition_generating_series(40)
+        partition_generating_series(100)
+        partition_generating_series.cache_clear()
+        assert partition_generating_series(70) == euler_product(70).invert()
+        assert calls[:3] == [(0, 41), (41, 60), (0, 71)]
+        partition_generating_series.cache_clear()
+
+    def test_concurrent_callers_read_cold_builds_and_leave_the_largest(self):
+        top = 400
+        cold = kernels._recurrence_inverse(euler_product(top).coeffs)
+        precisions = list(range(top + 1))
+        plans = [random.Random(seed).sample(precisions, len(precisions)) for seed in range(4)]
+        results = [[] for _ in plans]
+        partition_generating_series.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda plan, out: out.extend(map(partition_generating_series, plan)),
+                    args=(plan, out),
+                )
+                for plan, out in zip(plans, results)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for plan, out in zip(plans, results):
+            assert [row.coeffs for row in out] == [tuple(cold[: p + 1]) for p in plan]
+        info = partition_generating_series.cache_info()
+        assert info.currsize == 1 and info.hits + info.misses == 4 * (top + 1)
+        assert partition_generating_series(top) is partition_generating_series(top)
+        assert partition_generating_series.cache_info().hits == info.hits + 2
+        partition_generating_series.cache_clear()
+
+
 small_series = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=12).map(
     TruncatedSeries
 )
@@ -658,12 +732,17 @@ def literal_recurrence_inverse(a):
 @given(
     st.sampled_from([1, -1]),
     st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5, 17]), max_size=120),
+    st.integers(0, 121),
 )
 @settings(max_examples=80, deadline=None)
-def test_recurrence_inverse_matches_the_literal_loop(unit, rest):
-    # coefficients beyond +-1 and values that recur, so each gatherer grows from one offset
+def test_recurrence_inverse_matches_the_literal_loop(unit, rest, cut):
+    # coefficients beyond +-1 and values that recur, so each gatherer grows from one
+    # offset; resumed after any known prefix, it computes the same rest
     a = [unit] + rest
-    assert kernels._recurrence_inverse(a) == literal_recurrence_inverse(a)
+    literal = literal_recurrence_inverse(a)
+    assert kernels._recurrence_inverse(a) == literal
+    known = literal[: max(1, cut % (len(a) + 1))]
+    assert kernels._recurrence_inverse(a, tuple(known)) == literal
 
 
 @pytest.mark.parametrize("route", ["_newton_inverse", "_recurrence_inverse"])
@@ -1087,6 +1166,18 @@ def test_packed_column_reads_slot_n_of_every_row_as_the_literal_shift(size, n_ma
         assert rows.column(blob, n) == tuple(x >> 8 * size * n & mask for x in xs)
     # and every entry at once, row after row, as each row's own unpack
     assert rows.entries(blob) == sum(map(rows.unpack, xs), ())
+
+
+@given(
+    st.integers(1, 8), st.integers(0, 40), st.integers(0, 150), st.randoms(use_true_random=False)
+)
+@settings(max_examples=60, deadline=None)
+def test_packed_total_is_the_literal_sum_of_the_rows(size, n_max, count, rng):
+    # rows whose slots sum within the slot: each row's slot holds at most 1/count of it
+    rows = kernels.PackedRows.of_size(n_max, size)
+    top = ((1 << 8 * size) - 1) // max(count, 1)
+    xs = [rows.pack([rng.randint(0, top) for _ in range(n_max + 1)]) for _ in range(count)]
+    assert rows.total(rows.blob(xs)) == sum(xs)
 
 
 @given(signed_rows(), st.integers(0, 20), st.integers(0, 20))

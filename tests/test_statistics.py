@@ -11,6 +11,7 @@ from mexstat.limits import ENUMERATION_CAP
 from mexstat.partitions import CapacityError, enumerate_partitions, p_count
 from mexstat.series import crank_generating_series, rank_generating_series
 from mexstat.statistics import (
+    MAX_MOMENT_ORDER,
     MexParams,
     _stat_census,
     crank,
@@ -398,6 +399,27 @@ def test_every_combinatorial_aggregate_reads_one_census():
         "crank": 2 * ENUMERATION_CAP + 1,
         "spt": 1,
     }
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 17, ENUMERATION_CAP])
+def test_census_row_sums_equal_the_literal_per_row_sums(n_max):
+    # every weight a census row function applies, against sum_m weight(m) * N(m, n) over
+    # the rows in bulk: thresholds that leave no row, one row and every row of one weight
+    rows = {stat: mexstat_statistics._census_rows(stat, n_max) for stat in ("rank", "crank")}
+
+    def literal(stat, weight):
+        return tuple(
+            sum(weight(m) * row[n] for m, row in rows[stat].items()) for n in range(n_max + 1)
+        )
+
+    for j in range(-n_max - 2, n_max + 3):
+        assert rank_count_at_least_row(j, n_max) == literal("rank", lambda m: m >= j)
+        assert rank_count_below_row(j, n_max) == literal("rank", lambda m: m < j)
+    for k in range(MAX_MOMENT_ORDER + 1):
+        assert rank_moment_row(k, n_max) == literal("rank", lambda m: m**k)
+        assert crank_moment_enumerated_row(k, n_max) == literal("crank", lambda m: m**k)
+    assert goe_row(n_max) == literal("rank", lambda m: m < -1)
+    assert spt_row(n_max) == mexstat_statistics._census_rows("spt", n_max)[0]
 
 
 def test_one_clear_frees_the_whole_census():
