@@ -1176,7 +1176,10 @@ def test_packed_total_is_the_literal_sum_of_the_rows(size, n_max, count, rng):
     # rows whose slots sum within the slot: each row's slot holds at most 1/count of it
     rows = kernels.PackedRows.of_size(n_max, size)
     top = ((1 << 8 * size) - 1) // max(count, 1)
-    xs = [rows.pack([rng.randint(0, top) for _ in range(n_max + 1)]) for _ in range(count)]
+    xs = [
+        sum(rng.randint(0, top) << 8 * size * n for n in range(n_max + 1)) for _ in range(count)
+    ]
+    xs[:1] = [rows.mask // ((1 << 8 * size) - 1) * top] * min(count, 1)  # every slot at top
     assert rows.total(rows.blob(xs)) == sum(xs)
 
 
