@@ -7,6 +7,11 @@ Importing this module loads only what ``compute`` and ``series`` read; the
 identity catalog (``verify``, ``list-identities``) and the reference tables
 (``table``) are imported by their subcommands, since a point query is one
 fresh process and their import would cost more than the query.
+
+The parser is argparse's, built once per process.  A plain subcommand argv
+(``compute p --n 5 --format json``: the positional, then exact ``--option
+value`` pairs) is read off the subparser's own actions without argparse's
+general matcher; every other argv, and every error, takes argparse's path.
 """
 
 from __future__ import annotations
@@ -235,6 +240,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         check_precision(n_series)
         reports = identities.verify_all(args.max_n, n_series)
     else:
+        if args.max_n_series is not None:
+            raise ValueError("--max-n-series bounds 'verify all' only; bound one check with --max-n")
         check = identities.REGISTRY.get(args.check_id)
         if check is not None and not check.requires_enumeration:
             check_precision(args.max_n)
@@ -291,16 +298,67 @@ def _print_csv(rows: list[list[str]]) -> None:
 class _Parser(argparse.ArgumentParser):
     """Parses an argv whose first token names a subcommand by that subcommand's
     parser alone, as argparse's subparsers action does after matching every token
-    against the top level's own options; any other argv takes argparse's path."""
+    against the top level's own options; any other argv takes argparse's path.
 
-    commands: dict[str, argparse.ArgumentParser] = {}  # none in the subparsers
+    A plain subcommand argv -- its one positional, then ``--option value``
+    pairs -- is read off that subparser's own actions (``_read_plain``) into
+    the namespace argparse would build.  Every other argv, and every argv
+    argparse would refuse, goes to the subparser's ``parse_known_args``, so
+    help, usage and error messages stay argparse's."""
+
+    # subcommand name -> its parser; empty in the subparsers (built as _Parsers
+    # too), and an empty dict sends every argv through argparse's own path
+    commands: dict[str, argparse.ArgumentParser] = {}
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         command = self.commands.get(args[0]) if args and namespace is None else None
         if command is None:
             return super().parse_known_args(args, namespace)
+        read = _read_plain(command, args[0], args[1:])
+        if read is not None:
+            return read, []
         return command.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
+
+
+def _read_plain(
+    command: argparse.ArgumentParser, name: str, tokens: list[str]
+) -> argparse.Namespace | None:
+    """The namespace ``command`` builds from ``tokens`` when they are its one
+    positional then exact ``--option value`` pairs of plain store actions, each
+    value taken by argparse as a value and accepted by the action's type and
+    choices; None for any other argv."""
+    actions = command._actions
+    positional = [a for a in actions if not a.option_strings]
+    if len(positional) != 1 or len(tokens) % 2 == 0 or command._mutually_exclusive_groups:
+        return None
+    flags = map(command._option_string_actions.get, tokens[1::2])
+    seen, given = set(), {}
+    try:
+        for action, text in zip([positional[0], *flags], tokens[::2]):
+            if type(action) is not argparse._StoreAction or action.nargs is not None:
+                return None
+            if text[:1] in command.prefix_chars and not (
+                command._negative_number_matcher.match(text)
+                and not command._has_negative_number_optionals
+            ):
+                return None
+            given[action.dest] = value = command._get_value(action, text)
+            command._check_value(action, value)
+            seen.add(action)
+        # as argparse: the first default per dest, a string one through its type
+        defaults = {"command": name}
+        for a in actions:
+            if a in seen:
+                continue
+            if a.required:
+                return None
+            if a.dest not in defaults and argparse.SUPPRESS not in (a.dest, a.default):
+                is_text = isinstance(a.default, str)
+                defaults[a.dest] = command._get_value(a, a.default) if is_text else a.default
+    except argparse.ArgumentError:
+        return None
+    return argparse.Namespace(**{**command._defaults, **defaults, **given})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -9,8 +10,11 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mexstat import cli, mexcount, partitions, series, statistics
 from mexstat.cli import build_parser, main
@@ -276,6 +280,67 @@ PARSER_CORPUS = [
     ["list-identities"],
     ["list-identities", "--format", "csv"],
     ["list-identities", "x"],
+    # at the edges of the plain-argv reader
+    ["compute", "--n", "5", "p"],
+    ["compute", "p", "--n", "5", "--n", "6"],
+    ["compute", "p", "--n", "--n", "5"],
+    ["compute", "p", "--n", "-1.5"],
+    ["compute", "N", "--n", "10", "--m", "-3"],
+    ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "6", "--method", "-x"],
+    ["compute", "p", "--n", "-"],
+    ["compute", "-", "--n", "5"],
+    ["compute", "p", "--n", ""],
+    ["compute", "p", "--n", "5", "--format=json"],
+    ["compute", "p", "--n", "5", "--fo", "json"],
+    ["compute", "p", "--n", "5", "--format", "xml"],
+    ["compute", "p", "--n", "5", "--format"],
+    ["compute", "p", "--n", "5", "-h"],
+    ["compute", "p", "--n", "5", "-h", "x"],
+    ["table", "-1"],
+    ["table", "2", "--format", "csv"],
+    ["series", "F", "--A", "2", "--a", "3", "--precision", "10"],
+    ["series", "residue-product", "--modulus", "4", "--residues", "2", "--sign", "plus"],
+    ["series", "jtp", "--k", "1", "--i", "1", "--parity", "none"],
+    ["verify", "all", "--max-n", "6", "--max-n-series", "8", "--format", "json"],
+    ["verify", "thm-2.1", "--max-n-series", "5"],
+]
+
+# one argv per compute kind, in the form the queries workload sends them
+CANONICAL_COMPUTE = [
+    ["compute", "p_aa", "--format", "json", "--A", "2", "--a", "3", "--n", "40"],
+    ["compute", "pbar_aa", "--format", "json", "--A", "7", "--a", "4", "--n", "900"],
+    ["compute", "p", "--format", "json", "--n", "20000"],
+    ["compute", "spt", "--format", "json", "--n", "30"],
+    ["compute", "rank", "--format", "json", "--partition", "4,2,1"],
+    ["compute", "crank", "--format", "json", "--partition", "3,1,1"],
+    ["compute", "mex", "--format", "json", "--A", "2", "--a", "3", "--partition", "3,3"],
+    ["compute", "N", "--format", "json", "--n", "12", "--m", "-5"],
+    ["compute", "M", "--format", "json", "--n", "250", "--m", "6", "--method", "series"],
+    ["compute", "moment", "--format", "json", "--n", "40", "--stat", "crank", "--k", "2"],
+    ["compute", "goe", "--format", "json", "--n", "44"],
+]
+PARSER_CORPUS += CANONICAL_COMPUTE
+
+# the corpus argvs read off the subparser's actions, without argparse's matcher
+READ_PLAIN = CANONICAL_COMPUTE + [
+    ["compute", "p", "--n", "5"],
+    ["compute", "p", "--n", "-1"],
+    ["compute", "N", "--m", "-3", "--n", "10"],
+    ["compute", "p_aa", "--A", "2", "--a", "3", "--n", "6", "--method", "recurrence"],
+    ["compute", "moment", "--stat", "rank", "--k", "2", "--n", "4", "--format", "csv"],
+    ["compute", "rank", "--partition", "5,3,1"],
+    ["table", "1"],
+    ["series", "euler", "--precision", "5", "--format", "json"],
+    ["series", "jtp", "--k", "1", "--i", "1", "--parity", "even", "--side", "product"],
+    ["verify", "thm-2.1", "--max-n", "5"],
+    ["verify", "all", "--max-n", "-1"],
+    ["compute", "p", "--n", "5", "--n", "6"],
+    ["compute", "N", "--n", "10", "--m", "-3"],
+    ["table", "2", "--format", "csv"],
+    ["series", "F", "--A", "2", "--a", "3", "--precision", "10"],
+    ["series", "residue-product", "--modulus", "4", "--residues", "2", "--sign", "plus"],
+    ["verify", "all", "--max-n", "6", "--max-n-series", "8", "--format", "json"],
+    ["verify", "thm-2.1", "--max-n-series", "5"],
 ]
 
 
@@ -298,6 +363,78 @@ def test_the_subcommand_shortcut_parses_as_argparse_does(argv, monkeypatch):
     assert shortcut == _parse_outcome(inherited, argv)
     if argv[:1] == ["compute"] and shortcut[0] is not None:
         assert shortcut[0]["command"] == "compute"
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+def test_only_plain_argvs_skip_argparse_matcher(argv, monkeypatch):
+    matched = []
+    match = argparse.ArgumentParser._parse_known_args
+
+    def spy(parser, *args, **kwargs):
+        matched.append(parser.prog)
+        return match(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args", spy)
+    _parse_outcome(build_parser(), argv)
+    assert (matched == []) == (argv in READ_PLAIN)
+
+
+SUBPARSERS = build_parser().commands
+VALUES = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.sampled_from(["-1.5", "2.5", "-", "--", "3,1", "0", ""]),
+    st.sampled_from(["json", "csv", "rank", "series", "recurrence", "plus", "odd", "x"]),
+)
+
+
+def _likely(action):
+    return st.sampled_from([str(c) for c in action.choices or ["2", "5", "-3", "all", "-x", "--"]])
+
+
+FOREIGN = sorted({s for p in SUBPARSERS.values() for a in p._actions for s in a.option_strings})
+EDITS = ["none", "drop", "move", "replace", "insert", "abbreviate", "join", "foreign"]
+
+
+@st.composite
+def argvs(draw):
+    """A plain subcommand argv -- the positional from its choices, then exact
+    options of the subcommand with one likely value each -- with at most one
+    edit at the reader's edges: a token dropped, moved, replaced by a drawn
+    value or preceded by one, or an option abbreviated, ``=``-joined to its
+    value or swapped for any subcommand's option (``-h`` among them)."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    actions = [a for a in SUBPARSERS[command]._actions if type(a) is argparse._StoreAction]
+    options = [a for a in actions if a.option_strings]
+    positionals = [a for a in actions if not a.option_strings] or options
+    tokens = [draw(_likely(positionals[0]))]
+    for _ in range(draw(st.integers(0, 4))):
+        action = draw(st.sampled_from(options))
+        tokens += [draw(st.sampled_from(action.option_strings)), draw(_likely(action))]
+    edit, i = draw(st.sampled_from(EDITS)), draw(st.integers(0, len(tokens) - 1))
+    if edit == "drop":
+        del tokens[i]
+    elif edit == "move":
+        tokens.insert(draw(st.integers(0, len(tokens) - 1)), tokens.pop(i))
+    elif edit in ("replace", "insert"):
+        tokens[i : i + (edit == "replace")] = [draw(VALUES)]
+    elif len(tokens) > 1:  # an edit of one option, at an odd index
+        i = 2 * draw(st.integers(0, len(tokens) // 2 - 1)) + 1
+        if edit == "abbreviate":
+            tokens[i] = tokens[i][: draw(st.integers(2, len(tokens[i])))]
+        elif edit == "join":
+            tokens[i : i + 2] = [f"{tokens[i]}={tokens[i + 1]}"]
+        elif edit == "foreign":
+            tokens[i] = draw(st.sampled_from(FOREIGN))
+    return [command, *tokens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_drawn_argvs_parse_as_argparse_does(argv):
+    inherited = build_parser()
+    inherited.commands = {}
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        assert _parse_outcome(build_parser(), argv) == _parse_outcome(inherited, argv)
 
 
 def test_series_point_queries_read_only_the_partition_series(monkeypatch, capsys):
@@ -564,6 +701,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "non-negative" in err
+
+    def test_one_check_refuses_the_series_bound_of_all(self, capsys):
+        # it bounded nothing: thm-2.1 ran over n = 0..50 and exited 0
+        code, out, err = run_cli(capsys, "verify", "thm-2.1", "--max-n-series", "5")
+        assert (code, out) == (2, "")
+        assert "--max-n" in err.replace("--max-n-series", "")
 
     def test_all_at_zero_checks_each_first_value(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "0")
