@@ -6,7 +6,8 @@
   DPs take milliseconds at the cap, so it bounds a contract -- the
   over-limit answers the command line and its tests pin -- not a walk.
   It also sizes the rank, crank and spt census that every process builds once
-  over all n <= the cap: 3 ms at 70, 50 ms at 200 (2-core host, CPython 3.11).
+  over all n <= the cap and holds as int rows: 4-7 ms and 289 KiB at 70,
+  65-125 ms and 3 MiB at 200 (2-core host, CPython 3.11).
 * ``P_TABLE_CAP`` bounds how far the shared pentagonal p(n) table grows;
   ``p_count(50000)`` takes 0.7-0.8 s from cold (2-core host, CPython 3.11).
 * The series precision cap, ``MEXSTAT_MAX_PRECISION`` (default 2000),

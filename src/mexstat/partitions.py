@@ -21,12 +21,12 @@ import threading
 from bisect import bisect_right
 from functools import lru_cache
 from math import isqrt
-from operator import itemgetter, sub
+from operator import sub
 from typing import Callable, Iterable, Iterator
 
 from . import limits
 from .limits import CapacityError  # noqa: F401  (re-exported: callers import it from here)
-from .series import PackedRows, ResidueCondition
+from .series import PackedRows, ResidueCondition, _gather
 
 Partition = tuple[int, ...]
 
@@ -113,13 +113,6 @@ _p_lock = threading.Lock()
 _PENTAGONAL = tuple(
     k * (3 * k + s) // 2 for k in range(1, isqrt(limits.P_TABLE_CAP) + 2) for s in (-1, 1)
 )
-
-
-def _gather(indices: list[int]) -> Callable[[list[int]], tuple[int, ...]]:
-    """t -> tuple(t[i] for i in indices), in one C call once there are two or more."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda t: tuple(t[i] for i in indices)
 
 
 @lru_cache(maxsize=1)

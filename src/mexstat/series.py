@@ -451,38 +451,9 @@ class PackedRows:
             out[s - 1] = self.stride(out[s], s)
         return out
 
-    def blob(self, rows: Iterable[int]) -> bytes:
-        """Rows of non-negative counts laid end to end, for :meth:`column`."""
-        length = self.size * (self.n_max + 1)
-        return b"".join([x.to_bytes(length, "little") for x in rows])
-
-    def column(self, blob: bytes, n: int) -> tuple[int, ...]:
-        """Entry n of every row of a :meth:`blob`, in row order, in one conversion."""
-        s, stride = self.size, self.size * (self.n_max + 1)
-        data = bytearray(len(blob) // stride * s)
-        for i in range(s):
-            data[i::s] = blob[s * n + i :: stride]
-        return tuple(self._slots(data, False))
-
-    def total(self, blob: bytes) -> int:
-        """The sum of the rows of a :meth:`blob`, in one conversion: the upper half
-        of the rows is added slot by slot to the lower half until one row is left,
-        so each slot of the sum must fit its slot."""
-        length = self.size * (self.n_max + 1)
-        count, x = len(blob) // length, int.from_bytes(blob, "little")
-        while count > 1:
-            count = (count + 1) // 2
-            low = 8 * length * count
-            x = (x & (1 << low) - 1) + (x >> low)
-        return x
-
     def unpack(self, x: int) -> tuple[int, ...]:
         """The entries of a row of non-negative counts, entry n at index n."""
-        return self.entries(x.to_bytes(self.size * (self.n_max + 1), "little"))
-
-    def entries(self, blob: bytes) -> tuple[int, ...]:
-        """The entries of every row of a :meth:`blob`, row after row, in one conversion."""
-        return tuple(self._slots(blob, False))
+        return tuple(self._slots(x.to_bytes(self.size * (self.n_max + 1), "little"), False))
 
     def signed(self, x: int) -> list[int]:
         """Coefficients 0..n_max of x, exact if each |c| < 2^(width - 1); higher
@@ -589,10 +560,12 @@ def _recurrence_inverse(a: Sequence[int], known: Sequence[int] = ()) -> list[int
 
 
 def _gather(offsets: list[int]) -> Callable[[list[int]], Sequence[int]]:
-    # the items at the negative ``offsets``; itemgetter of one index returns the item,
-    # so one offset is read as a one-item slice
+    # the items at the negative ``offsets``; itemgetter of one index returns the item
+    # and of none refuses, so one offset is read as a one-item slice and none as empty
     if len(offsets) > 1:
         return itemgetter(*offsets)
+    if not offsets:
+        return itemgetter(slice(0))
     k = offsets[0]
     return itemgetter(slice(k, k + 1 or None))
 

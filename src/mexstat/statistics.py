@@ -7,9 +7,10 @@ statistic without listing partitions: counting DPs build one census of the
 rank, crank and spt rows over all of n = 0..``limits.ENUMERATION_CAP``
 (the hook and Gaussian-binomial count of Ferrers diagrams for the rank,
 the split by the number of ones for the Andrews-Garvan crank, the
-smallest-part tally over tails for spt), once per process, and kept as one
-packed blob per statistic: row functions read rows |m| <= n_max of it to
-slot n_max, point functions slot n of rows |m| <= n.  They share
+smallest-part tally over tails for spt), once per process, and kept as plain
+int rows, one list per statistic: row functions read the rows |m| <= n_max cut
+to entries 0..n_max (weighted and summed for an aggregate), point functions
+entry n of the rows |m| <= n.  They share
 no code with the series engine or the pentagonal p(n).  The series flavour
 is a theta quotient: N(m, n), M(m, n) and every weighted crank sum is a
 numerator from ``series.count_numerator`` over (q)_inf.  A crank moment or
@@ -26,8 +27,7 @@ has no q^0 term (the crank flavours agree at n = 0).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Literal
 
 from . import limits
@@ -89,11 +89,12 @@ def crank(parts: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=1)
-def _stat_census() -> tuple[PackedRows, dict[str, bytes]]:
-    # (packer, one blob per statistic) over n = 0..ENUMERATION_CAP: the rank and crank
-    # rows of m = -n_max..n_max in value order; spt is one row, read as m = 0, so its
-    # total is the zeroth moment.  Weight 4, as spt(n) <= p_2(n): lambda with k of its
-    # smallest parts s marked -> (lambda - s^k, s^k) is 1-1
+def _stat_census() -> dict[str, list[tuple[int, ...]]]:
+    # one list of int rows per statistic, entry n of a row its count at n for
+    # n = 0..ENUMERATION_CAP: the rank and crank rows of m = -n_max..n_max in value
+    # order; spt is one row, read as m = 0, so its total is the zeroth moment.  Built
+    # packed, weight 4, as spt(n) <= p_2(n): lambda with k of its smallest parts s
+    # marked -> (lambda - s^k, s^k) is 1-1; unpacked once, at the end
     n_max = limits.ENUMERATION_CAP
     rows = PackedRows(n_max, 4)
     rank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
@@ -141,60 +142,48 @@ def _stat_census() -> tuple[PackedRows, dict[str, bytes]]:
     for s in range(1, n_max + 1):
         spt += rows.stride(rows.stride(rows.shift(tails[s], s), s), s)
     by_stat = {"rank": rank_rows.values(), "crank": crank_rows.values(), "spt": [spt]}
-    return rows, {stat: rows.blob(values) for stat, values in by_stat.items()}
+    return {stat: list(map(rows.unpack, values)) for stat, values in by_stat.items()}
 
 
-def _census_block(stat: str, n: int, least: int) -> tuple[PackedRows, range, bytes]:
-    # the census packer, the values m with |m| <= n and the slice of the blob of
-    # ``stat`` that holds their rows (the rows of |m| > n are zero at slots 0..n),
-    # once n is checked: at least ``least`` (0 or 1) and within the cap
+def _census(stat: str, n: int, least: int) -> tuple[range, list[tuple[int, ...]]]:
+    # the values m with |m| <= n and the census rows of ``stat`` that hold them (the rows
+    # of |m| > n are zero at 0..n), once n is checked: at least ``least`` (0 or 1) and
+    # within the cap
     if n < least:
         raise ValueError("n must be at least 1" if least else "n must be non-negative")
     limits.check_enumeration(n)
-    packer, blobs = _stat_census()
-    blob, stride = blobs[stat], packer.size * (packer.n_max + 1)
-    middle = len(blob) // stride // 2  # the row of m = 0
+    rows = _stat_census()[stat]
+    middle = len(rows) // 2  # the row of m = 0
     top = min(n, middle)
-    start = (middle - top) * stride
-    return packer, range(-top, top + 1), blob[start : start + (2 * top + 1) * stride]
+    return range(-top, top + 1), rows[middle - top : middle + top + 1]
 
 
 def _census_rows(stat: str, n_max: int) -> dict[int, tuple[int, ...]]:
     # value m -> (count of ``stat`` = m at n for n = 0..n_max), for m in [-n_max, n_max]
-    packer, values, block = _census_block(stat, n_max, 0)
-    entries, stride = packer.entries(block), packer.n_max + 1
-    return {m: entries[i * stride : i * stride + n_max + 1] for i, m in enumerate(values)}
+    values, rows = _census(stat, n_max, 0)
+    return {m: row[: n_max + 1] for m, row in zip(values, rows)}
 
 
 def _census_row(stat: str, n_max: int, weight: Callable[[int], int]) -> tuple[int, ...]:
-    # entry n is the sum over m of weight(m) * (count of ``stat`` = m at n); the rows
-    # of one weight count disjoint sets of partitions, so are summed packed: each run
-    # of adjacent rows of one weight, cut to slots 0..n_max, in one conversion
-    packer, values, block = _census_block(stat, n_max, 0)
-    rows, stride = PackedRows.of_size(n_max, packer.size), packer.size * (packer.n_max + 1)
-    cut = rows.size * (n_max + 1)
-    by_weight: dict[int, int] = {}
-    start = 0
-    for w, run in groupby(map(weight, values)):
-        end = start + stride * len(list(run))
-        if w:
-            kept = block[start:end]
-            if cut < stride:
-                kept = b"".join([kept[i : i + cut] for i in range(0, end - start, stride)])
-            by_weight[w] = by_weight.get(w, 0) + rows.total(kept)
-        start = end
-    weighted = [[w * c for c in rows.unpack(x)] for w, x in by_weight.items()]
-    return tuple(map(sum, zip([0] * (n_max + 1), *weighted)))
+    # entry n is the sum over m of weight(m) * (count of ``stat`` = m at n)
+    values, rows = _census(stat, n_max, 0)
+    cut = n_max + 1
+    terms = [
+        row if w == 1 else [w * c for c in row[:cut]]
+        for w, row in zip(map(weight, values), rows)
+        if w
+    ]
+    return tuple(map(sum, zip([0] * cut, *terms)))
 
 
 def _census_column(stat: str, n: int) -> tuple[range, tuple[int, ...]]:
-    # the values |m| <= n and the count of ``stat`` = m at n of each: slot n of their rows
-    packer, values, block = _census_block(stat, n, 1)
-    return values, packer.column(block, n)
+    # the values |m| <= n and the count of ``stat`` = m at n of each: entry n of their rows
+    values, rows = _census(stat, n, 1)
+    return values, tuple(map(itemgetter(n), rows))
 
 
 def _census_at(stat: str, n: int, weight: Callable[[int], int]) -> int:
-    # entry n of _census_row(stat, n, weight), read off slot n alone
+    # entry n of _census_row(stat, n, weight), read off entry n of each row alone
     values, column = _census_column(stat, n)
     return sum(map(mul, map(weight, values), column))
 
