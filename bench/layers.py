@@ -34,6 +34,8 @@ Layers:
   q^j/(q)_j over even and over odd j;
 * ``jtp_products.1000`` -- the product sides of thm-2.8 and jtp-even-lemma
   at 1000, the 42 distinct Jacobi triple products with k <= 6;
+* ``jtp_sums.1000`` -- the sum sides of the same two checks at 1000, the
+  78 bilateral theta sums with k <= 6;
 * ``parts_parity_counts.1000`` -- the even and odd part-count rows over
   n = 0..1000 from a cold cache;
 * ``restricted_row.N`` (N = 200, 2000) -- the Thm 3.10 row at M = 7,
@@ -180,9 +182,10 @@ def crank_rows_2000() -> None:
     mexstat_statistics.crank_moment_row(2, 2000)
 
 
-def jtp_products(precision: int) -> None:
+def jtp_sides(side: str, precision: int) -> None:
+    # side is "make_lhs" (the theta sums) or "make_rhs" (the triple products)
     for check_id in ("thm-2.8", "jtp-even-lemma"):
-        identities.REGISTRY[check_id].make_rhs(precision)
+        getattr(identities.REGISTRY[check_id], side)(precision)
 
 
 def cold_census() -> None:
@@ -291,7 +294,8 @@ def main() -> None:
     checks = identities.REGISTRY
     layers["cauchy_sums.thm29.1000"] = timed(lambda: checks["thm-2.9"].make_lhs(1000), repeats)
     layers["parity_pair.1000"] = timed(lambda: checks["pe-po-genfun"].make_lhs(1000), repeats)
-    layers["jtp_products.1000"] = timed(lambda: jtp_products(1000), repeats)
+    layers["jtp_products.1000"] = timed(lambda: jtp_sides("make_rhs", 1000), repeats)
+    layers["jtp_sums.1000"] = timed(lambda: jtp_sides("make_lhs", 1000), repeats)
     layers["parts_parity_counts.1000"] = timed(
         lambda: partitions.parts_parity_counts(1000),
         repeats,

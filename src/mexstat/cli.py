@@ -11,7 +11,8 @@ fresh process and their import would cost more than the query.
 The parser is argparse's, built once per process.  A plain subcommand argv
 (``compute p --n 5 --format json``: the positional, then exact ``--option
 value`` pairs) is read off the subparser's own actions without argparse's
-general matcher; every other argv, and every error, takes argparse's path.
+general matcher; every other argv, and every error, takes argparse's whole
+path from the top-level parser.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .series import (
     theta_quotient,
 )
 from .statistics import MexParams
+
 
 def _parse_partition(text: str) -> tuple[int, ...]:
     try:
@@ -296,14 +298,10 @@ def _print_csv(rows: list[list[str]]) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parses an argv whose first token names a subcommand by that subcommand's
-    parser alone, as argparse's subparsers action does after matching every token
-    against the top level's own options; any other argv takes argparse's path.
-
-    A plain subcommand argv -- its one positional, then ``--option value``
-    pairs -- is read off that subparser's own actions (``_read_plain``) into
-    the namespace argparse would build.  Every other argv, and every argv
-    argparse would refuse, goes to the subparser's ``parse_known_args``, so
+    """Reads a plain subcommand argv -- the subcommand, its one positional, then
+    ``--option value`` pairs -- off that subparser's own actions
+    (``_read_plain``) into the namespace argparse would build.  Every other
+    argv, and every argv argparse would refuse, takes argparse's own path, so
     help, usage and error messages stay argparse's."""
 
     # subcommand name -> its parser; empty in the subparsers (built as _Parsers
@@ -313,12 +311,10 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         command = self.commands.get(args[0]) if args and namespace is None else None
-        if command is None:
+        read = None if command is None else _read_plain(command, args[0], args[1:])
+        if read is None:
             return super().parse_known_args(args, namespace)
-        read = _read_plain(command, args[0], args[1:])
-        if read is not None:
-            return read, []
-        return command.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
+        return read, []
 
 
 def _read_plain(

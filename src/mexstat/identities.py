@@ -213,13 +213,10 @@ def _series_each(build: Callable[[int], Sequence[TruncatedSeries]]) -> Evaluator
 
 
 def _signed_counts(count_series: Callable[[int, int], TruncatedSeries]) -> EvaluatorFactory:
-    """The tuple (count(m, n) for |m| <= n) from the series rows m = 0..n_max."""
-
-    def factory(n_max: int) -> Evaluator:
-        rows = [count_series(m, n_max).coeffs for m in range(n_max + 1)]
-        return lambda n: tuple(rows[abs(m)][n] for m in range(-n, n + 1))
-
-    return factory
+    """The tuple (count(m, n) for |m| <= n) from the series rows, count(-m, .) = count(m, .)."""
+    return _signed_rows(
+        lambda n_max: {m: count_series(abs(m), n_max).coeffs for m in range(-n_max, n_max + 1)}
+    )
 
 
 def _signed_rows(build: Callable[[int], Mapping[int, Sequence[int]]]) -> EvaluatorFactory:

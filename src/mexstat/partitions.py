@@ -8,9 +8,10 @@ DP -- the restricted-part and parity rows here and the rows that stand in
 for enumeration in ``statistics`` and ``mexcount`` -- runs on
 ``series.PackedRows`` (re-exported here), whose slot width reads no p(n):
 shared integer arithmetic, not a route, as no DP reads a series, a theta
-sum or the pentagonal p(n).  No library route walks partitions one by one,
-and :func:`enumerate_partitions` (tables, tests) stops at
-``limits.ENUMERATION_CAP``.  :func:`p_count` reads one shared p(n) table:
+sum or the pentagonal p(n).  No library route walks partitions one by one.
+One recursive walk lists them: :func:`enumerate_partitions` (tables, tests)
+stops it at ``limits.ENUMERATION_CAP``, and :func:`ascending_partitions`
+yields it reversed, uncapped.  :func:`p_count` reads one shared p(n) table:
 it grows, under a lock, to the largest n asked so far and never shrinks,
 so every smaller n is a list read; it stops at ``limits.P_TABLE_CAP``.
 """
@@ -69,35 +70,14 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 def ascending_partitions(n: int) -> Iterator[list[int]]:
     """All partitions of n as ascending lists, in no particular order.
 
-    Kelleher's accelerating algorithm, for callers that scan every
-    partition; the library's own aggregates come from counting DPs instead.
-    Use :func:`enumerate_partitions` when order matters.
+    The partitions of :func:`enumerate_partitions`, each reversed into a
+    list, without its cap; the library's own aggregates come from counting
+    DPs instead.  Use :func:`enumerate_partitions` when order matters.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        yield []
-        return
-    a = [0] * (n + 1)
-    k = 1
-    y = n - 1
-    while k != 0:
-        x = a[k - 1] + 1
-        k -= 1
-        while 2 * x <= y:
-            a[k] = x
-            y -= x
-            k += 1
-        l = k + 1
-        while x <= y:
-            a[k] = x
-            a[l] = y
-            yield a[: k + 2]
-            x += 1
-            y -= 1
-        a[k] = x + y
-        y = x + y - 1
-        yield a[: k + 1]
+    for parts in _descending_partitions(n, n or 1):
+        yield list(reversed(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +113,7 @@ def p_count(n: int) -> int:
     With the table holding p(0..m-1), the term p(m - g) is ``table[-g]``, so
     each step is one gather of the offsets g <= m with k odd, minus one with
     k even.  The table grows one run of m between consecutive offsets at a
-    time, each run with one pair of gathers; the last pair is kept across calls.
+    time, each run with one pair of gathers; the pair is kept, for tables grown one n per call.
     Growing the table past ``limits.P_TABLE_CAP`` raises CapacityError.
     """
     if n < 0:

@@ -4,15 +4,15 @@ Everything here is integer arithmetic: coefficients are Python ints, there
 is no rounding anywhere, and every operation truncates to the minimum of
 the operand precisions rather than silently extending a series.  Besides
 the arithmetic, this module generates the series the rest of the package
-needs: the pentagonal-number expansion of the Euler product, finite
-q-Pochhammer products, alternating theta sums, products of (1 +- q^n) over
-congruence classes, the two univariate Jacobi-triple-product
+needs: alternating theta sums, the Euler product among them as the
+bilateral pentagonal theta, finite q-Pochhammer products, products of
+(1 +- q^n) over congruence classes, the two univariate Jacobi-triple-product
 specializations, and the generating series for rank/crank counts and their
 second moments.
 
 Every theta sum has an exponent (P*n^2 + Q*n + R)/2, given as the triple
-(P, Q, R); the indices that land in [0, precision] are computed exactly.
-No function here caps its precision; the command line does.
+(P, Q, R); :func:`theta_terms` expands each, the indices that land in
+[0, precision] computed exactly.  No function caps its precision; the CLI does.
 
 Packed arithmetic.  The products, inverses and sums work on one Python int
 per series: coefficient c_i sits in a byte-aligned slot of w bits, i.e.
@@ -690,26 +690,11 @@ def _cauchy_terms(
 def euler_product(precision: int) -> TruncatedSeries:
     """The product (1-q)(1-q^2)(1-q^3)... via its pentagonal-number expansion.
 
-    The coefficient at exponent m(3m-1)/2 and m(3m+1)/2 is (-1)^m; every
-    other coefficient is zero.  This deliberately does not multiply factors,
-    so it can serve as an independent cross-check of the literal product.
+    By Euler's pentagonal theorem it is the bilateral theta on (3, -1, 0).  This
+    deliberately does not multiply factors, so it can serve as an independent
+    cross-check of the literal product.
     """
-    if precision < 0:
-        raise ValueError("precision must be non-negative")
-    c = [0] * (precision + 1)
-    c[0] = 1
-    m = 1
-    while True:
-        e1 = m * (3 * m - 1) // 2
-        if e1 > precision:
-            break
-        sign = -1 if m & 1 else 1
-        c[e1] += sign
-        e2 = m * (3 * m + 1) // 2
-        if e2 <= precision:
-            c[e2] += sign
-        m += 1
-    return TruncatedSeries._of_checked(tuple(c))
+    return alternating_theta_bilateral((3, -1, 0), precision)
 
 
 def pochhammer_finite(n: int, precision: int) -> TruncatedSeries:
@@ -780,7 +765,8 @@ def _theta_indices(quadratic: Quadratic, n_start: int, precision: int) -> range:
 def alternating_theta_bilateral(quadratic: Quadratic, precision: int) -> TruncatedSeries:
     """The two-sided sum of (-1)^n q^((P*n^2 + Q*n + R)/2) over all integers n."""
     P, Q, R = quadratic
-    return alternating_theta(quadratic, 0, precision) + alternating_theta((P, -Q, R), 1, precision)
+    terms = theta_terms(quadratic, 0, precision)
+    return _truncated(theta_terms((P, -Q, R), 1, precision, into=terms), precision)
 
 
 def residue_product(cond: ResidueCondition, precision: int) -> TruncatedSeries:

@@ -94,18 +94,19 @@ def _stat_census() -> dict[str, list[tuple[int, ...]]]:
     # n = 0..ENUMERATION_CAP: the rank and crank rows of m = -n_max..n_max in value
     # order; spt is one row, read as m = 0, so its total is the zeroth moment.  Built
     # packed, weight 4, as spt(n) <= p_2(n): lambda with k of its smallest parts s
-    # marked -> (lambda - s^k, s^k) is 1-1; unpacked once, at the end
+    # marked -> (lambda - s^k, s^k) is 1-1; each statistic is unpacked as soon as its
+    # DP ends, so no two statistics are held packed at once
     n_max = limits.ENUMERATION_CAP
     rows = PackedRows(n_max, 4)
-    rank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
-    crank_rows = dict.fromkeys(range(-n_max, n_max + 1), 0)
-    rank_rows[0] = crank_rows[0] = 1
+    census = {}
 
     # Rank.  Largest part L and k parts: the hook has L + k - 1 = m + 1 cells
     # and the rest fits a (k-1) x (L-1) box, so with j = k - 1 there are
     # q^(m+1) [m choose j]_q of them, of rank m - 2j.  Row m of the Gaussian
     # binomials comes from row m - 1 by [m, j] = [m-1, j-1] + q^j [m-1, j],
     # kept to q^(n_max-m-1), the most that q^(m+1) leaves.
+    packed = dict.fromkeys(range(-n_max, n_max + 1), 0)
+    packed[0] = 1
     binomials = [1]
     for m in range(n_max):
         if m:
@@ -117,23 +118,28 @@ def _stat_census() -> dict[str, list[tuple[int, ...]]]:
                 for j in range(m + 1)
             ]
         for j, box in enumerate(binomials):
-            rank_rows[m - 2 * j] += rows.shift(box, m + 1)
+            packed[m - 2 * j] += rows.shift(box, m + 1)
+    census["rank"] = list(map(rows.unpack, packed.values()))
 
     # Crank.  q^w prod_{j=2..w} 1/(1-q^j) counts both the partitions with no
     # ones and largest part w >= 2 (crank w) and w ones together with free
     # parts in [2, w].  The latter take mu parts > w as well,
     # q^(mu(w+1))/(q)_mu, and have crank mu - w.
+    packed = dict.fromkeys(range(-n_max, n_max + 1), 0)
+    packed[0] = 1
     free = 1
     for w in range(1, n_max + 1):
         if w >= 2:
             free = rows.stride(free, w)
-            crank_rows[w] += rows.shift(free, w)
+            packed[w] += rows.shift(free, w)
         with_ones = rows.shift(free, w)
         mu = 0
         while with_ones:
-            crank_rows[mu - w] += with_ones
+            packed[mu - w] += with_ones
             mu += 1
             with_ones = rows.stride(rows.shift(with_ones, w + 1), mu)
+    census["crank"] = list(map(rows.unpack, packed.values()))
+    del packed
 
     # spt.  Smallest part s, t >= 1 times, adds t q^(st): q^s/(1-q^s)^2 times
     # the tail T_s of parts above s.
@@ -141,8 +147,8 @@ def _stat_census() -> dict[str, list[tuple[int, ...]]]:
     spt = 0
     for s in range(1, n_max + 1):
         spt += rows.stride(rows.stride(rows.shift(tails[s], s), s), s)
-    by_stat = {"rank": rank_rows.values(), "crank": crank_rows.values(), "spt": [spt]}
-    return {stat: list(map(rows.unpack, values)) for stat, values in by_stat.items()}
+    census["spt"] = [rows.unpack(spt)]
+    return census
 
 
 def _census(stat: str, n: int, least: int) -> tuple[range, list[tuple[int, ...]]]:

@@ -550,8 +550,9 @@ def test_a_query_sweep_stays_within_a_memory_bound():
         finally:
             tracemalloc.stop()
     assert codes == {0}
-    # measured 0.22-0.24 MB over seeds 1-5 (CPython 3.11); the census and one
-    # 1/(q)_inf row, whatever the number of keys.  A row per series key took 8.9-9.2 MB
+    # measured 0.38-0.40 MB over seeds 1-5 (CPython 3.11), most of it the census
+    # build, and one 1/(q)_inf row, whatever the number of keys.  A row per series
+    # key took 8.9-9.2 MB
     assert peak < 500_000
 
 

@@ -74,6 +74,19 @@ class TestEnumeration:
         for n in range(0, 26):
             assert sum(1 for _ in ascending_partitions(n)) == p_count(n)
 
+    def test_ascending_iterator_lists_each_partition_ascending(self):
+        for n in range(0, 21):
+            listed = list(ascending_partitions(n))
+            assert all(parts == sorted(parts) for parts in listed)
+            assert Counter(map(tuple, listed)) == Counter(
+                tuple(reversed(parts)) for parts in enumerate_partitions(n)
+            )
+
+    def test_ascending_iterator_refuses_negative_n_on_first_item(self):
+        items = ascending_partitions(-1)
+        with pytest.raises(ValueError):
+            next(items)
+
 
 class TestPartitionCount:
     def test_small_values(self):

@@ -232,6 +232,22 @@ def test_theta_matches_brute_force_sum(P, Q, half_R, n_start, precision):
     assert alternating_theta((P, Q, 2 * half_R), n_start, precision).coeffs == tuple(expected)
 
 
+@given(st.integers(0, 6), st.integers(-40, 40), st.integers(0, 200), st.integers(0, 300))
+@settings(max_examples=200, deadline=None)
+def test_bilateral_theta_is_the_sum_of_its_halves(P, Q, half_R, precision):
+    # the n >= 0 half on (P, Q, R) and the n < 0 half, n -> -n, on (P, -Q, R) from n = 1
+    Q += (P + Q) % 2
+    try:
+        halves = alternating_theta((P, Q, 2 * half_R), 0, precision) + alternating_theta(
+            (P, -Q, 2 * half_R), 1, precision
+        )
+    except ValueError:
+        with pytest.raises(ValueError):
+            alternating_theta_bilateral((P, Q, 2 * half_R), precision)
+        return
+    assert alternating_theta_bilateral((P, Q, 2 * half_R), precision) == halves
+
+
 @given(
     st.integers(0, 4),
     st.integers(-40, 40),
