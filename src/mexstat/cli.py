@@ -10,9 +10,17 @@ fresh process and their import would cost more than the query.
 
 The parser is argparse's, built once per process.  A plain subcommand argv
 (``compute p --n 5 --format json``: the positional, then exact ``--option
-value`` pairs) is read off the subparser's own actions without argparse's
-general matcher; every other argv, and every error, takes argparse's whole
-path from the top-level parser.
+value`` pairs) is read by that subcommand's parse plan, built on its first
+parse from the public attributes of the actions ``add_argument`` returned:
+the positional, a map from each option string of a plain store action to
+its dest, type and choices, and the default namespace.  Such a parse is
+dict lookups, the values' ``type`` calls and one namespace, and reads no
+private argparse name: about 4 us (``bench/layers.py``
+``cli.parse.compute``: 3-6 ms for the 1000 argvs of the queries workload,
+against 56-61 ms through argparse's matcher; 2-core x86_64 host, CPython
+3.11); a series point read then takes 20-30 us (``point.p_aa.2000``, with
+the 1/(q)_inf row held).  Every other argv, and every error, takes
+argparse's whole path from the top-level parser.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from . import mexcount, partitions, statistics
@@ -299,62 +308,137 @@ def _print_csv(rows: list[list[str]]) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Reads a plain subcommand argv -- the subcommand, its one positional, then
-    ``--option value`` pairs -- off that subparser's own actions
-    (``_read_plain``) into the namespace argparse would build.  Every other
-    argv, and every argv argparse would refuse, takes argparse's own path, so
-    help, usage and error messages stay argparse's."""
+    ``--option value`` pairs -- by that subcommand's :class:`_Plan`, built on its
+    first parse, into the namespace argparse would build.  Every other argv, and
+    every argv argparse would refuse, takes argparse's own path, so help, usage
+    and error messages stay argparse's.
+
+    A plan knows the arguments given to ``add_argument`` and ``set_defaults`` of
+    the subcommand's parser itself, which is how :func:`build_parser` adds every
+    argument: none through an argument group or a subparser."""
 
     # subcommand name -> its parser; empty in the subparsers (built as _Parsers
     # too), and an empty dict sends every argv through argparse's own path
     commands: dict[str, argparse.ArgumentParser] = {}
 
+    def __init__(self, *args, **kwargs) -> None:
+        self.added: list[tuple[argparse.Action, bool]] = []  # (action, plain store)
+        self.preset: dict[str, object] = {}  # the set_defaults
+        self.plans: dict[str, _Plan | None] = {}  # by subcommand, None for argparse's path
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs) -> argparse.Action:
+        action = super().add_argument(*args, **kwargs)
+        self.added.append((action, kwargs.get("action") in (None, "store")))
+        return action
+
+    def set_defaults(self, **kwargs) -> None:
+        super().set_defaults(**kwargs)
+        self.preset.update(kwargs)
+
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
         command = self.commands.get(args[0]) if args and namespace is None else None
-        read = None if command is None else _read_plain(command, args[0], args[1:])
-        if read is None:
-            return super().parse_known_args(args, namespace)
-        return read, []
+        if command is not None:
+            try:
+                plan = self.plans[args[0]]
+            except KeyError:
+                plan = self.plans[args[0]] = _Plan.of(command, args[0])
+            read = None if plan is None else plan.read(args[1:])
+            if read is not None:
+                return read, []
+        return super().parse_known_args(args, namespace)
 
 
-def _read_plain(
-    command: argparse.ArgumentParser, name: str, tokens: list[str]
-) -> argparse.Namespace | None:
-    """The namespace ``command`` builds from ``tokens`` when they are its one
-    positional then exact ``--option value`` pairs of plain store actions, each
-    value taken by argparse as a value and accepted by the action's type and
-    choices; None for any other argv."""
-    actions = command._actions
-    positional = [a for a in actions if not a.option_strings]
-    if len(positional) != 1 or len(tokens) % 2 == 0 or command._mutually_exclusive_groups:
-        return None
-    flags = map(command._option_string_actions.get, tokens[1::2])
-    seen, given = set(), {}
-    try:
-        for action, text in zip([positional[0], *flags], tokens[::2]):
-            if type(action) is not argparse._StoreAction or action.nargs is not None:
+class _Plan:
+    """How a plain argv of one subcommand becomes its namespace, taken once from
+    the public attributes of the actions its ``add_argument`` calls returned:
+
+    * ``positional``, the one positional as (dest, type, choices);
+    * ``options``, each option string of a plain store action (no ``action`` or
+      ``nargs`` given) to its (dest, type, choices);
+    * ``defaults``, the namespace before any value: the subcommand name, the
+      first default per dest (a string one passed through its type) and then
+      ``set_defaults``, in the order argparse sets them;
+    * ``prefix_chars``, and ``negatives``: whether ``-`` then decimal digits is
+      a value (argparse reads such a value as a negative number).
+    """
+
+    __slots__ = ("positional", "options", "defaults", "prefix_chars", "negatives")
+
+    def __init__(
+        self,
+        positional: tuple,
+        options: dict[str, tuple],
+        defaults: dict[str, object],
+        prefix_chars: str,
+        negatives: bool,
+    ) -> None:
+        self.positional, self.options, self.defaults = positional, options, defaults
+        self.prefix_chars, self.negatives = prefix_chars, negatives
+
+    @classmethod
+    def of(cls, command: _Parser, name: str) -> _Plan | None:
+        """The plan of ``command``, or None when it takes argparse's path for
+        every argv: not one plain positional, a required option, or a string
+        default its type refuses."""
+        positional, options, defaults = [], {}, {"command": name}
+        for action, store in command.added:
+            slot = (action.dest, action.type, action.choices)
+            plain = store and action.nargs is None and not isinstance(action.choices, str)
+            if not action.option_strings:
+                positional.append(slot if plain else None)
+            elif action.required:
                 return None
-            if text[:1] in command.prefix_chars and not (
-                command._negative_number_matcher.match(text)
-                and not command._has_negative_number_optionals
+            elif plain:
+                options.update(dict.fromkeys(action.option_strings, slot))
+            default = action.default
+            if argparse.SUPPRESS in (action.dest, default) or action.dest in defaults:
+                continue
+            if isinstance(default, str) and action.type is not None:
+                try:
+                    default = action.type(default)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            defaults[action.dest] = default
+        if len(positional) != 1 or positional[0] is None:
+            return None
+        for dest, value in command.preset.items():
+            defaults.setdefault(dest, value)
+        # with an option string argparse could take for a negative number (every
+        # form any argparse version reads as one starts r"-\.?\d"), no value may
+        # start with "-"
+        strings = [s for action, _ in command.added for s in action.option_strings]
+        negatives = not any(re.match(r"-\.?\d", s) for s in strings)
+        return cls(positional[0], options, defaults, command.prefix_chars, negatives)
+
+    def read(self, tokens: list[str]) -> argparse.Namespace | None:
+        """The namespace of ``tokens``, the positional then ``--option value``
+        pairs of plain store actions, each value one argparse takes as a value
+        and one the action's type and choices accept; None for any other argv."""
+        if not len(tokens) & 1:
+            return None
+        namespace = argparse.Namespace()
+        values = vars(namespace)
+        values.update(self.defaults)
+        slots = [self.positional, *map(self.options.get, tokens[1::2])]
+        for slot, text in zip(slots, tokens[::2]):
+            if slot is None:
+                return None
+            if text[:1] in self.prefix_chars and not (
+                self.negatives and text[:1] == "-" and text[1:].isdecimal()
             ):
                 return None
-            given[action.dest] = value = command._get_value(action, text)
-            command._check_value(action, value)
-            seen.add(action)
-        # as argparse: the first default per dest, a string one through its type
-        defaults = {"command": name}
-        for a in actions:
-            if a in seen:
-                continue
-            if a.required:
+            dest, convert, choices = slot
+            if convert is not None:
+                try:
+                    text = convert(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if choices is not None and text not in choices:
                 return None
-            if a.dest not in defaults and argparse.SUPPRESS not in (a.dest, a.default):
-                is_text = isinstance(a.default, str)
-                defaults[a.dest] = command._get_value(a, a.default) if is_text else a.default
-    except argparse.ArgumentError:
-        return None
-    return argparse.Namespace(**{**command._defaults, **defaults, **given})
+            values[dest] = text
+        return namespace
 
 
 def build_parser() -> argparse.ArgumentParser:

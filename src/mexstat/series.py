@@ -91,7 +91,9 @@ sums -- is a sparse numerator over (q)_inf.  A numerator is a dict
 :func:`theta_terms`.  :func:`theta_quotient` reads it as a row, one multiply
 by ``partition_generating_series``; :func:`theta_quotient_at` reads
 coefficient n alone, a sum over the numerator's terms against the same
-series.
+series, read in place wherever the cache holds it at n or above: a point
+read copies no row.  :func:`theta_terms` steps each theta's exponents by
+running sums, e(n + 1) - e(n) = P*n + (P + Q)/2, with no quadratic per index.
 
 Caches.  ``partition_generating_series`` and the rank and crank count
 series are cached by :func:`prefix_cache`: one series per key (none, or
@@ -101,14 +103,16 @@ the Euler product reads only the coefficients below the one it computes
 (the online, "relaxed" setting of J. van der Hoeven, "Relax, but don't be
 too lazy", J. Symbolic Comput. 2002), so a request above the held
 precision resumes it after the coefficients held, and a sweep over rising
-precisions computes each coefficient once.  The theta-quotient rows on it
-(the rank and crank count series here, the mex rows of ``mexcount``) are
-one multiply each and rebuild once per new maximum.  Rising precisions
-within one process come from point queries: the ``queries`` workload of
-``perfbench`` reads the row at the n of each series query, and a sweep of
-``mex_series_at`` over n grows it by one coefficient per point, while the
-identity catalog and the deep series checks build it at one or two
-precisions.  A weighted crank sum is one numerator, not a sum of count
+precisions computes each coefficient once.  The recurrence reads the
+Euler product as its O(sqrt P) pentagonal terms, never as a dense row, so
+a growth by one coefficient costs no O(P) rebuild of (q)_inf.  The
+theta-quotient rows on it (the rank and crank count series here, the mex
+rows of ``mexcount``) are one multiply each and rebuild once per new
+maximum.  Rising precisions within one process come from point queries:
+the ``queries`` workload of ``perfbench`` reads the row at the n of each
+series query, and a sweep of ``mex_series_at`` over n grows it by one
+coefficient per point, while the identity catalog and the deep series
+checks build it at one or two precisions.  A weighted crank sum is one numerator, not a sum of count
 series: read as a row by :func:`theta_quotient` or at n by
 :func:`theta_quotient_at`, it touches only ``partition_generating_series``,
 as does every point read.
@@ -218,9 +222,10 @@ class TruncatedSeries:
             raise ValueError(f"series is not invertible over the integers: constant term {a[0]}")
         nonzero = len(a) - a.count(0)
         dense = nonzero * nonzero > _NEWTON_SCALE * len(a)
-        return TruncatedSeries._of_checked(
-            tuple(_newton_inverse(a) if dense else _recurrence_inverse(a))
-        )
+        if dense:
+            return TruncatedSeries._of_checked(tuple(_newton_inverse(a)))
+        terms = dict(compress(enumerate(a), a))
+        return TruncatedSeries._of_checked(tuple(_recurrence_inverse(terms, len(a) - 1)))
 
     # -- misc ---------------------------------------------------------------
 
@@ -535,22 +540,27 @@ def _kronecker(a: Sequence[int], b: Sequence[int], size: int) -> list[int]:
     return rows.signed(rows.pack(a) * rows.pack(b))
 
 
-def _recurrence_inverse(a: Sequence[int], known: Sequence[int] = ()) -> list[int]:
-    """1/a for a[0] = +-1 from b[m] = -a[0] * sum_k a[k] b[m-k], over the nonzero a[k].
+def _recurrence_inverse(
+    terms: Mapping[int, int], precision: int, known: Sequence[int] = ()
+) -> list[int]:
+    """1/a to q^precision for the series a = sum terms[k] q^k, terms[0] = +-1, from
+    b[m] = -a[0] * sum_k a[k] b[m-k] over its nonzero terms; ``terms`` may leave out
+    any zero coefficient, so a sparse series is read in O(nnz), with no dense row.
 
-    ``known``, if given, holds b[0..len(known) - 1], no more entries than ``a``: it
-    is kept and the recurrence resumes after it, as b[m] reads only the b below m.
+    ``known``, if given, holds b[0..len(known) - 1], at most precision + 1 entries:
+    it is kept and the recurrence resumes after it, as b[m] reads only the b below m.
     With m entries of b known, b[m-k] is b[-k]: the terms of one coefficient value v
     are gathered by one itemgetter over the offsets -k of its k <= m, rebuilt when m
     reaches a new k of that value.
     """
-    b = list(known) or [a[0]]
+    b = list(known) or [terms[0]]
     offsets: dict[int, list[int]] = {}
-    for k in compress(range(1, len(b)), a[1 : len(b)]):
-        offsets.setdefault(a[k], []).append(-k)
+    for k in sorted(terms):
+        if 1 <= k < len(b) and terms[k]:
+            offsets.setdefault(terms[k], []).append(-k)
     getters = {v: _gather(ks) for v, ks in offsets.items()}
-    for m in range(len(b), len(a)):
-        v = a[m]
+    for m in range(len(b), precision + 1):
+        v = terms.get(m)
         if v:
             ks = offsets.setdefault(v, [])
             ks.append(-m)
@@ -687,6 +697,10 @@ def _cauchy_terms(
 # ---------------------------------------------------------------------------
 
 
+# (q)_inf = sum over n in Z of (-1)^n q^(n(3n-1)/2): Euler's pentagonal theorem
+_PENTAGONAL = (3, -1, 0)
+
+
 def euler_product(precision: int) -> TruncatedSeries:
     """The product (1-q)(1-q^2)(1-q^3)... via its pentagonal-number expansion.
 
@@ -694,7 +708,7 @@ def euler_product(precision: int) -> TruncatedSeries:
     deliberately does not multiply factors, so it can serve as an independent
     cross-check of the literal product.
     """
-    return alternating_theta_bilateral((3, -1, 0), precision)
+    return alternating_theta_bilateral(_PENTAGONAL, precision)
 
 
 def pochhammer_finite(n: int, precision: int) -> TruncatedSeries:
@@ -724,9 +738,16 @@ def theta_terms(
     added to ``into`` (a new dict by default), so that thetas sum into one numerator."""
     P, Q, R = quadratic
     terms = {} if into is None else into
-    for n in _theta_indices(quadratic, n_start, precision):
-        e = (P * n * n + Q * n + R) // 2
-        terms[e] = terms.get(e, 0) + (-weight if n & 1 else weight)
+    indices = _theta_indices(quadratic, n_start, precision)
+    if indices:
+        # e(n + 1) - e(n) = P*n + (P + Q)/2: each exponent is the last plus a step
+        # that grows by P, and the sign alternates
+        n = indices.start
+        e, step = (P * n * n + Q * n + R) // 2, P * n + (P + Q) // 2
+        c = -weight if n & 1 else weight
+        for _ in indices:
+            terms[e] = terms.get(e, 0) + c
+            e, step, c = e + step, step + P, -c
     return terms
 
 
@@ -764,9 +785,14 @@ def _theta_indices(quadratic: Quadratic, n_start: int, precision: int) -> range:
 
 def alternating_theta_bilateral(quadratic: Quadratic, precision: int) -> TruncatedSeries:
     """The two-sided sum of (-1)^n q^((P*n^2 + Q*n + R)/2) over all integers n."""
+    return _truncated(_bilateral_terms(quadratic, precision), precision)
+
+
+def _bilateral_terms(quadratic: Quadratic, precision: int) -> dict[int, int]:
+    # the terms of alternating_theta_bilateral: n >= 0 on the quadratic, n <= -1 as
+    # n >= 1 on its mirror (P, -Q, R)
     P, Q, R = quadratic
-    terms = theta_terms(quadratic, 0, precision)
-    return _truncated(theta_terms((P, -Q, R), 1, precision, into=terms), precision)
+    return theta_terms((P, -Q, R), 1, precision, into=theta_terms(quadratic, 0, precision))
 
 
 def residue_product(cond: ResidueCondition, precision: int) -> TruncatedSeries:
@@ -842,20 +868,24 @@ def prefix_cache(
     rebuilds once per new maximum without.  ``cache_info()`` and
     ``cache_clear()`` behave as those of ``functools.lru_cache`` (``maxsize``
     is None, ``currsize`` counts keys, a growth is a miss); after a clear
-    every key builds from scratch.
+    every key builds from scratch.  ``at_least(*key, precision)`` is the same
+    lookup without the prefix copy: the held series itself whenever it
+    reaches the precision, so its precision may be higher.
     """
     entries: dict[tuple, TruncatedSeries] = {}
     store = allocate_lock()
     hits = misses = 0
 
-    @wraps(build)
-    def cached(*args: int) -> TruncatedSeries:
+    def at_least(*args: int) -> TruncatedSeries:
+        # the entry of the key when it reaches the precision, else the miss's result
         nonlocal hits, misses
         key, precision = args[:-1], args[-1]
+        if precision < 0:
+            raise ValueError("precision must be non-negative")
         held = entries.get(key)
         if held is not None and precision <= held.precision:
             hits += 1
-            return held if precision == held.precision else held.truncate(precision)
+            return held
         misses += 1
         value = build(*args) if held is None or grow is None else grow(held, *args)
         with store:
@@ -863,6 +893,12 @@ def prefix_cache(
             if held is None or held.precision < precision:
                 entries[key] = value
         return value
+
+    @wraps(build)
+    def cached(*args: int) -> TruncatedSeries:
+        series = at_least(*args)
+        precision = args[-1]
+        return series if series.precision == precision else series.truncate(precision)
 
     def cache_info() -> _CacheInfo:
         return _CacheInfo(hits, misses, None, len(entries))
@@ -872,25 +908,32 @@ def prefix_cache(
         entries.clear()
         hits = misses = 0
 
+    cached.at_least = at_least
     cached.cache_info = cache_info
     cached.cache_clear = cache_clear
     return cached
 
 
-def _grow_partition_series(held: TruncatedSeries, precision: int) -> TruncatedSeries:
-    # the sparse recurrence over euler_product(precision), resumed after the held
-    # coefficients
-    row = _recurrence_inverse(euler_product(precision).coeffs, held.coeffs)
-    return TruncatedSeries._of_checked(tuple(row))
+def _partition_row(precision: int, known: Sequence[int] = ()) -> TruncatedSeries:
+    # the sparse recurrence over the O(sqrt(precision)) pentagonal terms of (q)_inf,
+    # resumed after the ``known`` coefficients
+    terms = _bilateral_terms(_PENTAGONAL, precision)
+    return TruncatedSeries._of_checked(tuple(_recurrence_inverse(terms, precision, known)))
 
 
-@partial(prefix_cache, grow=_grow_partition_series)
+@partial(prefix_cache, grow=lambda held, precision: _partition_row(precision, held.coeffs))
 def partition_generating_series(precision: int) -> TruncatedSeries:
     """1/((1-q)(1-q^2)...) truncated: coefficient of q^n is the partition count p(n).
 
-    The sparse recurrence inverts the Euler product; the cached series grows
-    from the coefficients it holds (see :func:`prefix_cache`)."""
-    return euler_product(precision).invert()
+    The sparse recurrence inverts the Euler product, read as its pentagonal
+    terms; the cached series grows from the coefficients it holds (see
+    :func:`prefix_cache`)."""
+    return _partition_row(precision)
+
+
+# the held 1/(q)_inf row at a precision or above, read in place by point reads; bound
+# here, so that it stays the cache's own when the module name is rebound
+_partition_row_at_least = partition_generating_series.at_least
 
 
 def theta_quotient(numerator: Mapping[int, int], precision: int) -> TruncatedSeries:
@@ -902,8 +945,9 @@ def theta_quotient(numerator: Mapping[int, int], precision: int) -> TruncatedSer
 
 def theta_quotient_at(numerator: Mapping[int, int], n: int) -> int:
     """Coefficient n of :func:`theta_quotient`: the sum of c * p(n - e) over the
-    terms c q^e with e <= n, p read off ``partition_generating_series(n)``."""
-    p = partition_generating_series(n).coeffs
+    terms c q^e with e <= n, p read in place off the series that
+    ``partition_generating_series`` holds at precision n or above, with no copy."""
+    p = _partition_row_at_least(n).coeffs
     return sum([c * p[n - e] for e, c in numerator.items() if e <= n])
 
 

@@ -379,6 +379,44 @@ def test_only_plain_argvs_skip_argparse_matcher(argv, monkeypatch):
     assert (matched == []) == (argv in READ_PLAIN)
 
 
+def test_planned_argvs_read_no_private_argparse_name(monkeypatch):
+    inherited = build_parser()
+    inherited.commands = {}  # every argv takes argparse's own path
+    expected = [inherited.parse_args(argv) for argv in READ_PLAIN]
+    parser = build_parser()
+    assert parser.plans == {}  # built on the first parse of each subcommand
+    first = [parser.parse_args(argv) for argv in READ_PLAIN]
+    plans = dict(parser.plans)
+    assert sorted(plans) == ["compute", "series", "table", "verify"]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a planned parse used argparse's own reader")
+
+    for name in ("_get_value", "_check_value", "_parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, forbidden)
+    private = []
+    get = object.__getattribute__
+
+    def spy(obj, name):
+        if name[:1] == "_" and name[:2] != "__":
+            private.append(name)
+        return get(obj, name)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__getattribute__", spy)
+    again = [parser.parse_args(argv) for argv in READ_PLAIN]
+    monkeypatch.undo()
+    assert private == []
+    assert again == first == expected
+    assert all(parser.plans[name] is plan for name, plan in plans.items())  # kept, not rebuilt
+
+
+def test_each_plan_knows_every_argument_of_its_subcommand():
+    # a plan reads the add_argument and set_defaults calls of the subparser itself
+    for command in build_parser().commands.values():
+        assert [action for action, _ in command.added] == command._actions
+        assert command.preset == command._defaults
+
+
 SUBPARSERS = build_parser().commands
 VALUES = st.one_of(
     st.integers(-50, 50).map(str),

@@ -3,7 +3,9 @@ import sys
 import threading
 from collections import Counter
 from functools import partial
+from math import isqrt
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -290,6 +292,59 @@ def test_theta_dot_is_coefficient_n_of_the_product(P, Q, half_R, n_start, n, see
         assert theta_quotient_at(weighted, n) == theta_quotient(weighted, n).coeff(n) == literal
 
 
+@given(
+    st.integers(0, 6),
+    st.integers(-12, 12),
+    st.integers(0, 10),
+    st.integers(-6, 6),
+    st.integers(0, 120),
+    st.integers(-5, 5),
+    st.dictionaries(st.integers(0, 130), st.integers(-9, 9), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_theta_terms_is_the_literal_sum(P, Q, half_R, n_start, precision, weight, into):
+    # sum over n >= n_start of (-1)^n * weight * q^((P*n^2 + Q*n + R)/2), added to
+    # terms already held; P = 0 takes a positive Q
+    Q += (P + Q) % 2
+    if P == 0 and Q <= 0:
+        Q = -Q or 2
+    quadratic, R = (P, Q, 2 * half_R), 2 * half_R
+    # every exponent past n_start + precision + 30 is above the precision
+    exponents = [(n, (P * n * n + Q * n + R) // 2) for n in range(n_start, n_start + precision + 30)]
+    held = dict(into)
+    if any(e < 0 for _, e in exponents):
+        with pytest.raises(ValueError, match="negative"):
+            theta_terms(quadratic, n_start, precision, weight, held)
+        assert held == into
+        return
+    literal = dict(into)
+    for n, e in exponents:
+        if e <= precision:
+            literal[e] = literal.get(e, 0) + (-1) ** (n % 2) * weight
+    assert theta_terms(quadratic, n_start, precision, weight, held) is held
+    assert held == literal
+    if weight == 1 and not into:
+        assert theta_terms(quadratic, n_start, precision) == literal
+
+
+@given(
+    st.integers(0, 250),
+    st.data(),
+    st.dictionaries(st.integers(0, 260), st.integers(-(10**20), 10**20), max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_point_read_below_the_held_row_copies_nothing(top, data, numerator):
+    n = data.draw(st.integers(0, top))
+    partition_generating_series.cache_clear()
+    partition_generating_series(top)
+    row = theta_quotient(numerator, n).coeffs
+    with mock.patch.object(TruncatedSeries, "truncate", side_effect=AssertionError("a copy")):
+        assert theta_quotient_at(numerator, n) == row[n]
+    assert partition_generating_series.cache_info().currsize == 1
+    assert partition_generating_series(top).precision == top  # the held row stayed
+    partition_generating_series.cache_clear()
+
+
 class TestResidueProduct:
     def test_two_mod_four(self):
         cond = ResidueCondition(4, frozenset({2}))
@@ -486,10 +541,9 @@ def _count_recurrence_coefficients(monkeypatch):
     calls = []
     original = kernels._recurrence_inverse
 
-    def counted(a, *known):
-        row = original(a, *known)
-        held = len(known[0]) if known else 0
-        calls.append((held, len(row) - held))
+    def counted(terms, precision, known=()):
+        row = original(terms, precision, known)
+        calls.append((len(known), len(row) - len(known)))
         return row
 
     monkeypatch.setattr(kernels, "_recurrence_inverse", counted)
@@ -510,6 +564,26 @@ class TestGrowingPartitionSeries:
         assert all(row.coeffs == cold[: p + 1] for p, row in enumerate(rows))
         partition_generating_series.cache_clear()
 
+    def test_a_row_grown_one_coefficient_at_a_time_equals_the_cold_build(self, monkeypatch):
+        # each growth reads the O(sqrt(P)) pentagonal terms of (q)_inf, no dense row
+        sizes = []
+        original = kernels._recurrence_inverse
+
+        def sized(terms, precision, known=()):
+            sizes.append((len(terms), precision))
+            return original(terms, precision, known)
+
+        monkeypatch.setattr(kernels, "_recurrence_inverse", sized)
+        partition_generating_series.cache_clear()
+        for p in range(1201):
+            grown = partition_generating_series(p)
+        partition_generating_series.cache_clear()
+        cold = partition_generating_series(1200)
+        monkeypatch.undo()
+        assert all(count <= 2 * isqrt(p) + 1 for count, p in sizes) and len(sizes) == 1202
+        assert grown == cold == pochhammer_finite(1200, 1200).invert()
+        partition_generating_series.cache_clear()
+
     def test_a_clear_starts_the_next_build_from_an_empty_prefix(self, monkeypatch):
         calls = _count_recurrence_coefficients(monkeypatch)
         partition_generating_series.cache_clear()
@@ -522,7 +596,7 @@ class TestGrowingPartitionSeries:
 
     def test_concurrent_callers_read_cold_builds_and_leave_the_largest(self):
         top = 400
-        cold = kernels._recurrence_inverse(euler_product(top).coeffs)
+        cold = euler_product(top).invert().coeffs
         precisions = list(range(top + 1))
         plans = [random.Random(seed).sample(precisions, len(precisions)) for seed in range(4)]
         results = [[] for _ in plans]
@@ -730,11 +804,16 @@ def unit_rows(draw):
 @settings(max_examples=40, deadline=None)
 def test_invert_routes_agree_and_invert(a):
     one = [1] + [0] * (len(a) - 1)
-    newton, recurrence = kernels._newton_inverse(a), kernels._recurrence_inverse(a)
+    newton, recurrence = kernels._newton_inverse(a), recurrence_inverse(a)
     assert newton == recurrence
     s = TruncatedSeries(a)
     assert list((s * s.invert()).coeffs) == one
     assert literal_product(a, newton) == one
+
+
+def recurrence_inverse(a, known=()):
+    """The sparse recurrence on a dense row, its zeros among the terms it is given."""
+    return kernels._recurrence_inverse(dict(enumerate(a)), len(a) - 1, known)
 
 
 def literal_recurrence_inverse(a):
@@ -756,9 +835,9 @@ def test_recurrence_inverse_matches_the_literal_loop(unit, rest, cut):
     # offset; resumed after any known prefix, it computes the same rest
     a = [unit] + rest
     literal = literal_recurrence_inverse(a)
-    assert kernels._recurrence_inverse(a) == literal
+    assert recurrence_inverse(a) == literal
     known = literal[: max(1, cut % (len(a) + 1))]
-    assert kernels._recurrence_inverse(a, tuple(known)) == literal
+    assert recurrence_inverse(a, tuple(known)) == literal
 
 
 @pytest.mark.parametrize("route", ["_newton_inverse", "_recurrence_inverse"])
