@@ -7,27 +7,36 @@ tuples.  Checks with an enumerated side (a per-partition statistic,
 counted) are flagged so callers can cap them separately from pure series
 checks.
 
-Each side of a check is an evaluator factory.  ``make_lhs(n_max)`` builds
-every row the side needs for n = 0..n_max once -- generating-series rows,
-restricted-part DP rows, recurrence values tabulated over the range, the
-counting-DP rows of the enumerated mex, rank, crank and spt sides -- and
-returns an evaluator that only looks values up in them.  The catalog in
-:func:`build_registry` is a declaration over a few family helpers: signed
-shifted mex terms (:data:`Term`) summed into one numerator and read once per
-route, restricted-part DP rows, series rows and grid sweeps.
+The catalog is declared as columns.  A check is one (lhs, rhs) pair of
+columns (a scalar statement) or a list of such members, read at n as the
+tuple of the members whose span holds n.  A column (:class:`_Column`) is a
+row request -- a builder key from the closed set of :func:`_build` and its
+arguments -- and the span [first, last] of n where it appears.  Each
+parameterized family (rank and crank bounds j, Thm 3.10 at (M, i), JTP at
+(k, i), Thm 5.1, Thm 3.2 and the lemma at (A, a)) is a function from its
+parameters to one member, mapped over a grid by :func:`build_registry`.
+``make_lhs(n_max)``, the one factory, builds each distinct request of the
+side once, to the last n a column reads, zips the rows over the segments
+between span ends and returns the values' ``__getitem__``, so no route runs
+in an evaluator call.  Builders are looked up on their modules (the series
+ones in this module's namespace) as they run, so a rebinding sees each call.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from operator import sub
-from typing import Callable, Mapping, Sequence
+from functools import partial, reduce
+from itertools import islice
+from operator import itemgetter, mul, sub
+from typing import Callable, Sequence
 
 from . import limits, mexcount, partitions, statistics
-from .series import (
+
+# the series functions the requests name: read from this namespace by _build
+from .series import (  # noqa: F401
     ResidueCondition,
     TruncatedSeries,
     alternating_theta,
@@ -126,7 +135,7 @@ def _fmt(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# family helpers: each builds its rows once per n_max; evaluators read them
+# columns and the one side factory
 # ---------------------------------------------------------------------------
 
 # A signed, shifted mex count: (sign, kind, A, a, shift) is
@@ -134,25 +143,25 @@ def _fmt(value) -> str:
 # kind "pbar"; both are 0 for n < shift.  The sign is any integer weight.
 Term = tuple[int, str, int, int, int]
 
-
-def _row(build: Callable[[int], Sequence[int]]) -> EvaluatorFactory:
-    """A scalar side: ``build(n_max)`` gives its values at n = 0..n_max."""
-
-    def factory(n_max: int) -> Evaluator:
-        row = build(n_max)
-        return lambda n: row[n]
-
-    return factory
+_OPEN = sys.maxsize  # the last n of a column that holds from its first n on
 
 
-def _table(build: Callable[[int], Sequence[Sequence[int]]]) -> EvaluatorFactory:
-    """A tuple side: ``build(n_max)`` gives one row over n = 0..n_max per component."""
+class _Column:
+    """The row of ``request`` (a builder key and its arguments, see :func:`_build`) at
+    first <= n <= last; ``pick`` takes one of the rows when the builder gives several."""
 
-    def factory(n_max: int) -> Evaluator:
-        columns = list(zip(*build(n_max)))
-        return lambda n: columns[n]
+    __slots__ = ("request", "first", "last", "pick")
 
-    return factory
+    def __init__(self, *request, first: int = 0, last: int = _OPEN, pick: object = None):
+        self.request, self.first, self.last, self.pick = request, first, last, pick
+
+
+def _mex(route: str, *terms: Term, last: int = _OPEN) -> _Column:
+    return _Column("mex", route, terms, last=last)
+
+
+_stat, _series = partial(_Column, "statistics"), partial(_Column, "series")
+Member = tuple[_Column, _Column]  # the (lhs, rhs) columns of one component of a check
 
 
 def _mex_row(route: str, terms: Sequence[Term], n_max: int) -> list[int]:
@@ -173,14 +182,6 @@ def _mex_row(route: str, terms: Sequence[Term], n_max: int) -> list[int]:
     return [mexcount.recurrence_at(numerator, n) for n in range(n_max + 1)]
 
 
-def _mex(route: str, terms: Sequence[Term]) -> EvaluatorFactory:
-    return _row(lambda n_max: _mex_row(route, terms, n_max))
-
-
-def _mex_each(route: str, components: Sequence[Sequence[Term]]) -> EvaluatorFactory:
-    return _table(lambda n_max: [_mex_row(route, terms, n_max) for terms in components])
-
-
 def _odd_weighted_row(
     scale: int, last: int, terms_of: Callable[[int], Sequence[Term]], n_max: int
 ) -> list[int]:
@@ -195,61 +196,172 @@ def _odd_weighted_row(
     return _mex_row("recurrence", terms, n_max)
 
 
-def _tabulated(first: int, value: Callable[[int], Value]) -> EvaluatorFactory:
-    """A side whose parameters move with n: ``value(n)`` tabulated at n = first..n_max."""
-    return _row(lambda n_max: [value(n) if n >= first else None for n in range(n_max + 1)])
+def _residue_quotient(top, bottom, precision: int) -> TruncatedSeries:
+    # the residue products of ``top`` times the inverses of those of ``bottom``
+    factors = [residue_product(c, precision) for c in top]
+    return reduce(mul, factors + [residue_product(c, precision).invert() for c in bottom])
 
 
-def _dp(*conditions: ResidueCondition) -> EvaluatorFactory:
-    return _row(lambda n_max: partitions.count_parts_restricted_row(n_max, *conditions))
-
-
-def _series(build: Callable[[int], TruncatedSeries]) -> EvaluatorFactory:
-    return _row(lambda n_max: build(n_max).coeffs)
-
-
-def _series_each(build: Callable[[int], Sequence[TruncatedSeries]]) -> EvaluatorFactory:
-    return _table(lambda n_max: [s.coeffs for s in build(n_max)])
-
-
-def _signed_counts(count_series: Callable[[int, int], TruncatedSeries]) -> EvaluatorFactory:
-    """The tuple (count(m, n) for |m| <= n) from the series rows, count(-m, .) = count(m, .)."""
-    return _signed_rows(
-        lambda n_max: {m: count_series(abs(m), n_max).coeffs for m in range(-n_max, n_max + 1)}
-    )
-
-
-def _signed_rows(build: Callable[[int], Mapping[int, Sequence[int]]]) -> EvaluatorFactory:
-    """The tuple (row m at n for |m| <= n), from the rows ``build(n_max)`` keyed by m."""
-
-    def factory(n_max: int) -> Evaluator:
-        rows = build(n_max)
-        return lambda n: tuple(rows[m][n] for m in range(-n, n + 1))
-
-    return factory
-
-
-def _theta_difference(c2: int, c1: int) -> EvaluatorFactory:
+def _theta_gap(c2: int, c1: int, precision: int) -> TruncatedSeries:
     # sum_{n>=1} (-1)^n (q^(c2*n^2-1) - q^(c1*n^2-1))
-    return _series(
-        lambda n_max: alternating_theta((2 * c2, 0, -2), 1, n_max)
-        - alternating_theta((2 * c1, 0, -2), 1, n_max)
-    )
+    higher = alternating_theta((2 * c2, 0, -2), 1, precision)
+    return higher - alternating_theta((2 * c1, 0, -2), 1, precision)
 
 
-def _congruence_classes(cases: Sequence[tuple[int, int]]) -> tuple[EvaluatorFactory, ...]:
-    """Thm 3.10 at modulus M: p_{M,M-i}(n) - pbar_{M,i}(n) against the DP over parts != 0, +-i."""
-    lhs = _mex_each(
-        "recurrence", [[(1, "p", M, M - i, 0), (-1, "pbar", M, i, 0)] for M, i in cases]
-    )
-    # (M, i) and (M, M - i) exclude the same classes: each row is built once per n_max
-    excluded = [ResidueCondition(M, frozenset({0, i, M - i}), mode="exclude") for M, i in cases]
+def _cauchy_products(cases, precision: int) -> list[TruncatedSeries]:
+    # 1/((1-t)(1-tq)...) at t = q^j, or t = -q when negated: 1/((1-q^j)(1-q^(j+1))...)
+    # = (1-q)...(1-q^(j-1)) / (q)_inf, from 1/(q)_inf one shifted subtract per factor
+    minus, plus = (ResidueCondition(1, frozenset({0}), sign=sign) for sign in ("minus", "plus"))
+    rows = [residue_product(minus, precision).invert()]
+    for j in range(1, max(j for j, _ in cases)):
+        row = rows[-1].coeffs
+        rows.append(TruncatedSeries(map(sub, row, ((0,) * j + row)[: len(row)])))
+    all_plus = residue_product(plus, precision).invert()
+    return [all_plus if negate else rows[j - 1] for j, negate in cases]
 
-    def rhs(n_max: int) -> list[tuple[int, ...]]:
-        rows = {c: partitions.count_parts_restricted_row(n_max, c) for c in set(excluded)}
-        return [rows[c] for c in excluded]
 
-    return lhs, _table(rhs)
+def _build(request: tuple, first: int, last: int):
+    """The row of ``request`` at n = 0..last, or the rows its columns pick from.
+
+    The closed set of builder keys, with their arguments: "mex" (route, terms), of
+    :func:`_mex_row`; "odd" (scale, last, terms), of :func:`_odd_weighted_row`, the
+    terms (sign, kind, A, a) read at a + r; "diagonal" (terms), entry n the sum of
+    sign * p_{A+dA*n,a+da*n}(n) by recurrence over the terms (sign, (A, dA), (a, da));
+    "dp" (conditions), a restricted-part row; "parity", the two parts-parity rows;
+    "census" (A', a'), the enumerated p_{A,a} rows of A <= A', a <= a', by (A, a);
+    "statistics" (name, *args), a census or crank-series row, or the rows by m;
+    "series" (name, *args), a series function of this module's namespace, read as
+    coefficients; "p" (add,), p(n) + add off the pentagonal table, grown by one
+    call; "constant" (c,).  Only "diagonal" leaves out n < ``first``.
+    """
+    key, *args = request
+    if key == "mex":
+        return _mex_row(*args, last)
+    if key == "odd":
+        scale, offset, terms = args
+        terms_of = lambda r: [(sign, kind, A, a + r, 0) for sign, kind, A, a in terms]  # noqa: E731
+        return _odd_weighted_row(scale, offset, terms_of, last)
+    if key == "diagonal":
+        p_at = mexcount.p_mex_recurrence
+        return [None] * first + [
+            sum(s * p_at(MexParams(A + dA * n, a + da * n), n) for s, (A, dA), (a, da) in args)
+            for n in range(first, last + 1)
+        ]
+    if key == "dp":
+        return partitions.count_parts_restricted_row(last, *args)
+    if key == "parity":
+        return partitions.parts_parity_counts(last)
+    if key == "census":
+        grid = [(A, a) for A in range(1, args[0] + 1) for a in range(1, args[1] + 1)]
+        return {pair: p for pair, (p, _) in mexcount.mex_census_rows(last, grid).items()}
+    if key == "statistics":
+        return getattr(statistics, args[0])(*args[1:], last)
+    if key == "series":
+        out = globals()[args[0]](*args[1:], last)
+        return out.coeffs if isinstance(out, TruncatedSeries) else [s.coeffs for s in out]
+    if key == "p":
+        partitions.p_count(last)
+        return [p + args[0] for p in partitions._p_table[: last + 1]]
+    if key == "constant":
+        return [args[0]] * (last + 1)
+    raise ValueError(f"unknown row builder {key!r}")
+
+
+def _evaluator(members, side: int, n_max: int) -> Evaluator:
+    """The one side factory: side 0 (lhs) or 1 (rhs) of ``members`` -- one (lhs, rhs)
+    pair of columns, read as a scalar, or a sequence of pairs, or a function of n_max
+    giving one, read as tuples -- built for n = 0..n_max, as a lookup of its values."""
+    declared = members(n_max) if callable(members) else members
+    scalar = bool(declared) and isinstance(declared[0], _Column)
+    columns = [declared[side]] if scalar else [m[side] for m in declared if m[side].first <= n_max]
+    spans: dict[tuple, tuple[int, int]] = {}  # each distinct request, over its columns' spans
+    for c in columns:
+        lo, hi = spans.get(c.request, (c.first, c.last))
+        spans[c.request] = min(lo, c.first), max(hi, c.last)
+    built = {r: _build(r, lo, min(hi, n_max)) for r, (lo, hi) in spans.items()}
+    rows = [built[c.request] if c.pick is None else built[c.request][c.pick] for c in columns]
+    if scalar:
+        return rows[0].__getitem__
+    # one zip per segment between span ends, where the columns held do not change
+    opening: dict[int, list[int]] = {}
+    closing: dict[int, list[int]] = {}
+    for i, c in enumerate(columns):
+        opening.setdefault(c.first, []).append(i)
+        if c.last < n_max:
+            closing.setdefault(c.last + 1, []).append(i)
+    held: set[int] = set()
+    values: list = []
+    ends = sorted({0, n_max + 1, *opening, *closing})
+    for lo, hi in zip(ends, ends[1:]):
+        held.difference_update(closing.get(lo, ()))
+        held.update(opening.get(lo, ()))
+        held_rows = map(rows.__getitem__, sorted(held))
+        cut = map(itemgetter(slice(lo, hi)), held_rows) if lo else held_rows
+        values += islice(zip(*cut), hi - lo) if held else [()] * (hi - lo)
+    return values.__getitem__
+
+
+def _sides(members) -> tuple[EvaluatorFactory, EvaluatorFactory]:
+    """``make_lhs`` and ``make_rhs`` of the check ``members`` declares (see
+    :func:`_evaluator`); each holds the members as its first argument."""
+    return partial(_evaluator, members, 0), partial(_evaluator, members, 1)
+
+
+# ---------------------------------------------------------------------------
+# the families: one (lhs, rhs) member per parameter
+# ---------------------------------------------------------------------------
+
+
+def _rank_at_least(j: int) -> Member:  # Thm 3.3
+    return _mex("series", (1, "pbar", 3, j + 1, 0)), _stat("rank_count_at_least_row", j)
+
+
+def _rank_below(j: int) -> Member:  # Cor 3.5
+    return _mex("series", (1, "p", 3, j + 1, 0)), _stat("rank_count_below_row", j)
+
+
+def _crank_at_least(j: int) -> Member:  # Thm 3.6
+    return _mex("recurrence", (1, "pbar", 1, j, 0)), _stat("crank_count_at_least_row", j)
+
+
+def _crank_below(j: int) -> Member:  # Cor 3.7, the complement of crank >= j
+    return _mex("recurrence", (1, "p", 1, j, 0)), _stat("crank_count_below_row", j)
+
+
+def _congruence(M: int, i: int) -> Member:  # Thm 3.10; (M, M - i) excludes the same
+    excluded = ResidueCondition(M, frozenset({0, i, M - i}), mode="exclude")
+    return _mex("recurrence", (1, "p", M, M - i, 0), (-1, "pbar", M, i, 0)), _Column("dp", excluded)
+
+
+def _jtp(parity: str, k: int, i: int) -> Member:  # (k, i), (k, M - i): the same product
+    M = 2 * k + (parity == "odd")
+    product = _series("jtp_specialized", k, min(i, M - i), parity, "product")
+    return _series("jtp_specialized", k, i, parity, "sum"), product
+
+
+def _shifted(A: int, a: int) -> Member:  # Thm 5.1
+    return _mex("recurrence", (1, "p", A, a, a - A)), _mex("series", (1, "pbar", A, a - A, 0))
+
+
+def _enumerated(A: int, a: int) -> Member:  # Thm 3.2, read off the census of the whole sweep
+    census = _Column("census", max(A, SWEEP_A_MAX), max(a, SWEEP_a_MAX), pick=(A, a))
+    return census, _mex("recurrence", (1, "p", A, a, 0))
+
+
+def _a_above_n(A: int, a: int, barred: bool) -> Member:  # the lemma, at n < a
+    lhs = _mex("series", (1, "pbar" if barred else "p", A, a, 0), last=a - 1)
+    return lhs, _Column("constant", 0, last=a - 1) if barred else _Column("p", 0, last=a - 1)
+
+
+def _signed_counts(stat: str, n_max: int) -> list[Member]:
+    # Thm 2.2 and 2.3: N(m, n) or M(m, n) at n >= |m|, the series row of |m| serving -m too
+    return [
+        (
+            _series(f"{stat}_generating_series", abs(m), first=abs(m)),
+            _stat(f"{stat}_count_rows", first=abs(m), pick=m),
+        )
+        for m in range(-n_max, n_max + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -275,136 +387,60 @@ def build_registry() -> dict[str, IdentityCheck]:
     ]
     jtp_odd = [(k, i) for k in range(1, JTP_K_MAX + 1) for i in range(1, 2 * k + 1)]
     jtp_even = [(k, i) for k in range(1, JTP_K_MAX + 1) for i in range(1, 2 * k)]
-    cauchy_cases = [(j, False) for j in range(1, CAUCHY_T_EXPONENT_MAX + 1)] + [(1, True)]
+    cauchy = tuple((j, False) for j in range(1, CAUCHY_T_EXPONENT_MAX + 1)) + ((1, True),)
 
-    mod32 = symmetric_residues(32, (2, 8, 12, 14))
-    mod24 = symmetric_residues(24, (1, 4, 6, 8, 10, 11))
+    r32 = symmetric_residues(32, (2, 8, 12, 14))
+    r24 = symmetric_residues(24, (1, 4, 6, 8, 10, 11))
+    mod32, off32 = ResidueCondition(32, r32), ResidueCondition(32, r32, mode="exclude")
+    mod24, off24 = ResidueCondition(24, r24), ResidueCondition(24, r24, mode="exclude")
+    c4, every = ResidueCondition(4, frozenset({2})), ResidueCondition(1, frozenset({0}))
     mod40_excluded = ResidueCondition(
         40, symmetric_residues(40, (3, 4, 7, 10, 13, 17)) | {0, 20}, mode="exclude"
     )
     mod40_distinct = ResidueCondition(40, symmetric_residues(40, (8, 12)), sign="plus")
+    thm211 = (
+        ResidueCondition(10, frozenset({0, 3, 7})),
+        ResidueCondition(40, frozenset({4, 36})),
+        ResidueCondition(20, frozenset({8, 12}), sign="plus"),
+    )
     thm311 = [(1, "p", 2, 3, 0), (-1, "p", 4, 6, 1)]
     thm312 = [(1, "p", 2, 3, 0), (-1, "p", 6, 9, 2)]
     thm313 = [(1, "p", 2, 3, 0), (-1, "p", 10, 15, 4)]
+    spt, goe = _stat("spt_row"), _stat("goe_row")
+    parity = [_Column("parity", pick=i) for i in (0, 1)]
 
-    def cor37_rhs(n_max: int) -> list[list[int]]:
-        at_least = [statistics.crank_count_at_least_row(j, n_max) for j in crank_js]
-        return [[partitions.p_count(n) - c for n, c in enumerate(row)] for row in at_least]
-
-    def cor39_rhs(n_max: int) -> list[list[int]]:
-        barred = lambda r: [(1, "pbar", 1, r + 1, 0), (-1, "pbar", 3, r + 2, 0)]
-        unbarred = lambda r: [(1, "p", 3, r + 2, 0), (-1, "p", 1, r + 1, 0)]
-        return [_odd_weighted_row(1, 1, barred, n_max), _odd_weighted_row(1, 1, unbarred, n_max)]
-
-    def jtp(parity: str, side: str, cases: list[tuple[int, int]]) -> EvaluatorFactory:
-        def build(n_max: int) -> list[TruncatedSeries]:
-            built: dict[tuple[int, int], TruncatedSeries] = {}
-            out = []
-            for k, i in cases:
-                if side == "product":
-                    # (k, i) and (k, M - i) multiply the same factors: build each set once
-                    i = min(i, 2 * k + (parity == "odd") - i)
-                if (k, i) not in built:
-                    built[k, i] = jtp_specialized(k, i, parity, side, n_max)
-                out.append(built[k, i])
-            return out
-
-        return _series_each(build)
-
-    def cauchy_rhs(n_max: int) -> list[tuple[int, ...]]:
-        def inverted(sign: str) -> TruncatedSeries:
-            return residue_product(ResidueCondition(1, frozenset({0}), sign=sign), n_max).invert()
-
-        # 1/((1-q^j)(1-q^(j+1))...) = (1-q)...(1-q^(j-1)) / ((1-q)(1-q^2)...): from
-        # 1/(q)_inf, one factor (1-q^j) at a time, each a shifted subtract
-        rows = [inverted("minus").coeffs]
-        for j in range(1, max(j for j, _ in cauchy_cases)):
-            row = rows[-1]
-            rows.append(tuple(map(sub, row, ((0,) * j + row)[: len(row)])))
-        all_plus = inverted("plus").coeffs
-        return [all_plus if neg else rows[j - 1] for j, neg in cauchy_cases]
-
-    def thm211_product(n_max: int) -> TruncatedSeries:
-        p1 = residue_product(ResidueCondition(10, frozenset({0, 3, 7})), n_max)
-        p2 = residue_product(ResidueCondition(40, frozenset({4, 36})), n_max)
-        p3 = residue_product(ResidueCondition(20, frozenset({8, 12}), sign="plus"), n_max)
-        return p1 * p2 * p3
-
-    def p_rec(A: int, a: int, n: int) -> int:
-        # thm-5.3 and thm-5.4 move the parameters with n, so each value is one point
-        return mexcount.p_mex_recurrence(MexParams(A, a), n)
-
-    def thm54_lhs(n: int) -> tuple[int, ...]:
-        second = p_rec(3, n + 1, n) - p_rec(1, n, n)
-        return (second,) if n < 2 else (p_rec(3, n, n) - p_rec(1, n - 1, n), second)
-
-    # the grid pairs with a > n, for each n below SWEEP_a_MAX; none from there on
-    above_at = [
-        [(A, a) for A in range(1, SWEEP_A_MAX + 1) for a in range(n + 1, SWEEP_a_MAX + 1)]
-        for n in range(SWEEP_a_MAX)
-    ]
-
-    def above(n: int) -> list[tuple[int, int]]:
-        return above_at[n] if n < SWEEP_a_MAX else []
-
-    def lemma_lhs(n_max: int) -> Evaluator:
-        # above(n) is empty from n = SWEEP_a_MAX on, so no row is read past it
-        n_top = min(n_max, SWEEP_a_MAX - 1)
-        p_rows = {(A, a): _mex_row("series", [(1, "p", A, a, 0)], n_top) for A, a in grid}
-        pbar_rows = {(A, a): _mex_row("series", [(1, "pbar", A, a, 0)], n_top) for A, a in grid}
-        return lambda n: tuple(p_rows[pair][n] for pair in above(n)) + tuple(
-            pbar_rows[pair][n] for pair in above(n)
-        )
-
-    def lemma_rhs(n_max: int) -> Evaluator:
-        return lambda n: (partitions.p_count(n),) * len(above(n)) + (0,) * len(above(n))
-
+    # each check: id, description, valid_from, its (lhs, rhs) members, requires_enumeration, notes
     checks = [
         # -- direct counting relations ---------------------------------------
         IdentityCheck(
-            "thm-3.1",
-            "p_{3,1}(n) + p_{3,2}(n) = p(n) for n >= 1",
-            1,
-            _mex("series", [(1, "p", 3, 1, 0), (1, "p", 3, 2, 0)]),
-            lambda n_max: partitions.p_count,
+            "thm-3.1", "p_{3,1}(n) + p_{3,2}(n) = p(n) for n >= 1", 1,
+            *_sides((_mex("series", (1, "p", 3, 1, 0), (1, "p", 3, 2, 0)), _Column("p", 0))),
             notes="lhs: generating-series rows; rhs: pentagonal recurrence",
         ),
         IdentityCheck(
             "thm-3.2",
             "p_{A,a}(n) recurrence over shifted p(n) agrees with direct enumeration "
-            f"(A <= {SWEEP_A_MAX}, a <= {SWEEP_a_MAX})",
-            0,
-            _table(lambda n_max: [p for p, _ in mexcount.mex_census_rows(n_max, grid).values()]),
-            _mex_each("recurrence", [[(1, "p", A, a, 0)] for A, a in grid]),
-            requires_enumeration=True,
-            notes="lhs: enumeration census; rhs: recurrence",
+            f"(A <= {SWEEP_A_MAX}, a <= {SWEEP_a_MAX})", 0,
+            *_sides([_enumerated(A, a) for A, a in grid]),
+            requires_enumeration=True, notes="lhs: enumeration census; rhs: recurrence",
         ),
         # -- rank relations ----------------------------------------------------
         IdentityCheck(
             "thm-3.3",
             f"pbar_{{3,j+1}}(n) counts partitions of n with rank >= j (j = 0..{RANK_CRANK_J_MAX})",
             1,
-            _mex_each("series", [[(1, "pbar", 3, j + 1, 0)] for j in js]),
-            _table(lambda n_max: [statistics.rank_count_at_least_row(j, n_max) for j in js]),
-            requires_enumeration=True,
+            *_sides([_rank_at_least(j) for j in js]), requires_enumeration=True,
             notes="lhs: generating-series rows; rhs: enumerated rank histogram",
         ),
         IdentityCheck(
-            "cor-3.4",
-            "pbar_{3,3}(n) counts the Garden-of-Eden partitions of n (rank <= -2)",
-            1,
-            _mex("series", [(1, "pbar", 3, 3, 0)]),
-            _row(statistics.goe_row),
-            requires_enumeration=True,
+            "cor-3.4", "pbar_{3,3}(n) counts the Garden-of-Eden partitions of n (rank <= -2)", 1,
+            *_sides((_mex("series", (1, "pbar", 3, 3, 0)), goe)), requires_enumeration=True,
             notes="lhs: generating-series row; rhs: enumerated rank histogram",
         ),
         IdentityCheck(
             "cor-3.5",
-            f"p_{{3,j+1}}(n) counts partitions of n with rank < j (j = 0..{RANK_CRANK_J_MAX})",
-            1,
-            _mex_each("series", [[(1, "p", 3, j + 1, 0)] for j in js]),
-            _table(lambda n_max: [statistics.rank_count_below_row(j, n_max) for j in js]),
-            requires_enumeration=True,
+            f"p_{{3,j+1}}(n) counts partitions of n with rank < j (j = 0..{RANK_CRANK_J_MAX})", 1,
+            *_sides([_rank_below(j) for j in js]), requires_enumeration=True,
             notes="lhs: generating-series rows; rhs: enumerated rank histogram",
         ),
         # -- crank relations (series-defined crank counts) ---------------------
@@ -412,95 +448,78 @@ def build_registry() -> dict[str, IdentityCheck]:
             "thm-3.6",
             f"pbar_{{1,j}}(n) counts partitions of n with crank >= j (j = 1..{RANK_CRANK_J_MAX})",
             1,
-            _mex_each("recurrence", [[(1, "pbar", 1, j, 0)] for j in crank_js]),
-            _table(lambda n_max: [statistics.crank_count_at_least_row(j, n_max) for j in crank_js]),
+            *_sides([_crank_at_least(j) for j in crank_js]),
             notes="lhs: recurrence; rhs: crank series counts; j = 0 needs a = 0 and is out of range",
         ),
         IdentityCheck(
             "cor-3.7",
-            f"p_{{1,j}}(n) counts partitions of n with crank < j (j = 1..{RANK_CRANK_J_MAX})",
-            1,
-            _mex_each("recurrence", [[(1, "p", 1, j, 0)] for j in crank_js]),
-            _table(cor37_rhs),
+            f"p_{{1,j}}(n) counts partitions of n with crank < j (j = 1..{RANK_CRANK_J_MAX})", 1,
+            *_sides([_crank_below(j) for j in crank_js]),
             notes="lhs: recurrence; rhs: crank series counts complemented against p(n)",
         ),
         IdentityCheck(
-            "thm-1.1",
-            "p_{1,1}(n) counts partitions of n with crank >= 0",
-            1,
-            _mex("recurrence", [(1, "p", 1, 1, 0)]),
-            _row(lambda n_max: statistics.crank_count_at_least_row(0, n_max)),
+            "thm-1.1", "p_{1,1}(n) counts partitions of n with crank >= 0", 1,
+            *_sides(
+                (_mex("recurrence", (1, "p", 1, 1, 0)), _stat("crank_count_at_least_row", 0))
+            ),
             notes="lhs: recurrence; rhs: crank series counts",
         ),
         IdentityCheck(
-            "thm-1.2",
-            "p_{3,3}(n) counts partitions of n with rank >= -1",
-            1,
-            _mex("recurrence", [(1, "p", 3, 3, 0)]),
-            _row(partial(statistics.rank_count_at_least_row, -1)),
-            requires_enumeration=True,
-            notes="lhs: recurrence; rhs: enumerated rank histogram",
+            "thm-1.2", "p_{3,3}(n) counts partitions of n with rank >= -1", 1,
+            *_sides((_mex("recurrence", (1, "p", 3, 3, 0)), _stat("rank_count_at_least_row", -1))),
+            requires_enumeration=True, notes="lhs: recurrence; rhs: enumerated rank histogram",
         ),
         IdentityCheck(
             "thm-1.3",
-            "p_{2,1}(n) = p_e(n) and pbar_{2,1}(n) = p_o(n) (partitions by parity of #parts)",
-            0,
-            _mex_each("series", [[(1, "p", 2, 1, 0)], [(1, "pbar", 2, 1, 0)]]),
-            _table(partitions.parts_parity_counts),
+            "p_{2,1}(n) = p_e(n) and pbar_{2,1}(n) = p_o(n) (partitions by parity of #parts)", 0,
+            *_sides([(_mex("series", (1, kind, 2, 1, 0)), parity[i])
+                     for i, kind in enumerate(("p", "pbar"))]),
             notes="lhs: generating-series rows; rhs: parity-tracking part DP",
         ),
         # -- second moments and spt --------------------------------------------
         IdentityCheck(
-            "thm-3.8-rank",
-            "sum_m m^2 N(m,n) = 2 * sum_{r=0}^{n-2} (2r+1) pbar_{3,r+2}(n)",
-            1,
-            _row(partial(statistics.rank_moment_row, 2)),
-            _row(partial(_odd_weighted_row, 2, 2, lambda r: [(1, "pbar", 3, r + 2, 0)])),
+            "thm-3.8-rank", "sum_m m^2 N(m,n) = 2 * sum_{r=0}^{n-2} (2r+1) pbar_{3,r+2}(n)", 1,
+            *_sides((_stat("rank_moment_row", 2), _Column("odd", 2, 2, ((1, "pbar", 3, 2),)))),
             requires_enumeration=True,
             notes="lhs: enumerated rank moment; rhs: recurrence-weighted sum",
         ),
         IdentityCheck(
-            "thm-3.8-crank",
-            "sum_m m^2 M(m,n) = 2 * sum_{r=0}^{n-1} (2r+1) pbar_{1,r+1}(n)",
-            1,
-            _row(lambda n_max: statistics.crank_moment_row(2, n_max)),
-            _row(partial(_odd_weighted_row, 2, 1, lambda r: [(1, "pbar", 1, r + 1, 0)])),
+            "thm-3.8-crank", "sum_m m^2 M(m,n) = 2 * sum_{r=0}^{n-1} (2r+1) pbar_{1,r+1}(n)", 1,
+            *_sides((_stat("crank_moment_row", 2), _Column("odd", 2, 1, ((1, "pbar", 1, 1),)))),
             notes="lhs: crank series moment; rhs: recurrence-weighted sum",
         ),
         IdentityCheck(
             "cor-3.9",
             "spt(n) = sum_r (2r+1)[pbar_{1,r+1}(n) - pbar_{3,r+2}(n)] "
-            "= sum_r (2r+1)[p_{3,r+2}(n) - p_{1,r+1}(n)]",
-            1,
-            _table(lambda n_max: [statistics.spt_row(n_max)] * 2),
-            _table(cor39_rhs),
-            requires_enumeration=True,
+            "= sum_r (2r+1)[p_{3,r+2}(n) - p_{1,r+1}(n)]", 1,
+            *_sides([
+                (spt, _Column("odd", 1, 1, ((1, "pbar", 1, 1), (-1, "pbar", 3, 2)))),
+                (spt, _Column("odd", 1, 1, ((1, "p", 3, 2), (-1, "p", 1, 1)))),
+            ]), requires_enumeration=True,
             notes="lhs: direct smallest-part tally; rhs: recurrence-weighted sums",
         ),
         # -- congruence-class part counts --------------------------------------
         IdentityCheck(
             "thm-3.10-even",
             "p_{2k,2k-i}(n) - pbar_{2k,i}(n) counts partitions into parts != 0, +-i (mod 2k) "
-            f"(k = 1..{CONGRUENCE_K_MAX}, 1 <= i <= 2k-1, i != k)",
-            0,
-            *_congruence_classes(even_cases),
+            f"(k = 1..{CONGRUENCE_K_MAX}, 1 <= i <= 2k-1, i != k)", 0,
+            *_sides([_congruence(M, i) for M, i in even_cases]),
             notes="lhs: recurrence difference; rhs: restricted-part DP; "
             "i = k excluded (the +-i classes coincide there)",
         ),
         IdentityCheck(
             "thm-3.10-odd",
             "p_{2k+1,2k+1-i}(n) - pbar_{2k+1,i}(n) counts partitions into parts != 0, +-i "
-            f"(mod 2k+1) (k = 1..{CONGRUENCE_K_MAX}, 1 <= i <= 2k)",
-            0,
-            *_congruence_classes(odd_cases),
+            f"(mod 2k+1) (k = 1..{CONGRUENCE_K_MAX}, 1 <= i <= 2k)", 0,
+            *_sides([_congruence(M, i) for M, i in odd_cases]),
             notes="lhs: recurrence difference; rhs: restricted-part DP",
         ),
         IdentityCheck(
             "psi-minus-q",
-            "p_{4,1}(n) - pbar_{4,3}(n) counts partitions into parts == 2 (mod 4)",
-            0,
-            _mex("recurrence", [(1, "p", 4, 1, 0), (-1, "pbar", 4, 3, 0)]),
-            _dp(ResidueCondition(4, frozenset({2}))),
+            "p_{4,1}(n) - pbar_{4,3}(n) counts partitions into parts == 2 (mod 4)", 0,
+            *_sides(
+                (_mex("recurrence", (1, "p", 4, 1, 0), (-1, "pbar", 4, 3, 0)), _Column("dp", c4))
+            ),
             notes="lhs: recurrence difference; rhs: restricted-part DP",
         ),
         # -- shifted identities, by recurrence and as series -------------------
@@ -508,212 +527,170 @@ def build_registry() -> dict[str, IdentityCheck]:
             "thm-3.11",
             "p_{2,3}(n) - p_{4,6}(n-1) counts partitions into parts == +-2, +-8, +-12, +-14 (mod 32)",
             0,
-            _mex("recurrence", thm311),
-            _dp(ResidueCondition(32, mod32)),
+            *_sides((_mex("recurrence", *thm311), _Column("dp", mod32))),
             notes="lhs: recurrence difference; rhs: restricted-part DP",
         ),
         IdentityCheck(
             "thm-3.12",
             "p_{2,3}(n) - p_{6,9}(n-2) counts partitions into parts == +-1, +-4, +-6, +-8, "
-            "+-10, +-11 (mod 24)",
-            0,
-            _mex("recurrence", thm312),
-            _dp(ResidueCondition(24, mod24)),
+            "+-10, +-11 (mod 24)", 0,
+            *_sides((_mex("recurrence", *thm312), _Column("dp", mod24))),
             notes="lhs: recurrence difference; rhs: restricted-part DP",
         ),
         IdentityCheck(
             "thm-3.13",
             "p_{2,3}(n) - p_{10,15}(n-4) counts partitions into parts outside "
             "0, +-3, +-4, +-7, +-10, +-13, +-17, 20 (mod 40) with extra distinct parts "
-            "== +-8, +-12 (mod 40)",
-            0,
-            _mex("recurrence", thm313),
-            _dp(mod40_excluded, mod40_distinct),
+            "== +-8, +-12 (mod 40)", 0,
+            *_sides((_mex("recurrence", *thm313), _Column("dp", mod40_excluded, mod40_distinct))),
             notes="lhs: recurrence difference; rhs: mixed distinct/unrestricted DP",
         ),
         IdentityCheck(
             "thm-3.11-series",
             "series form: F_{2,3}(q) - q*F_{4,6}(q) equals 1/prod(1-q^n) over "
-            "n == +-2, +-8, +-12, +-14 (mod 32)",
-            0,
-            _mex("series", thm311),
-            _series(lambda n_max: residue_product(ResidueCondition(32, mod32), n_max).invert()),
+            "n == +-2, +-8, +-12, +-14 (mod 32)", 0,
+            *_sides((_mex("series", *thm311), _series("_residue_quotient", (), (mod32,)))),
             notes="lhs: theta-quotient rows; rhs: inverted congruence product",
         ),
         IdentityCheck(
             "thm-3.12-series",
             "series form: F_{2,3}(q) - q^2*F_{6,9}(q) equals 1/prod(1-q^n) over "
-            "n == +-1, +-4, +-6, +-8, +-10, +-11 (mod 24)",
-            0,
-            _mex("series", thm312),
-            _series(lambda n_max: residue_product(ResidueCondition(24, mod24), n_max).invert()),
+            "n == +-1, +-4, +-6, +-8, +-10, +-11 (mod 24)", 0,
+            *_sides((_mex("series", *thm312), _series("_residue_quotient", (), (mod24,)))),
             notes="lhs: theta-quotient rows; rhs: inverted congruence product",
         ),
         IdentityCheck(
             "thm-3.13-series",
             "series form: F_{2,3}(q) - q^4*F_{10,15}(q) equals "
             "prod(1+q^n)[n == +-8, +-12 (40)] / prod(1-q^n)[n not== 0, +-3, +-4, +-7, "
-            "+-10, +-13, +-17, 20 (40)]",
-            0,
-            _mex("series", thm313),
-            _series(
-                lambda n_max: residue_product(mod40_distinct, n_max)
-                * residue_product(mod40_excluded, n_max).invert()
-            ),
+            "+-10, +-13, +-17, 20 (40)]", 0,
+            *_sides((
+                _mex("series", *thm313),
+                _series("_residue_quotient", (mod40_distinct,), (mod40_excluded,)),
+            )),
             notes="lhs: theta-quotient rows; rhs: congruence-product quotient",
         ),
         # -- product/theta identities ------------------------------------------
         IdentityCheck(
             "thm-2.10a",
             "prod(1-q^n) over n not== +-2, +-8, +-12, +-14 (mod 32) equals "
-            "sum_{n>=1} (-1)^n (q^{2n^2-1} - q^{n^2-1})",
-            0,
-            _series(lambda n: residue_product(ResidueCondition(32, mod32, mode="exclude"), n)),
-            _theta_difference(2, 1),
+            "sum_{n>=1} (-1)^n (q^{2n^2-1} - q^{n^2-1})", 0,
+            *_sides((_series("residue_product", off32), _series("_theta_gap", 2, 1))),
             notes="lhs: congruence product; rhs: alternating theta difference",
         ),
         IdentityCheck(
             "thm-2.10b",
             "prod(1-q^n) over n not== +-1, +-4, +-6, +-8, +-10, +-11 (mod 24) equals "
-            "sum_{n>=1} (-1)^n (q^{3n^2-1} - q^{n^2-1})",
-            0,
-            _series(lambda n: residue_product(ResidueCondition(24, mod24, mode="exclude"), n)),
-            _theta_difference(3, 1),
+            "sum_{n>=1} (-1)^n (q^{3n^2-1} - q^{n^2-1})", 0,
+            *_sides((_series("residue_product", off24), _series("_theta_gap", 3, 1))),
             notes="lhs: congruence product; rhs: alternating theta difference",
         ),
         IdentityCheck(
             "thm-2.11",
             "prod(1-q^n)[n == 0, +-3 (10)] * prod(1-q^n)[n == +-4 (40)] * "
-            "prod(1+q^n)[n == +-8 (20)] equals sum_{n>=1} (-1)^n (q^{5n^2-1} - q^{n^2-1})",
-            0,
-            _series(thm211_product),
-            _theta_difference(5, 1),
+            "prod(1+q^n)[n == +-8 (20)] equals sum_{n>=1} (-1)^n (q^{5n^2-1} - q^{n^2-1})", 0,
+            *_sides((_series("_residue_quotient", thm211, ()), _series("_theta_gap", 5, 1))),
             notes="lhs: three congruence products; rhs: alternating theta difference",
         ),
         # -- classical series-engine identities ----------------------------------
         IdentityCheck(
             "thm-2.1",
-            "the pentagonal-number expansion of prod(1-q^n) matches the literal product",
-            0,
-            _series(euler_product),
-            _series(lambda n: residue_product(ResidueCondition(1, frozenset({0})), n)),
+            "the pentagonal-number expansion of prod(1-q^n) matches the literal product", 0,
+            *_sides((_series("euler_product"), _series("residue_product", every))),
             notes="lhs: pentagonal exponent table; rhs: factor-by-factor product",
         ),
         IdentityCheck(
             "thm-2.8",
             f"odd-modulus triple-product specialization: sum side = product side "
-            f"(k = 1..{JTP_K_MAX}, 1 <= i <= 2k)",
-            0,
-            jtp("odd", "sum", jtp_odd),
-            jtp("odd", "product", jtp_odd),
+            f"(k = 1..{JTP_K_MAX}, 1 <= i <= 2k)", 0,
+            *_sides([_jtp("odd", k, i) for k, i in jtp_odd]),
             notes="lhs: bilateral theta sums; rhs: triple products",
         ),
         IdentityCheck(
             "jtp-even-lemma",
             f"even-modulus triple-product specialization: sum side = product side "
-            f"(k = 1..{JTP_K_MAX}, 1 <= i <= 2k-1)",
-            0,
-            jtp("even", "sum", jtp_even),
-            jtp("even", "product", jtp_even),
+            f"(k = 1..{JTP_K_MAX}, 1 <= i <= 2k-1)", 0,
+            *_sides([_jtp("even", k, i) for k, i in jtp_even]),
             notes="lhs: bilateral theta sums; rhs: triple products",
         ),
         IdentityCheck(
             "thm-2.9",
             "sum_{n>=0} t^n/(q)_n = 1/((1-t)(1-tq)(1-tq^2)...) at t = q^j "
-            f"(j = 1..{CAUCHY_T_EXPONENT_MAX}) and t = -q",
-            0,
-            _series_each(lambda n_max: cauchy_sums_specialized(cauchy_cases, n_max)),
-            _table(cauchy_rhs),
+            f"(j = 1..{CAUCHY_T_EXPONENT_MAX}) and t = -q", 0,
+            *_sides([(_series("cauchy_sums_specialized", cauchy, pick=i),
+                      _series("_cauchy_products", cauchy, pick=i)) for i in range(len(cauchy))]),
             notes="lhs: termwise sums with running 1/(q)_n; rhs: inverted products",
         ),
         IdentityCheck(
-            "thm-2.4",
-            "second rank moment generating series matches the enumerated moments",
-            1,
-            _series(second_rank_moment_series),
-            _row(partial(statistics.rank_moment_row, 2)),
+            "thm-2.4", "second rank moment generating series matches the enumerated moments", 1,
+            *_sides((_series("second_rank_moment_series"), _stat("rank_moment_row", 2))),
             requires_enumeration=True,
             notes="lhs: weighted theta quotient; rhs: enumerated rank histogram",
         ),
         IdentityCheck(
             "thm-2.5",
-            "second crank moment generating series matches the enumerated moments (n >= 2)",
-            2,
-            _series(second_crank_moment_series),
-            _row(partial(statistics.crank_moment_enumerated_row, 2)),
-            requires_enumeration=True,
+            "second crank moment generating series matches the enumerated moments (n >= 2)", 2,
+            *_sides(
+                (_series("second_crank_moment_series"), _stat("crank_moment_enumerated_row", 2))
+            ), requires_enumeration=True,
             notes="lhs: weighted theta quotient; rhs: enumerated crank histogram; "
             "n = 1 differs by the documented crank anomaly",
         ),
         IdentityCheck(
             "thm-2.2",
-            "rank generating series N(m,n) matches enumerated rank counts for |m| <= n",
-            1,
-            _signed_counts(rank_generating_series),
-            _signed_rows(statistics.rank_count_rows),
-            requires_enumeration=True,
+            "rank generating series N(m,n) matches enumerated rank counts for |m| <= n", 1,
+            *_sides(partial(_signed_counts, "rank")), requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated rank histogram",
         ),
         IdentityCheck(
             "thm-2.3",
             "crank generating series M(m,n) matches enumerated crank counts for |m| <= n, n >= 2",
             2,
-            _signed_counts(crank_generating_series),
-            _signed_rows(statistics.crank_count_rows),
-            requires_enumeration=True,
+            *_sides(partial(_signed_counts, "crank")), requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated crank histogram; "
             "n = 1 differs by the documented crank anomaly",
         ),
         IdentityCheck(
             "pe-po-genfun",
-            "sum_j q^(2j)/(q)_(2j) and sum_j q^(2j+1)/(q)_(2j+1) generate p_e(n) and p_o(n)",
-            0,
-            _series_each(lambda n: parts_parity_sums(["even", "odd"], n)),
-            _table(partitions.parts_parity_counts),
+            "sum_j q^(2j)/(q)_(2j) and sum_j q^(2j+1)/(q)_(2j+1) generate p_e(n) and p_o(n)", 0,
+            *_sides([(_series("parts_parity_sums", ("even", "odd"), pick=i), parity[i])
+                     for i in (0, 1)]),
             notes="lhs: running 1/(q)_j sums; rhs: parity-tracking part DP",
         ),
         # -- auxiliary relations -------------------------------------------------
         IdentityCheck(
             "thm-5.1",
             "p_{A,a}(n-(a-A)) = pbar_{A,a-A}(n) for a > A "
-            f"(A <= {SHIFT_A_MAX}, a <= {SWEEP_a_MAX})",
-            0,
-            _mex_each("recurrence", [[(1, "p", A, a, a - A)] for A, a in shift_pairs]),
-            _mex_each("series", [[(1, "pbar", A, a - A, 0)] for A, a in shift_pairs]),
+            f"(A <= {SHIFT_A_MAX}, a <= {SWEEP_a_MAX})", 0,
+            *_sides([_shifted(A, a) for A, a in shift_pairs]),
             notes="lhs: recurrence at shifted argument; rhs: generating-series rows",
         ),
         IdentityCheck(
-            "cor-5.2",
-            "p_{3,6}(n-3) counts the Garden-of-Eden partitions of n",
-            1,
-            _mex("recurrence", [(1, "p", 3, 6, 3)]),
-            _row(statistics.goe_row),
-            requires_enumeration=True,
+            "cor-5.2", "p_{3,6}(n-3) counts the Garden-of-Eden partitions of n", 1,
+            *_sides((_mex("recurrence", (1, "p", 3, 6, 3)), goe)), requires_enumeration=True,
             notes="lhs: recurrence at shifted argument; rhs: enumerated rank histogram",
         ),
         IdentityCheck(
-            "thm-5.3",
-            "p_{k,k}(k) = p_{k,k-1}(k) = p(k) - 1 for k >= 2 (checked at n = k)",
-            2,
-            _tabulated(2, lambda k: (p_rec(k, k, k), p_rec(k, k - 1, k))),
-            _tabulated(2, lambda k: (partitions.p_count(k) - 1,) * 2),
+            "thm-5.3", "p_{k,k}(k) = p_{k,k-1}(k) = p(k) - 1 for k >= 2 (checked at n = k)", 2,
+            *_sides([(_Column("diagonal", (1, (0, 1), (a, 1)), first=2), _Column("p", -1, first=2))
+                     for a in (0, -1)]),
             notes="lhs: recurrence; rhs: pentagonal p(k) minus one",
         ),
         IdentityCheck(
             "thm-5.4",
-            "p_{3,n}(n) - p_{1,n-1}(n) = 0 (n >= 2) and p_{3,n+1}(n) - p_{1,n}(n) = 1 (n >= 1)",
-            1,
-            _tabulated(1, thm54_lhs),
-            _tabulated(1, lambda n: (1,) if n < 2 else (0, 1)),
+            "p_{3,n}(n) - p_{1,n-1}(n) = 0 (n >= 2) and p_{3,n+1}(n) - p_{1,n}(n) = 1 (n >= 1)", 1,
+            *_sides([
+                (_Column("diagonal", (1, (3, 0), (a, 1)), (-1, (1, 0), (a - 1, 1)), first=2 - a),
+                 _Column("constant", a, first=2 - a))
+                for a in (0, 1)
+            ]),
             notes="lhs: recurrence differences; rhs: stated constants",
         ),
         IdentityCheck(
             "lemma-a-gt-n",
             "p_{A,a}(n) = p(n) and pbar_{A,a}(n) = 0 whenever a > n "
-            f"(A <= {SWEEP_A_MAX}, a <= {SWEEP_a_MAX})",
-            0,
-            lemma_lhs,
-            lemma_rhs,
+            f"(A <= {SWEEP_A_MAX}, a <= {SWEEP_a_MAX})", 0,
+            *_sides([_a_above_n(A, a, barred) for barred in (False, True) for A, a in grid]),
             notes="lhs: generating-series rows; rhs: pentagonal p(n) and zero",
         ),
     ]

@@ -95,7 +95,6 @@ _PENTAGONAL = tuple(
 )
 
 
-@lru_cache(maxsize=1)
 def _pentagonal_gathers(count: int) -> tuple[Callable, Callable]:
     """Gathers of t[-g] over the first ``count`` offsets g, for k odd and for k even."""
     offsets = _PENTAGONAL[:count]
@@ -113,8 +112,8 @@ def p_count(n: int) -> int:
     With the table holding p(0..m-1), the term p(m - g) is ``table[-g]``, so
     each step is one gather of the offsets g <= m with k odd, minus one with
     k even.  The table grows one run of m between consecutive offsets at a
-    time, each run with one pair of gathers; the pair is kept, for tables grown one n per call.
-    Growing the table past ``limits.P_TABLE_CAP`` raises CapacityError.
+    time, each run with one pair of gathers.  Growing the table past
+    ``limits.P_TABLE_CAP`` raises CapacityError.
     """
     if n < 0:
         return 0

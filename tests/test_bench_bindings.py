@@ -4,26 +4,42 @@
 ``perfbench/worker.py`` reads the ``cache_info()`` of a few caches in traced
 runs, the length of the p(n) table, the identity registry and the
 ``registry=`` keyword of ``verify`` and ``verify_all``; a rename in ``src/``
-breaks both without failing any other test.  The tracer is loaded from its
-file, read only.
+breaks both without failing any other test.  The worker also checks that the
+catalog's reports hash to the digests ``perfbench/decisions.json`` records,
+so a changed byte of a report fails here before it fails a benchmark run.
+The tracer and the worker are loaded from their files, read only.
 """
 
 import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
+from unittest import mock
 
 from mexstat import identities, mexcount, partitions, series, statistics
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer_bindings", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer_module():
+    return _load("perfbench_tracer_bindings", TRACER)
+
+
+def _worker_module():
+    # the worker imports the tracer as the top-level module ``tracer``
+    with mock.patch.dict(sys.modules, {"tracer": _tracer_module()}):
+        return _load("perfbench_worker_digests", PERFBENCH / "worker.py")
 
 
 def test_every_traced_binding_resolves():
@@ -57,3 +73,14 @@ def test_the_names_the_worker_reads_outside_the_tracer_resolve():
     for fn in (identities.verify, identities.verify_all):
         registry = inspect.signature(fn).parameters.get("registry")
         assert registry is not None and registry.kind != registry.POSITIONAL_ONLY, fn.__name__
+
+
+def test_the_catalog_reports_hash_to_the_recorded_digests():
+    worker = _worker_module()
+    expected = json.loads((PERFBENCH / "decisions.json").read_text())["report_digests"]
+    assert "elapsed_ms" not in worker.REPORT_KEYS
+    catalog = identities.verify_all(worker.CATALOG_N_ENUM, worker.CATALOG_N_SERIES)
+    assert worker.report_digest(catalog) == expected["catalog"]
+    deep = [identities.verify(cid, worker.SERIES_DEEP_N) for cid in worker.SERIES_DEEP_IDS]
+    assert len(deep) == 14
+    assert worker.report_digest(deep) == expected["series-deep"]

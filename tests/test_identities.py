@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexstat import identities, mexcount, partitions, series
+from mexstat import identities, mexcount, partitions, series, statistics
 from mexstat.identities import (
     CSV_HEADER,
     IdentityCheck,
@@ -289,6 +289,115 @@ def test_congruence_classes_build_each_restricted_row_once(monkeypatch, check_id
     monkeypatch.setattr(partitions, "count_parts_restricted_row", counted)
     assert verify(check_id, 60).status == "pass"
     assert len(calls) == len(set(calls)) == rows
+
+
+def _declared(check, side, n_max):
+    """The columns a check's side declares at n_max, read off its factory."""
+    factory = check.make_lhs if side == "lhs" else check.make_rhs
+    members, index = factory.args
+    declared = members(n_max) if callable(members) else members
+    if isinstance(declared[0], identities._Column):
+        return [declared[index]]
+    return [member[index] for member in declared]
+
+
+# every builder a side may call: after a factory returns, its evaluator calls none
+BUILDERS = [
+    (partitions, "p_count"),
+    (partitions, "count_parts_restricted_row"),
+    (partitions, "parts_parity_counts"),
+    (mexcount, "p_mex_recurrence"),
+    (mexcount, "recurrence_at"),
+    (mexcount, "recurrence_offsets"),
+    (mexcount, "mex_numerator"),
+    (mexcount, "mex_census_rows"),
+    (mexcount, "theta_quotient"),
+    (mexcount, "theta_quotient_at"),
+    (series, "theta_quotient"),
+    (series, "theta_quotient_at"),
+    (identities, "theta_quotient"),
+    (identities, "_build"),
+    (statistics, "_stat_census"),
+    (statistics, "theta_quotient"),
+    *[(statistics, name) for name in vars(statistics) if name.endswith(("_row", "_rows"))],
+    # the series functions that "series" requests name, bound in the identities namespace
+    *[(identities, name) for name, value in vars(identities).items()
+      if name.islower() and callable(value) and getattr(series, name, None) is value],
+]
+
+
+def test_no_route_runs_after_a_factory_returns(monkeypatch):
+    # each side is built once, each distinct request of it by one builder call; then every
+    # builder raises, and the evaluators still read every n, and agree
+    built = []
+    build = identities._build
+
+    def counted(request, first, last):
+        built.append(request)
+        return build(request, first, last)
+
+    monkeypatch.setattr(identities, "_build", counted)
+    sides = {}
+    for check_id, check in REGISTRY.items():
+        n_max = max(check.valid_from, 12)
+        for name, make in (("lhs", check.make_lhs), ("rhs", check.make_rhs)):
+            built.clear()
+            sides[check_id, name] = make(n_max)
+            assert len(built) == len(set(built)), (check_id, name)
+    _forbid(monkeypatch, BUILDERS)
+    for check_id, check in REGISTRY.items():
+        lhs, rhs = sides[check_id, "lhs"], sides[check_id, "rhs"]
+        for n in range(check.valid_from, max(check.valid_from, 12) + 1):
+            assert lhs(n) == rhs(n), (check_id, n)
+
+
+def test_the_two_sides_of_a_check_share_no_request():
+    # the two independent routes of each check, read off the declared columns
+    for check_id, check in REGISTRY.items():
+        n_max = max(check.valid_from, 20)
+        lhs = {column.request for column in _declared(check, "lhs", n_max)}
+        rhs = {column.request for column in _declared(check, "rhs", n_max)}
+        assert lhs and rhs, check_id
+        assert not lhs & rhs, (check_id, lhs & rhs)
+
+
+def _member_agrees(member, valid_from, n_max):
+    lhs, rhs = (identities._evaluator(member, side, n_max) for side in (0, 1))
+    ns = range(valid_from, n_max + 1)
+    assert [lhs(n) for n in ns] == [rhs(n) for n in ns]
+
+
+# the families the registry maps over its grids, at parameters outside them
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), M=st.integers(min_value=12, max_value=20))
+def test_congruence_family_at_drawn_moduli(data, M):
+    # Thm 3.10 even and odd; at even M the class i = M/2 coincides with -i
+    i = data.draw(st.integers(min_value=1, max_value=M - 1).filter(lambda i: 2 * i != M))
+    _member_agrees(identities._congruence(M, i), 0, data.draw(st.integers(0, 80)))
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    family=st.sampled_from(["_rank_at_least", "_rank_below", "_crank_at_least", "_crank_below"]),
+    j=st.integers(min_value=9, max_value=30),
+    n_max=st.integers(min_value=1, max_value=40),
+)
+def test_rank_and_crank_families_at_drawn_bounds(family, j, n_max):
+    _member_agrees(getattr(identities, family)(j), 1, n_max)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), A=st.integers(min_value=1, max_value=12))
+def test_shift_family_at_drawn_pairs(data, A):
+    a = data.draw(st.integers(min_value=A + 1, max_value=24))
+    _member_agrees(identities._shifted(A, a), 0, data.draw(st.integers(0, 100)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), parity=st.sampled_from(["even", "odd"]), k=st.integers(7, 9))
+def test_jtp_family_at_drawn_moduli(data, parity, k):
+    i = data.draw(st.integers(min_value=1, max_value=2 * k - (parity == "even")))
+    _member_agrees(identities._jtp(parity, k, i), 0, data.draw(st.integers(0, 300)))
 
 
 def test_catalog_matches_golden():
