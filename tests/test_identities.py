@@ -316,7 +316,6 @@ BUILDERS = [
     (series, "theta_quotient"),
     (series, "theta_quotient_at"),
     (identities, "theta_quotient"),
-    (identities, "_build"),
     (statistics, "_stat_census"),
     (statistics, "theta_quotient"),
     *[(statistics, name) for name in vars(statistics) if name.endswith(("_row", "_rows"))],
@@ -327,8 +326,19 @@ BUILDERS = [
 
 
 def test_no_route_runs_after_a_factory_returns(monkeypatch):
-    # each side is built once, each distinct request of it by one builder call; then every
-    # builder raises, and the evaluators still read every n, and agree
+    # both sides of every check are built, then every builder raises, and the evaluators
+    # still read every n, and agree
+    sides = {}
+    for check_id, check in REGISTRY.items():
+        n_max = max(check.valid_from, 12)
+        sides[check_id] = check.make_lhs(n_max), check.make_rhs(n_max), n_max
+    _forbid(monkeypatch, BUILDERS)
+    for check_id, (lhs, rhs, n_max) in sides.items():
+        for n in range(REGISTRY[check_id].valid_from, n_max + 1):
+            assert lhs(n) == rhs(n), (check_id, n)
+
+
+def test_each_side_builds_each_distinct_request_once(monkeypatch):
     built = []
     build = identities._build
 
@@ -337,18 +347,11 @@ def test_no_route_runs_after_a_factory_returns(monkeypatch):
         return build(request, first, last)
 
     monkeypatch.setattr(identities, "_build", counted)
-    sides = {}
     for check_id, check in REGISTRY.items():
-        n_max = max(check.valid_from, 12)
-        for name, make in (("lhs", check.make_lhs), ("rhs", check.make_rhs)):
+        for side, make in (("lhs", check.make_lhs), ("rhs", check.make_rhs)):
             built.clear()
-            sides[check_id, name] = make(n_max)
-            assert len(built) == len(set(built)), (check_id, name)
-    _forbid(monkeypatch, BUILDERS)
-    for check_id, check in REGISTRY.items():
-        lhs, rhs = sides[check_id, "lhs"], sides[check_id, "rhs"]
-        for n in range(check.valid_from, max(check.valid_from, 12) + 1):
-            assert lhs(n) == rhs(n), (check_id, n)
+            make(max(check.valid_from, 12))
+            assert built and len(built) == len(set(built)), (check_id, side)
 
 
 def test_the_two_sides_of_a_check_share_no_request():
