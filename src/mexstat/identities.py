@@ -353,7 +353,7 @@ def _a_above_n(A: int, a: int, barred: bool) -> Member:  # the lemma, at n < a
     return lhs, _Column("constant", 0, last=a - 1) if barred else _Column("p", 0, last=a - 1)
 
 
-def _signed_counts(stat: str, n_max: int) -> list[Member]:
+def _signed_members(stat: str, n_max: int) -> list[Member]:
     # Thm 2.2 and 2.3: N(m, n) or M(m, n) at n >= |m|, the series row of |m| serving -m too
     return [
         (
@@ -639,14 +639,14 @@ def build_registry() -> dict[str, IdentityCheck]:
         IdentityCheck(
             "thm-2.2",
             "rank generating series N(m,n) matches enumerated rank counts for |m| <= n", 1,
-            *_sides(partial(_signed_counts, "rank")), requires_enumeration=True,
+            *_sides(partial(_signed_members, "rank")), requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated rank histogram",
         ),
         IdentityCheck(
             "thm-2.3",
             "crank generating series M(m,n) matches enumerated crank counts for |m| <= n, n >= 2",
             2,
-            *_sides(partial(_signed_counts, "crank")), requires_enumeration=True,
+            *_sides(partial(_signed_members, "crank")), requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated crank histogram; "
             "n = 1 differs by the documented crank anomaly",
         ),
