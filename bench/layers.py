@@ -63,6 +63,11 @@ Layers:
 * ``recurrence_rows.2000`` -- the recurrence sides of the catalog at 2000:
   the thm-3.8-crank rhs (one numerator weighted (2r+1) over r) and the 44
   thm-5.1 lhs rows, with the p(n) table already built to 2000;
+* ``factory.CHECK.N`` -- ``make_lhs(N)`` and ``make_rhs(N)`` of one catalog
+  check with ``identities._build`` memoized, so the time is the side
+  factory's own work (spans, picks, segments and zips), not its rows:
+  thm-2.2 and thm-3.2 at 50, lemma-a-gt-n at 200 and 1000, thm-5.1 at 200
+  (each time is a batch of 20 calls divided by 20);
 * ``cli.main.rank`` -- one ``main(["compute", "rank", "--partition",
   "3,1"])`` call, after a first call that may build the parser (each time
   is a batch of 100 calls divided by 100);
@@ -131,6 +136,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from worker import argv_of, make_queries  # noqa: E402  (the queries workload's argvs)
 
 PRECISIONS = (500, 1000, 2000, 4000)
+FACTORY_CASES = (("thm-2.2", 50), ("thm-3.2", 50), ("lemma-a-gt-n", 200),
+                 ("lemma-a-gt-n", 1000), ("thm-5.1", 200))
 COLD_STARTS = 15
 
 
@@ -203,6 +210,29 @@ def cold_stat_rows(n_max: int) -> None:
 def recurrence_rows_2000() -> None:
     identities.REGISTRY["thm-3.8-crank"].make_rhs(2000)
     identities.REGISTRY["thm-5.1"].make_lhs(2000)
+
+
+def factory_layers(repeats: int) -> dict:
+    """The ``factory.CHECK.N`` layers: each row is built once, untimed, and
+    ``identities._build`` is put back afterwards."""
+    build, held = identities._build, {}
+
+    def memoized(request, first, last):
+        if (request, first, last) not in held:
+            held[request, first, last] = build(request, first, last)
+        return held[request, first, last]
+
+    identities._build = memoized
+    try:
+        layers = {}
+        for check_id, n_max in FACTORY_CASES:
+            check = identities.REGISTRY[check_id]
+            sides = lambda: (check.make_lhs(n_max), check.make_rhs(n_max))  # noqa: E731
+            sides()
+            layers[f"factory.{check_id}.{n_max}"] = timed(sides, repeats, calls=20)
+        return layers
+    finally:
+        identities._build = build
 
 
 def cli_rank() -> None:
@@ -332,6 +362,7 @@ def main() -> None:
     layers["mex_rows.50"] = timed(lambda: mexcount.mex_census_rows(50, grid), repeats)
     partitions.p_count(2000)
     layers["recurrence_rows.2000"] = timed(recurrence_rows_2000, repeats)
+    layers.update(factory_layers(repeats))
     cli_rank()
     layers["cli.main.rank"] = timed(cli_rank, repeats, calls=100)
     parser, argvs = cli.build_parser(), [argv_of(q) for q in make_queries(1)]

@@ -18,7 +18,8 @@ parameters to one member, mapped over a grid by :func:`build_registry`.
 ``make_lhs(n_max)``, the one factory, builds each distinct request of the
 side once, to the last n a column reads, zips the rows over the segments
 between span ends and returns the values' ``__getitem__``, so no route runs
-in an evaluator call.  Builders are looked up on their modules (the series
+in an evaluator call.  A signed sum of mex counts is one
+``mexcount.mex_row``.  Builders are looked up on their modules (the series
 ones in this module's namespace) as they run, so a rebinding sees each call.
 """
 
@@ -30,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import islice
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from . import limits, mexcount, partitions, statistics
@@ -50,7 +51,6 @@ from .series import (  # noqa: F401
     second_crank_moment_series,
     second_rank_moment_series,
     symmetric_residues,
-    theta_quotient,
 )
 from .statistics import MexParams
 
@@ -138,11 +138,6 @@ def _fmt(value) -> str:
 # columns and the one side factory
 # ---------------------------------------------------------------------------
 
-# A signed, shifted mex count: (sign, kind, A, a, shift) is
-# sign * p_{A,a}(n - shift) for kind "p" and sign * pbar_{A,a}(n - shift) for
-# kind "pbar"; both are 0 for n < shift.  The sign is any integer weight.
-Term = tuple[int, str, int, int, int]
-
 _OPEN = sys.maxsize  # the last n of a column that holds from its first n on
 
 
@@ -156,7 +151,7 @@ class _Column:
         self.request, self.first, self.last, self.pick = request, first, last, pick
 
 
-def _mex(route: str, *terms: Term, last: int = _OPEN) -> _Column:
+def _mex(route: str, *terms: mexcount.Term, last: int = _OPEN) -> _Column:
     return _Column("mex", route, terms, last=last)
 
 
@@ -164,36 +159,19 @@ _stat, _series = partial(_Column, "statistics"), partial(_Column, "series")
 Member = tuple[_Column, _Column]  # the (lhs, rhs) columns of one component of a check
 
 
-def _mex_row(route: str, terms: Sequence[Term], n_max: int) -> list[int]:
-    """The sum of ``terms`` at n = 0..n_max: each term's numerator (``mex_numerator``
-    on route "series", ``recurrence_offsets`` on route "recurrence") scaled by its
-    sign and moved by its shift into one numerator, read once -- as a theta quotient,
-    or at each n against the pentagonal p(n) table."""
-    if route not in ("series", "recurrence"):
-        raise ValueError(f"unknown route {route!r}")
-    numerator_of = mexcount.mex_numerator if route == "series" else mexcount.recurrence_offsets
-    numerator: dict[int, int] = {}
-    for sign, kind, A, a, shift in terms:
-        if shift <= n_max:
-            for d, c in numerator_of(MexParams(A, a), kind == "pbar", n_max - shift).items():
-                numerator[d + shift] = numerator.get(d + shift, 0) + sign * c
-    if route == "series":
-        return list(theta_quotient(numerator, n_max).coeffs)
-    return [mexcount.recurrence_at(numerator, n) for n in range(n_max + 1)]
-
-
 def _odd_weighted_row(
-    scale: int, last: int, terms_of: Callable[[int], Sequence[Term]], n_max: int
+    scale: int, last: int, terms: Sequence[tuple[int, str, int, int]], n_max: int
 ) -> list[int]:
-    """Entry n is scale * sum_{r=0}^{n-last} (2r+1) * (the terms_of(r) sum at n), by
-    recurrence, as one term list weighted scale * (2r+1) over r <= n_max - last: the
-    terms_of(r) sum is 0 at n < r + last (pbar_{A,a}(n) = 0, p_{A,a}(n) = p(n), a > n)."""
-    terms = [
-        (scale * (2 * r + 1) * sign, kind, A, a, shift)
+    """Entry n is scale * sum_{r=0}^{n-last} (2r+1) * (the sum at n of the base terms
+    (sign, kind, A, a) read at a + r), by recurrence, as one term list weighted
+    scale * (2r+1) over r <= n_max - last: the sum at r is 0 at n < r + last
+    (pbar_{A,a}(n) = 0, p_{A,a}(n) = p(n), a > n)."""
+    weighted = [
+        (scale * (2 * r + 1) * sign, kind, A, a + r, 0)
         for r in range(n_max - last + 1)
-        for sign, kind, A, a, shift in terms_of(r)
+        for sign, kind, A, a in terms
     ]
-    return _mex_row("recurrence", terms, n_max)
+    return mexcount.mex_row("recurrence", weighted, n_max)
 
 
 def _residue_quotient(top, bottom, precision: int) -> TruncatedSeries:
@@ -224,23 +202,21 @@ def _build(request: tuple, first: int, last: int):
     """The row of ``request`` at n = 0..last, or the rows its columns pick from.
 
     The closed set of builder keys, with their arguments: "mex" (route, terms), of
-    :func:`_mex_row`; "odd" (scale, last, terms), of :func:`_odd_weighted_row`, the
-    terms (sign, kind, A, a) read at a + r; "diagonal" (terms), entry n the sum of
-    sign * p_{A+dA*n,a+da*n}(n) by recurrence over the terms (sign, (A, dA), (a, da));
-    "dp" (conditions), a restricted-part row; "parity", the two parts-parity rows;
-    "census" (A', a'), the enumerated p_{A,a} rows of A <= A', a <= a', by (A, a);
-    "statistics" (name, *args), a census or crank-series row, or the rows by m;
-    "series" (name, *args), a series function of this module's namespace, read as
-    coefficients; "p" (add,), p(n) + add off the pentagonal table, grown by one
-    call; "constant" (c,).  Only "diagonal" leaves out n < ``first``.
+    ``mexcount.mex_row``; "odd" (scale, last, terms), of :func:`_odd_weighted_row`;
+    "diagonal" (terms), entry n the sum of sign * p_{A+dA*n,a+da*n}(n) by recurrence
+    over the terms (sign, (A, dA), (a, da)); "dp" (conditions), a restricted-part row;
+    "parity", the two parts-parity rows; "census" (A', a'), the enumerated p_{A,a}
+    rows of A <= A', a <= a', by (A, a); "statistics" (name, *args), a census or
+    crank-series row, or the rows by m; "series" (name, *args), a series function of
+    this module's namespace, read as coefficients; "p" (add,), p(n) + add read by
+    ``p_count``, the table grown by one call; "constant" (c,).  Only "diagonal"
+    leaves out n < ``first``.
     """
     key, *args = request
     if key == "mex":
-        return _mex_row(*args, last)
+        return mexcount.mex_row(*args, last)
     if key == "odd":
-        scale, offset, terms = args
-        terms_of = lambda r: [(sign, kind, A, a + r, 0) for sign, kind, A, a in terms]  # noqa: E731
-        return _odd_weighted_row(scale, offset, terms_of, last)
+        return _odd_weighted_row(*args, last)
     if key == "diagonal":
         p_at = mexcount.p_mex_recurrence
         return [None] * first + [
@@ -260,8 +236,9 @@ def _build(request: tuple, first: int, last: int):
         out = globals()[args[0]](*args[1:], last)
         return out.coeffs if isinstance(out, TruncatedSeries) else [s.coeffs for s in out]
     if key == "p":
-        partitions.p_count(last)
-        return [p + args[0] for p in partitions._p_table[: last + 1]]
+        p_count = partitions.p_count
+        p_count(last)  # grows the table in one call; the reads below are list reads
+        return [p_count(n) + args[0] for n in range(last + 1)]
     if key == "constant":
         return [args[0]] * (last + 1)
     raise ValueError(f"unknown row builder {key!r}")
@@ -269,11 +246,10 @@ def _build(request: tuple, first: int, last: int):
 
 def _evaluator(members, side: int, n_max: int) -> Evaluator:
     """The one side factory: side 0 (lhs) or 1 (rhs) of ``members`` -- one (lhs, rhs)
-    pair of columns, read as a scalar, or a sequence of pairs, or a function of n_max
-    giving one, read as tuples -- built for n = 0..n_max, as a lookup of its values."""
-    declared = members(n_max) if callable(members) else members
-    scalar = bool(declared) and isinstance(declared[0], _Column)
-    columns = [declared[side]] if scalar else [m[side] for m in declared if m[side].first <= n_max]
+    pair of columns, read as a scalar, or a sequence of pairs, read as tuples -- built
+    for n = 0..n_max, as a lookup of its values."""
+    scalar = bool(members) and isinstance(members[0], _Column)
+    columns = [members[side]] if scalar else [m[side] for m in members if m[side].first <= n_max]
     spans: dict[tuple, tuple[int, int]] = {}  # each distinct request, over its columns' spans
     for c in columns:
         lo, hi = spans.get(c.request, (c.first, c.last))
@@ -283,20 +259,11 @@ def _evaluator(members, side: int, n_max: int) -> Evaluator:
     if scalar:
         return rows[0].__getitem__
     # one zip per segment between span ends, where the columns held do not change
-    opening: dict[int, list[int]] = {}
-    closing: dict[int, list[int]] = {}
-    for i, c in enumerate(columns):
-        opening.setdefault(c.first, []).append(i)
-        if c.last < n_max:
-            closing.setdefault(c.last + 1, []).append(i)
-    held: set[int] = set()
+    ends = sorted({0, n_max + 1}.union(*((c.first, min(c.last, n_max) + 1) for c in columns)))
     values: list = []
-    ends = sorted({0, n_max + 1, *opening, *closing})
     for lo, hi in zip(ends, ends[1:]):
-        held.difference_update(closing.get(lo, ()))
-        held.update(opening.get(lo, ()))
-        held_rows = map(rows.__getitem__, sorted(held))
-        cut = map(itemgetter(slice(lo, hi)), held_rows) if lo else held_rows
+        held = [row for c, row in zip(columns, rows) if c.first <= lo <= c.last]
+        cut = [row[lo:hi] for row in held] if lo else held  # rows read from 0 need no copy
         values += islice(zip(*cut), hi - lo) if held else [()] * (hi - lo)
     return values.__getitem__
 
@@ -353,14 +320,16 @@ def _a_above_n(A: int, a: int, barred: bool) -> Member:  # the lemma, at n < a
     return lhs, _Column("constant", 0, last=a - 1) if barred else _Column("p", 0, last=a - 1)
 
 
-def _signed_members(stat: str, n_max: int) -> list[Member]:
-    # Thm 2.2 and 2.3: N(m, n) or M(m, n) at n >= |m|, the series row of |m| serving -m too
+def _signed_members(stat: str) -> list[Member]:
+    # Thm 2.2 and 2.3: N(m, n) or M(m, n) at n >= |m|, the series row of |m| serving -m
+    # too; both are census checks, so n and |m| stay within the enumeration cap
+    cap = limits.ENUMERATION_CAP
     return [
         (
             _series(f"{stat}_generating_series", abs(m), first=abs(m)),
             _stat(f"{stat}_count_rows", first=abs(m), pick=m),
         )
-        for m in range(-n_max, n_max + 1)
+        for m in range(-cap, cap + 1)
     ]
 
 
@@ -639,14 +608,14 @@ def build_registry() -> dict[str, IdentityCheck]:
         IdentityCheck(
             "thm-2.2",
             "rank generating series N(m,n) matches enumerated rank counts for |m| <= n", 1,
-            *_sides(partial(_signed_members, "rank")), requires_enumeration=True,
+            *_sides(_signed_members("rank")), requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated rank histogram",
         ),
         IdentityCheck(
             "thm-2.3",
             "crank generating series M(m,n) matches enumerated crank counts for |m| <= n, n >= 2",
             2,
-            *_sides(partial(_signed_members, "crank")), requires_enumeration=True,
+            *_sides(_signed_members("crank")), requires_enumeration=True,
             notes="lhs: theta-quotient rows; rhs: enumerated crank histogram; "
             "n = 1 differs by the documented crank anomaly",
         ),

@@ -14,9 +14,11 @@ Together they exhaust p(n).  Three independent routes are provided:
                  by ``series.theta_quotient_at``;
 * recurrence   - the signed offsets of :func:`recurrence_offsets` (from
                  off(k) = A*k(k-1)/2 + a*k), read at n against the
-                 pentagonal p(n) table by :func:`recurrence_at`.
+                 pentagonal p(n) table by :func:`recurrence_at`, or at
+                 n = 0..n_max by :func:`recurrence_row`.
 
-A signed sum of shifted counts is one sparse numerator on either route.
+A signed sum of shifted counts (a list of :data:`Term`) is one sparse
+numerator on either route, read as a row by :func:`mex_row`.
 The enumeration route keeps n <= ``limits.ENUMERATION_CAP`` (checked once,
 in :func:`mex_census_rows`); the recurrence checks the p(n) table cap first.
 """
@@ -24,11 +26,16 @@ in :func:`mex_census_rows`); the recurrence checks the p(n) table cap first.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import limits, partitions, series
 from .series import TruncatedSeries, prefix_cache, theta_quotient, theta_quotient_at, theta_terms
 from .statistics import MexParams
+
+# A signed, shifted mex count: (sign, kind, A, a, shift) is
+# sign * p_{A,a}(n - shift) for kind "p" and sign * pbar_{A,a}(n - shift) for
+# kind "pbar"; both are 0 for n < shift.  The sign is any integer weight.
+Term = tuple[int, str, int, int, int]
 
 
 def mex_numerator(params: MexParams, barred: bool, precision: int) -> dict[int, int]:
@@ -96,6 +103,11 @@ def recurrence_at(offsets: Mapping[int, int], n: int) -> int:
     return sum([c * p(n - d) for d, c in offsets.items() if d <= n])
 
 
+def recurrence_row(offsets: Mapping[int, int], n_max: int) -> list[int]:
+    """:func:`recurrence_at` of the ``offsets`` {d: c} at each n = 0..n_max."""
+    return [recurrence_at(offsets, n) for n in range(n_max + 1)]
+
+
 def p_mex_recurrence(params: MexParams, n: int) -> int:
     """p_{A,a}(n) by folding shifted partition numbers; 0 for negative n."""
     return recurrence_at(recurrence_offsets(params, False, n), n)
@@ -104,6 +116,24 @@ def p_mex_recurrence(params: MexParams, n: int) -> int:
 def pbar_mex_recurrence(params: MexParams, n: int) -> int:
     """pbar_{A,a}(n) by folding shifted partition numbers; 0 for negative n."""
     return recurrence_at(recurrence_offsets(params, True, n), n)
+
+
+def mex_row(route: str, terms: Sequence[Term], n_max: int) -> list[int]:
+    """The sum of ``terms`` at n = 0..n_max: each term's numerator (:func:`mex_numerator`
+    on route "series", :func:`recurrence_offsets` on route "recurrence") scaled by its
+    sign and moved by its shift into one numerator, read once -- as a theta quotient,
+    or by :func:`recurrence_row` against the pentagonal p(n) table."""
+    if route not in ("series", "recurrence"):
+        raise ValueError(f"unknown route {route!r}")
+    numerator_of = mex_numerator if route == "series" else recurrence_offsets
+    numerator: dict[int, int] = {}
+    for sign, kind, A, a, shift in terms:
+        if shift <= n_max:
+            for d, c in numerator_of(MexParams(A, a), kind == "pbar", n_max - shift).items():
+                numerator[d + shift] = numerator.get(d + shift, 0) + sign * c
+    if route == "series":
+        return list(theta_quotient(numerator, n_max).coeffs)
+    return recurrence_row(numerator, n_max)
 
 
 def mex_census_rows(

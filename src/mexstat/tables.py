@@ -41,25 +41,22 @@ TABLE1_FIELDS = ["partition", "mex_2_3", "p_2_3", "pbar_2_3"]
 
 def table2_rows() -> list[dict[str, str]]:
     """For n = 1..8: the four counter columns plus the rank>=2 / crank>=2 partition lists."""
+    counts = mexcount.mex_census_rows(TABLE2_N_MAX, [(3, 1), (3, 2), (3, 3), (1, 2)])
     rows = []
     for n in range(1, TABLE2_N_MAX + 1):
-        rank_list = [
-            partitions.format_partition(p)
-            for p in partitions.enumerate_partitions(n)
-            if statistics.rank(p) >= 2
-        ]
-        crank_list = [
-            partitions.format_partition(p)
-            for p in partitions.enumerate_partitions(n)
-            if statistics.crank(p) >= 2
-        ]
+        rank_list, crank_list = [], []
+        for p in partitions.enumerate_partitions(n):
+            if statistics.rank(p) >= 2:
+                rank_list.append(partitions.format_partition(p))
+            if statistics.crank(p) >= 2:
+                crank_list.append(partitions.format_partition(p))
         rows.append(
             {
                 "n": str(n),
-                "p_3_1": str(mexcount.p_mex_enum(MexParams(3, 1), n)),
-                "p_3_2": str(mexcount.p_mex_enum(MexParams(3, 2), n)),
-                "pbar_3_3": str(mexcount.pbar_mex_enum(MexParams(3, 3), n)),
-                "pbar_1_2": str(mexcount.pbar_mex_enum(MexParams(1, 2), n)),
+                "p_3_1": str(counts[3, 1][0][n]),
+                "p_3_2": str(counts[3, 2][0][n]),
+                "pbar_3_3": str(counts[3, 3][1][n]),
+                "pbar_1_2": str(counts[1, 2][1][n]),
                 "rank_ge_2": " ".join(rank_list) if rank_list else "-",
                 "crank_ge_2": " ".join(crank_list) if crank_list else "-",
             }
@@ -89,11 +86,12 @@ _TABLE3_PARAMS = [(3, 2), (1, 1), (3, 3), (1, 2), (3, 4), (1, 3), (3, 5), (1, 4)
 
 def table3_rows() -> list[dict[str, str]]:
     """For n = 1..5: the ten interleaved counter columns and spt(n)."""
+    counts = mexcount.mex_census_rows(TABLE3_N_MAX, _TABLE3_PARAMS)
     rows = []
     for n in range(1, TABLE3_N_MAX + 1):
         row = {"n": str(n)}
         for A, a in _TABLE3_PARAMS:
-            row[f"p_{A}_{a}"] = str(mexcount.p_mex_enum(MexParams(A, a), n))
+            row[f"p_{A}_{a}"] = str(counts[A, a][0][n])
         row["spt"] = str(statistics.spt_direct(n))
         rows.append(row)
     return rows

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexstat import identities, mexcount, partitions, series, statistics
+from mexstat import identities, limits, mexcount, partitions, series, statistics
 from mexstat.identities import (
     CSV_HEADER,
     IdentityCheck,
     REGISTRY,
-    _mex_row,
     _odd_weighted_row,
     build_registry,
     list_identities,
@@ -19,6 +18,7 @@ from mexstat.identities import (
     verify,
     verify_all,
 )
+from mexstat.mexcount import mex_row
 from mexstat.partitions import CapacityError, p_count
 from mexstat.series import crank_generating_series, partition_generating_series
 from mexstat.statistics import MexParams
@@ -110,11 +110,12 @@ class TestVerify:
         assert a.status == b.status == "pass"
 
 
+# (scale, last, base terms (sign, kind, A, a)), each term read at a + r
 ODD_WEIGHTED_FAMILIES = {
-    "thm-3.8-rank": (2, 2, lambda r: [(1, "pbar", 3, r + 2, 0)]),
-    "thm-3.8-crank": (2, 1, lambda r: [(1, "pbar", 1, r + 1, 0)]),
-    "cor-3.9-barred": (1, 1, lambda r: [(1, "pbar", 1, r + 1, 0), (-1, "pbar", 3, r + 2, 0)]),
-    "cor-3.9-unbarred": (1, 1, lambda r: [(1, "p", 3, r + 2, 0), (-1, "p", 1, r + 1, 0)]),
+    "thm-3.8-rank": (2, 2, [(1, "pbar", 3, 2)]),
+    "thm-3.8-crank": (2, 1, [(1, "pbar", 1, 1)]),
+    "cor-3.9-barred": (1, 1, [(1, "pbar", 1, 1), (-1, "pbar", 3, 2)]),
+    "cor-3.9-unbarred": (1, 1, [(1, "p", 3, 2), (-1, "p", 1, 1)]),
 }
 
 
@@ -122,13 +123,16 @@ ODD_WEIGHTED_FAMILIES = {
 @settings(max_examples=10, deadline=None)
 @given(n_max=st.integers(min_value=0, max_value=40))
 def test_odd_weighted_row_matches_the_held_rows(family, n_max):
-    scale, last, terms_of = ODD_WEIGHTED_FAMILIES[family]
-    rows = [_mex_row("recurrence", terms_of(r), n_max) for r in range(n_max - last + 1)]
+    scale, last, terms = ODD_WEIGHTED_FAMILIES[family]
+    rows = [
+        mex_row("recurrence", [(sign, kind, A, a + r, 0) for sign, kind, A, a in terms], n_max)
+        for r in range(n_max - last + 1)
+    ]
     held = [
         scale * sum((2 * r + 1) * rows[r][n] for r in range(n - last + 1))
         for n in range(n_max + 1)
     ]
-    assert _odd_weighted_row(scale, last, terms_of, n_max) == held
+    assert _odd_weighted_row(scale, last, terms, n_max) == held
 
 
 def _literal_p_mex(A, a, n):
@@ -176,13 +180,13 @@ def test_recurrence_row_matches_the_literal_recurrence(terms, n_max):
         sum(sign * _literal_term(kind, A, a, n - shift) for sign, kind, A, a, shift in terms)
         for n in range(n_max + 1)
     ]
-    assert _mex_row("recurrence", terms, n_max) == expected
+    assert mex_row("recurrence", terms, n_max) == expected
 
 
 @settings(max_examples=30, deadline=None)
 @given(terms=TERMS, n_max=st.integers(min_value=0, max_value=60))
 def test_the_two_routes_give_the_same_row(terms, n_max):
-    assert _mex_row("series", terms, n_max) == _mex_row("recurrence", terms, n_max)
+    assert mex_row("series", terms, n_max) == mex_row("recurrence", terms, n_max)
 
 
 def _forbid(monkeypatch, names):
@@ -224,7 +228,6 @@ def test_the_recurrence_route_reads_no_series(monkeypatch):
         (mexcount, "theta_quotient"),
         (mexcount, "theta_quotient_at"),
         (mexcount, "mex_numerator"),
-        (identities, "theta_quotient"),
     ])
     values = {key: _side_values(*key, n_max) for key in RECURRENCE_SIDES}
     cases = [(MexParams(2, 3), 30), (MexParams(1, 1), 17), (MexParams(5, 2), 0)]
@@ -249,6 +252,7 @@ def test_the_series_route_reads_no_pentagonal_table(monkeypatch):
         (partitions, "p_count"),
         (mexcount, "recurrence_offsets"),
         (mexcount, "recurrence_at"),
+        (mexcount, "recurrence_row"),
     ])
     values = {key: _side_values(*key, n_max) for key in SERIES_SIDES}
     monkeypatch.undo()
@@ -295,10 +299,9 @@ def _declared(check, side, n_max):
     """The columns a check's side declares at n_max, read off its factory."""
     factory = check.make_lhs if side == "lhs" else check.make_rhs
     members, index = factory.args
-    declared = members(n_max) if callable(members) else members
-    if isinstance(declared[0], identities._Column):
-        return [declared[index]]
-    return [member[index] for member in declared]
+    if isinstance(members[0], identities._Column):
+        return [members[index]]
+    return [member[index] for member in members if member[index].first <= n_max]
 
 
 # every builder a side may call: after a factory returns, its evaluator calls none
@@ -311,11 +314,12 @@ BUILDERS = [
     (mexcount, "recurrence_offsets"),
     (mexcount, "mex_numerator"),
     (mexcount, "mex_census_rows"),
+    (mexcount, "mex_row"),
+    (mexcount, "recurrence_row"),
     (mexcount, "theta_quotient"),
     (mexcount, "theta_quotient_at"),
     (series, "theta_quotient"),
     (series, "theta_quotient_at"),
-    (identities, "theta_quotient"),
     (statistics, "_stat_census"),
     (statistics, "theta_quotient"),
     *[(statistics, name) for name in vars(statistics) if name.endswith(("_row", "_rows"))],
@@ -362,6 +366,22 @@ def test_the_two_sides_of_a_check_share_no_request():
         rhs = {column.request for column in _declared(check, "rhs", n_max)}
         assert lhs and rhs, check_id
         assert not lhs & rhs, (check_id, lhs & rhs)
+
+
+@pytest.mark.parametrize(
+    "check_id, census",
+    [("thm-2.2", statistics.rank_count_rows), ("thm-2.3", statistics.crank_count_rows)],
+)
+def test_the_signed_checks_read_m_from_minus_n_to_n(check_id, census):
+    # one declared member per |m| <= the cap; the factory keeps those with |m| <= n_max
+    cap = limits.ENUMERATION_CAP
+    rows = census(cap)
+    check = REGISTRY[check_id]
+    for n_max in (0, 1, 7, cap):
+        lhs, rhs = check.make_lhs(n_max), check.make_rhs(n_max)
+        for n in range(n_max + 1):
+            assert rhs(n) == tuple(rows[m][n] for m in range(-n, n + 1)), (n_max, n)
+            assert len(lhs(n)) == 2 * n + 1, (n_max, n)
 
 
 def _member_agrees(member, valid_from, n_max):

@@ -8,6 +8,7 @@ from mexstat import mexcount, partitions, series, statistics
 from mexstat.mexcount import (
     mex_census,
     mex_census_rows,
+    mex_row,
     mex_series_at,
     p_mex_enum,
     p_mex_recurrence,
@@ -148,6 +149,33 @@ class TestAgreement:
 def test_series_equals_enumeration(A, a, n):
     params = MexParams(A, a)
     assert p_mex_series(params, n)[n] == p_mex_enum(params, n)
+
+
+@given(
+    sign=st.integers(min_value=-3, max_value=3),
+    barred=st.booleans(),
+    A=st.integers(min_value=1, max_value=8),
+    a=st.integers(min_value=1, max_value=20),
+    shift=st.integers(min_value=0, max_value=70),
+    n_max=st.integers(min_value=0, max_value=60),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_one_term_mex_row_is_the_per_pair_count_on_each_route(sign, barred, A, a, shift, n_max):
+    # sign * p_{A,a}(n - shift), or pbar, at n = 0..n_max; 0 below the shift
+    params, term = MexParams(A, a), (sign, "pbar" if barred else "p", A, a, shift)
+    row = (pbar_mex_series if barred else p_mex_series)(params, n_max)
+    point = pbar_mex_recurrence if barred else p_mex_recurrence
+    assert mex_row("series", [term], n_max) == [
+        sign * row[n - shift] if n >= shift else 0 for n in range(n_max + 1)
+    ]
+    assert mex_row("recurrence", [term], n_max) == [
+        sign * point(params, n - shift) for n in range(n_max + 1)
+    ]
+
+
+def test_mex_row_refuses_an_unknown_route():
+    with pytest.raises(ValueError, match="unknown route"):
+        mex_row("enum", [(1, "p", 2, 3, 0)], 5)
 
 
 @given(
