@@ -8,14 +8,13 @@ identity catalog (``verify``, ``list-identities``) and the reference tables
 (``table``) are imported by their subcommands, since a point query is one
 fresh process and their import would cost more than the query.
 
-The parser is argparse's, built once per process.  A plain subcommand argv
-(``compute p --n 5 --format json``: the positional, then exact ``--option
-value`` pairs) is read by that subcommand's parse plan, built on its first
-parse from the public attributes of the actions ``add_argument`` returned:
-the positional, a map from each option string of a plain store action to
-its dest, type and choices, and the default namespace.  Such a parse is
-dict lookups, the values' ``type`` calls and one namespace, and reads no
-private argparse name: about 4 us (``bench/layers.py``
+Each subcommand's help, handler and arguments are declared once, in
+``_COMMANDS``.  ``build_parser`` adds those arguments to argparse's parser,
+built once per process, and a plain subcommand argv (``compute p --n 5
+--format json``: the positional, then exact ``--option value`` pairs) is read
+by that subcommand's parse plan, taken from the same entry on its first
+parse: dict lookups, the values' ``type`` calls and one namespace, reading no
+private argparse name.  That is about 4 us a parse (``bench/layers.py``
 ``cli.parse.compute``: 3-6 ms for the 1000 argvs of the queries workload,
 against 56-61 ms through argparse's matcher; 2-core x86_64 host, CPython
 3.11); a series point read then takes 20-30 us (``point.p_aa.2000``, with
@@ -29,7 +28,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 
 from . import mexcount, partitions, statistics
@@ -305,45 +303,75 @@ def _print_csv(rows: list[list[str]]) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
+_FORMAT = ("--format", dict(choices=["text", "json", "csv"], default="text"))
+
+# subcommand -> (help, handler, arguments), each argument its name and the
+# keywords of its add_argument call: build_parser adds them, and the
+# subcommand's _Plan reads them
+_COMMANDS: dict[str, tuple] = {
+    "compute": ("compute a single quantity", cmd_compute, [
+        ("kind", dict(choices="p_aa pbar_aa p spt rank crank mex N M moment goe".split())),
+        ("--A", dict(type=int)),
+        ("--a", dict(type=int)),
+        ("--n", dict(type=int)),
+        ("--m", dict(type=int)),
+        ("--k", dict(type=int)),
+        ("--stat", dict(choices=["rank", "crank"])),
+        ("--method", dict(help="p_aa/pbar_aa: enum|series|recurrence; N/M: combinatorial|series")),
+        ("--partition", dict(type=_parse_partition)),
+        _FORMAT,
+    ]),
+    "table": ("regenerate a reference table", cmd_table, [
+        ("table_id", dict(type=int, choices=[1, 2, 3])),
+        _FORMAT,
+    ]),
+    "series": ("expand a generating series", cmd_series, [
+        ("expr", dict(choices=["euler", "F", "Fbar", "residue-product", "theta", "jtp"])),
+        ("--precision", dict(type=int, default=20)),
+        ("--A", dict(type=int)),
+        ("--a", dict(type=int)),
+        ("--modulus", dict(type=int)),
+        ("--residues", dict(help="comma-separated residues, e.g. 2,8,12")),
+        ("--sign", dict(choices=["minus", "plus"], default="minus")),
+        ("--mode", dict(choices=["include", "exclude"], default="include")),
+        ("--quadratic", dict(help="P,Q,R for exponent (P*n^2+Q*n+R)/2")),
+        ("--n-start", dict(type=int, default=0)),
+        ("--k", dict(type=int)),
+        ("--i", dict(type=int)),
+        ("--parity", dict(choices=["even", "odd"], default="odd")),
+        ("--side", dict(choices=["sum", "product"], default="sum")),
+        _FORMAT,
+    ]),
+    "verify": ("verify one identity or all of them", cmd_verify, [
+        ("check_id", dict(metavar="id", help="identity id or 'all'")),
+        ("--max-n", dict(type=int, default=50)),
+        ("--max-n-series",
+         dict(type=int, help="separate bound for series-only checks (verify all)")),
+        _FORMAT,
+    ]),
+    "list-identities": ("list the identity catalog", cmd_list_identities, [_FORMAT]),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Reads a plain subcommand argv -- the subcommand, its one positional, then
     ``--option value`` pairs -- by that subcommand's :class:`_Plan`, built on its
     first parse, into the namespace argparse would build.  Every other argv, and
     every argv argparse would refuse, takes argparse's own path, so help, usage
-    and error messages stay argparse's.
-
-    A plan knows the arguments given to ``add_argument`` and ``set_defaults`` of
-    the subcommand's parser itself, which is how :func:`build_parser` adds every
-    argument: none through an argument group or a subparser."""
+    and error messages stay argparse's."""
 
     # subcommand name -> its parser; empty in the subparsers (built as _Parsers
     # too), and an empty dict sends every argv through argparse's own path
     commands: dict[str, argparse.ArgumentParser] = {}
-
-    def __init__(self, *args, **kwargs) -> None:
-        self.added: list[tuple[argparse.Action, bool]] = []  # (action, plain store)
-        self.preset: dict[str, object] = {}  # the set_defaults
-        self.plans: dict[str, _Plan | None] = {}  # by subcommand, None for argparse's path
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs) -> argparse.Action:
-        action = super().add_argument(*args, **kwargs)
-        self.added.append((action, kwargs.get("action") in (None, "store")))
-        return action
-
-    def set_defaults(self, **kwargs) -> None:
-        super().set_defaults(**kwargs)
-        self.preset.update(kwargs)
+    plans: dict[str, _Plan | None]  # set by build_parser; None for argparse's path
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
-        command = self.commands.get(args[0]) if args and namespace is None else None
-        if command is not None:
+        if args and namespace is None and args[0] in self.commands:
             try:
                 plan = self.plans[args[0]]
             except KeyError:
-                plan = self.plans[args[0]] = _Plan.of(command, args[0])
+                plan = self.plans[args[0]] = _Plan.of(args[0])
             read = None if plan is None else plan.read(args[1:])
             if read is not None:
                 return read, []
@@ -351,71 +379,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Plan:
-    """How a plain argv of one subcommand becomes its namespace, taken once from
-    the public attributes of the actions its ``add_argument`` calls returned:
+    """How a plain argv of one subcommand becomes its namespace, read once from
+    its ``_COMMANDS`` entry: ``positional``, the one positional as (dest, type,
+    choices); ``options``, each option string to its (dest, type, choices); and
+    ``defaults``, the namespace before any value (the subcommand name, each
+    argument's default and the handler as ``func``).  No option string looks
+    like a negative number, so argparse takes ``-`` then digits for a value."""
 
-    * ``positional``, the one positional as (dest, type, choices);
-    * ``options``, each option string of a plain store action (no ``action`` or
-      ``nargs`` given) to its (dest, type, choices);
-    * ``defaults``, the namespace before any value: the subcommand name, the
-      first default per dest (a string one passed through its type) and then
-      ``set_defaults``, in the order argparse sets them;
-    * ``prefix_chars``, and ``negatives``: whether ``-`` then decimal digits is
-      a value (argparse reads such a value as a negative number).
-    """
+    __slots__ = ("positional", "options", "defaults")
 
-    __slots__ = ("positional", "options", "defaults", "prefix_chars", "negatives")
-
-    def __init__(
-        self,
-        positional: tuple,
-        options: dict[str, tuple],
-        defaults: dict[str, object],
-        prefix_chars: str,
-        negatives: bool,
-    ) -> None:
+    def __init__(self, positional: tuple, options: dict[str, tuple], defaults: dict) -> None:
         self.positional, self.options, self.defaults = positional, options, defaults
-        self.prefix_chars, self.negatives = prefix_chars, negatives
 
     @classmethod
-    def of(cls, command: _Parser, name: str) -> _Plan | None:
-        """The plan of ``command``, or None when it takes argparse's path for
-        every argv: not one plain positional, a required option, or a string
-        default its type refuses."""
-        positional, options, defaults = [], {}, {"command": name}
-        for action, store in command.added:
-            slot = (action.dest, action.type, action.choices)
-            plain = store and action.nargs is None and not isinstance(action.choices, str)
-            if not action.option_strings:
-                positional.append(slot if plain else None)
-            elif action.required:
-                return None
-            elif plain:
-                options.update(dict.fromkeys(action.option_strings, slot))
-            default = action.default
-            if argparse.SUPPRESS in (action.dest, default) or action.dest in defaults:
-                continue
-            if isinstance(default, str) and action.type is not None:
-                try:
-                    default = action.type(default)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
-                    return None
-            defaults[action.dest] = default
-        if len(positional) != 1 or positional[0] is None:
-            return None
-        for dest, value in command.preset.items():
-            defaults.setdefault(dest, value)
-        # with an option string argparse could take for a negative number (every
-        # form any argparse version reads as one starts r"-\.?\d"), no value may
-        # start with "-"
-        strings = [s for action, _ in command.added for s in action.option_strings]
-        negatives = not any(re.match(r"-\.?\d", s) for s in strings)
-        return cls(positional[0], options, defaults, command.prefix_chars, negatives)
+    def of(cls, name: str) -> _Plan | None:
+        """The plan of subcommand ``name``, or None when it has no positional
+        and so takes argparse's path for every argv."""
+        _, handler, arguments = _COMMANDS[name]
+        positional, options, defaults = None, {}, {"command": name}
+        for flag, keywords in arguments:
+            dest = flag.lstrip("-").replace("-", "_")
+            slot = (dest, keywords.get("type"), keywords.get("choices"))
+            if flag[0] == "-":
+                options[flag] = slot
+            else:
+                positional = slot
+            defaults[dest] = keywords.get("default")
+        defaults["func"] = handler
+        return None if positional is None else cls(positional, options, defaults)
 
     def read(self, tokens: list[str]) -> argparse.Namespace | None:
         """The namespace of ``tokens``, the positional then ``--option value``
-        pairs of plain store actions, each value one argparse takes as a value
-        and one the action's type and choices accept; None for any other argv."""
+        pairs, each value one argparse takes as a value and one the argument's
+        type and choices accept; None for any other argv."""
         if not len(tokens) & 1:
             return None
         namespace = argparse.Namespace()
@@ -423,11 +419,7 @@ class _Plan:
         values.update(self.defaults)
         slots = [self.positional, *map(self.options.get, tokens[1::2])]
         for slot, text in zip(slots, tokens[::2]):
-            if slot is None:
-                return None
-            if text[:1] in self.prefix_chars and not (
-                self.negatives and text[:1] == "-" and text[1:].isdecimal()
-            ):
+            if slot is None or text[:1] == "-" and not text[1:].isdecimal():
                 return None
             dest, convert, choices = slot
             if convert is not None:
@@ -447,71 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations and identity checks for mex-classified partition counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-
-    p_compute = sub.add_parser("compute", help="compute a single quantity")
-    p_compute.add_argument(
-        "kind",
-        choices=["p_aa", "pbar_aa", "p", "spt", "rank", "crank", "mex", "N", "M", "moment", "goe"],
-    )
-    p_compute.add_argument("--A", type=int)
-    p_compute.add_argument("--a", type=int)
-    p_compute.add_argument("--n", type=int)
-    p_compute.add_argument("--m", type=int)
-    p_compute.add_argument("--k", type=int)
-    p_compute.add_argument("--stat", choices=["rank", "crank"])
-    p_compute.add_argument(
-        "--method",
-        help="p_aa/pbar_aa: enum|series|recurrence; N/M: combinatorial|series",
-    )
-    p_compute.add_argument("--partition", type=_parse_partition)
-    add_format(p_compute)
-    p_compute.set_defaults(func=cmd_compute)
-
-    p_table = sub.add_parser("table", help="regenerate a reference table")
-    p_table.add_argument("table_id", type=int, choices=[1, 2, 3])
-    add_format(p_table)
-    p_table.set_defaults(func=cmd_table)
-
-    p_series = sub.add_parser("series", help="expand a generating series")
-    p_series.add_argument(
-        "expr", choices=["euler", "F", "Fbar", "residue-product", "theta", "jtp"]
-    )
-    p_series.add_argument("--precision", type=int, default=20)
-    p_series.add_argument("--A", type=int)
-    p_series.add_argument("--a", type=int)
-    p_series.add_argument("--modulus", type=int)
-    p_series.add_argument("--residues", help="comma-separated residues, e.g. 2,8,12")
-    p_series.add_argument("--sign", choices=["minus", "plus"], default="minus")
-    p_series.add_argument("--mode", choices=["include", "exclude"], default="include")
-    p_series.add_argument("--quadratic", help="P,Q,R for exponent (P*n^2+Q*n+R)/2")
-    p_series.add_argument("--n-start", type=int, default=0)
-    p_series.add_argument("--k", type=int)
-    p_series.add_argument("--i", type=int)
-    p_series.add_argument("--parity", choices=["even", "odd"], default="odd")
-    p_series.add_argument("--side", choices=["sum", "product"], default="sum")
-    add_format(p_series)
-    p_series.set_defaults(func=cmd_series)
-
-    p_verify = sub.add_parser("verify", help="verify one identity or all of them")
-    p_verify.add_argument("check_id", metavar="id", help="identity id or 'all'")
-    p_verify.add_argument("--max-n", type=int, default=50)
-    p_verify.add_argument(
-        "--max-n-series",
-        type=int,
-        default=None,
-        help="separate bound for series-only checks (verify all)",
-    )
-    add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_list = sub.add_parser("list-identities", help="list the identity catalog")
-    add_format(p_list)
-    p_list.set_defaults(func=cmd_list_identities)
-
+    for name, (help, handler, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=handler)
+    parser.commands, parser.plans = sub.choices, {}
     return parser
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import limits
 from .limits import CapacityError  # noqa: F401  (re-exported: callers import it from here)
-from .series import PackedRows, ResidueCondition, _gather
+from .series import PackedRows, ResidueCondition, gather
 
 Partition = tuple[int, ...]
 
@@ -99,8 +99,8 @@ def _pentagonal_gathers(count: int) -> tuple[Callable, Callable]:
     """Gathers of t[-g] over the first ``count`` offsets g, for k odd and for k even."""
     offsets = _PENTAGONAL[:count]
     return (
-        _gather([-g for j, g in enumerate(offsets) if not j & 2]),
-        _gather([-g for j, g in enumerate(offsets) if j & 2]),
+        gather([-g for j, g in enumerate(offsets) if not j & 2]),
+        gather([-g for j, g in enumerate(offsets) if j & 2]),
     )
 
 

@@ -558,20 +558,21 @@ def _recurrence_inverse(
     for k in sorted(terms):
         if 1 <= k < len(b) and terms[k]:
             offsets.setdefault(terms[k], []).append(-k)
-    getters = {v: _gather(ks) for v, ks in offsets.items()}
+    getters = {v: gather(ks) for v, ks in offsets.items()}
     for m in range(len(b), precision + 1):
         v = terms.get(m)
         if v:
             ks = offsets.setdefault(v, [])
             ks.append(-m)
-            getters[v] = _gather(ks)
+            getters[v] = gather(ks)
         b.append(-b[0] * sum([v * sum(get(b)) for v, get in getters.items()]))
     return b
 
 
-def _gather(offsets: list[int]) -> Callable[[list[int]], Sequence[int]]:
-    # the items at the negative ``offsets``; itemgetter of one index returns the item
-    # and of none refuses, so one offset is read as a one-item slice and none as empty
+def gather(offsets: list[int]) -> Callable[[list[int]], Sequence[int]]:
+    """A getter of the items at the negative ``offsets`` of a list, as a sequence.
+    itemgetter of one index returns the item and of none refuses, so one offset is
+    read as a one-item slice and none as an empty one."""
     if len(offsets) > 1:
         return itemgetter(*offsets)
     if not offsets:

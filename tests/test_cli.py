@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -410,11 +411,13 @@ def test_planned_argvs_read_no_private_argparse_name(monkeypatch):
     assert all(parser.plans[name] is plan for name, plan in plans.items())  # kept, not rebuilt
 
 
-def test_each_plan_knows_every_argument_of_its_subcommand():
-    # a plan reads the add_argument and set_defaults calls of the subparser itself
-    for command in build_parser().commands.values():
-        assert [action for action, _ in command.added] == command._actions
-        assert command.preset == command._defaults
+def test_the_command_table_plans_every_subcommand_with_a_positional():
+    # a plan takes "-" then digits for a value, as argparse does while no option
+    # string could be read as a negative number (every such form starts r"-\.?\d")
+    flags = [flag for _, _, arguments in cli._COMMANDS.values() for flag, _ in arguments]
+    assert not [flag for flag in flags if re.match(r"-\.?\d", flag)]
+    planned = [name for name in build_parser().commands if cli._Plan.of(name) is not None]
+    assert sorted(planned) == ["compute", "series", "table", "verify"]
 
 
 SUBPARSERS = build_parser().commands

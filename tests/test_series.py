@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -400,6 +402,18 @@ def test_records_read_like_frozen_dataclasses(record, twin, text, fields):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert repr(record) == text
+
+
+@pytest.mark.parametrize(
+    "record", [MexParams(2, 3), ResidueCondition(7, [0, 3, 4], "plus", "exclude")], ids=repr
+)
+def test_records_survive_pickle_and_copy(record):
+    # a record's fields refuse assignment, so each copy is rebuilt by its __init__
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    twins = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
+    twins += [copy.copy(record), copy.deepcopy(record)]
+    for twin in twins:
+        assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
 
 
 class TestJtp:
