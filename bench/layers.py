@@ -32,8 +32,8 @@ Layers:
   of t^n/(q)_n at t = q^j (j = 1..5) and t = -q;
 * ``parity_pair.1000`` -- the pe-po-genfun sum side at 1000: the sums of
   q^j/(q)_j over even and over odd j;
-* ``jtp_products.1000`` -- the product sides of thm-2.8 and jtp-even-lemma
-  at 1000, the 42 distinct Jacobi triple products with k <= 6;
+* ``jtp_products.N`` (N = 1000, 2000) -- the product sides of thm-2.8 and
+  jtp-even-lemma at N, the 42 distinct Jacobi triple products with k <= 6;
 * ``jtp_sums.1000`` -- the sum sides of the same two checks at 1000, the
   78 bilateral theta sums with k <= 6;
 * ``parts_parity_counts.1000`` -- the even and odd part-count rows over
@@ -324,7 +324,8 @@ def main() -> None:
     checks = identities.REGISTRY
     layers["cauchy_sums.thm29.1000"] = timed(lambda: checks["thm-2.9"].make_lhs(1000), repeats)
     layers["parity_pair.1000"] = timed(lambda: checks["pe-po-genfun"].make_lhs(1000), repeats)
-    layers["jtp_products.1000"] = timed(lambda: jtp_sides("make_rhs", 1000), repeats)
+    for p in (1000, 2000):
+        layers[f"jtp_products.{p}"] = timed(lambda: jtp_sides("make_rhs", p), repeats)
     layers["jtp_sums.1000"] = timed(lambda: jtp_sides("make_lhs", 1000), repeats)
     layers["parts_parity_counts.1000"] = timed(
         lambda: partitions.parts_parity_counts(1000),

@@ -187,3 +187,15 @@ def test_criterion_11_series_checks_at_1000():
     with criterion(11, "the 14 series-arithmetic checks at n=1000", 5.0):
         for check_id in SERIES_DEEP_IDS:
             _verify_pass(check_id, 1000)
+
+
+def test_criterion_12_sparse_products_at_10000():
+    # each product has O(sqrt(P)) nonzero coefficients: the Euler transform takes
+    # one packed pass per nonzero, where shift-adds took one per factor
+    every_part = series.ResidueCondition(1, {0})
+    with criterion(12, "the odd JTP product (k = i = 1) at precision 10000", 1.0):
+        jtp = series.jtp_specialized(1, 1, "odd", "product", 10000)
+    with criterion(12, "prod (1 - q^n) over every n at precision 10000", 1.0):
+        euler = series.residue_product(every_part, 10000)
+    assert jtp == series.jtp_specialized(1, 1, "odd", "sum", 10000)
+    assert euler == series.euler_product(10000)

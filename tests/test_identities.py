@@ -261,6 +261,38 @@ def test_the_series_route_reads_no_pentagonal_table(monkeypatch):
         assert values[check_id, side] == _side_values(check_id, other, n_max), check_id
 
 
+# the catalog sides that multiply out factors (1 - q^n), each checked against a theta
+PRODUCT_SIDES = [
+    ("thm-2.1", "rhs"), ("thm-2.8", "rhs"), ("jtp-even-lemma", "rhs"),
+    ("thm-2.10a", "lhs"), ("thm-2.10b", "lhs"), ("thm-2.11", "lhs"),
+]
+
+
+def test_the_product_route_reads_no_theta(monkeypatch):
+    # at 1000 the Jacobi triple products of small k, prod (1 - q^n) and the mod-32 and
+    # mod-24 products take the Euler transform, whose c_k must come from the factors
+    n_max, solved = 1000, []
+    euler = series._euler_transform
+    _forbid(monkeypatch, [
+        (series, "theta_terms"),
+        (series, "_bilateral_terms"),
+        (series, "alternating_theta"),
+        (series, "alternating_theta_bilateral"),
+        (series, "euler_product"),
+        (series, "partition_generating_series"),
+        (identities, "alternating_theta"),
+        (identities, "euler_product"),
+        (partitions, "p_count"),
+    ])
+    monkeypatch.setattr(series, "_euler_transform", lambda *args: solved.append(args) or euler(*args))
+    values = {key: _side_values(*key, n_max) for key in PRODUCT_SIDES}
+    monkeypatch.undo()
+    assert len(solved) >= 10
+    for check_id, side in PRODUCT_SIDES:
+        other = "rhs" if side == "lhs" else "lhs"
+        assert values[check_id, side] == _side_values(check_id, other, n_max), check_id
+
+
 @pytest.mark.parametrize("check_id", ["thm-3.8-crank", "thm-3.6"])
 def test_series_crank_checks_build_no_per_m_rows(check_id):
     # with p(n) and 1/(q)_inf at 200 already built, the crank side is one numerator

@@ -10,7 +10,7 @@ from operator import add
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mexstat.series as kernels
@@ -1038,6 +1038,69 @@ def test_binomial_product_matches_factor_loop(exponent_repeats, sign, precision)
     expected = literal_factors([e for e in exponents if e <= precision], sign, precision)
     counts = Counter(e for e in exponents if e <= precision)
     assert list(kernels._binomial_product(counts, sign, precision).coeffs) == expected
+
+
+@st.composite
+def exponent_counts(draw):
+    """(precision, {exponent: repeats}): exponents in 1..precision, each at most twice."""
+    precision = draw(st.integers(0, 300))
+    if not precision:
+        return 0, {}
+    exponents = st.integers(1, precision)
+    return precision, draw(st.dictionaries(exponents, st.integers(1, 2), max_size=80))
+
+
+@given(exponent_counts())
+@example((0, {}))
+@example((40, {}))
+@example((300, dict.fromkeys(range(1, 301), 2)))
+@settings(max_examples=60, deadline=None)
+def test_euler_transform_matches_factor_loop(case):
+    precision, counts = case
+    expected = literal_factors([e for e, r in counts.items() for _ in range(r)], -1, precision)
+    # the slot bound of the product, and the tightest one its coefficients admit: the
+    # kernel widens either for its partial sums
+    tight = kernels._bit_length(expected) + 1
+    for bits in (8 * kernels._slot_size(counts, precision, None), tight):
+        # a step count that no nonzero count can outrun, so the route never hands back
+        coeffs = kernels._euler_transform(counts, precision, bits, 4 * (precision + 1))
+        assert coeffs == expected, bits
+
+
+MOD24 = ResidueCondition(24, symmetric_residues(24, (1, 4, 6, 8, 10, 11)))
+
+
+def _recorded(calls, name, original, *args):
+    calls.append((name, args))
+    return original(*args)
+
+
+@pytest.mark.parametrize(
+    "build, routes",
+    [
+        # thm-2.8 at k = 6: 115 shift-add steps, below the crossover
+        (lambda: jtp_specialized(6, 1, "odd", "product", 1000), ["_factor_shift_add"]),
+        # a Jacobi triple product with 750 steps: a theta, 32 nonzero coefficients
+        (lambda: jtp_specialized(1, 1, "even", "product", 1000), ["_euler_transform"]),
+        # the include set of thm-3.12-series: dense, so the Euler route hands back
+        (lambda: residue_product(MOD24, 1000), ["_euler_transform", "_factor_shift_add"]),
+        # thm-2.9's prod (1 + q^n): sign +1 never takes the Euler route
+        (
+            lambda: residue_product(ResidueCondition(1, frozenset({0}), sign="plus"), 1000),
+            ["_factor_shift_add"],
+        ),
+    ],
+)
+def test_each_product_route_is_taken(monkeypatch, build, routes):
+    calls = []
+    for route in ("_binomial_product", "_euler_transform", "_factor_shift_add"):
+        original = getattr(kernels, route)
+        monkeypatch.setattr(kernels, route, partial(_recorded, calls, route, original))
+    product = build()
+    assert [name for name, _ in calls] == ["_binomial_product", *routes]
+    counts, sign, precision, _ = calls[0][1]
+    exponents = [e for e, r in counts.items() for _ in range(r)]
+    assert list(product.coeffs) == literal_factors(exponents, sign, precision)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
