@@ -10,17 +10,18 @@ checks.
 The catalog is declared as columns.  A check is one (lhs, rhs) pair of
 columns (a scalar statement) or a list of such members, read at n as the
 tuple of the members whose span holds n.  A column (:class:`_Column`) is a
-row request -- a builder key from the closed set of :func:`_build` and its
-arguments -- and the span [first, last] of n where it appears.  Each
-parameterized family (rank and crank bounds j, Thm 3.10 at (M, i), JTP at
-(k, i), Thm 5.1, Thm 3.2 and the lemma at (A, a)) is a function from its
-parameters to one member, mapped over a grid by :func:`build_registry`.
+row request -- the module that owns a builder, the builder's name (public on
+any module but this one) and its leading arguments -- and the span
+[first, last] of n where it appears.  Each parameterized family (rank and
+crank bounds j, Thm 3.10 at (M, i), JTP at (k, i), Thm 5.1, Thm 3.2 and the
+lemma at (A, a)) is a function from its parameters to one member, mapped
+over a grid by :func:`build_registry`.
 ``make_lhs(n_max)``, the one factory, builds each distinct request of the
 side once, to the last n a column reads, zips the rows over the segments
 between span ends and returns the values' ``__getitem__``, so no route runs
 in an evaluator call.  A signed sum of mex counts is one
-``mexcount.mex_row``.  Builders are looked up on their modules (the series
-ones in this module's namespace) as they run, so a rebinding sees each call.
+``mexcount.mex_row``.  Builders are looked up on their modules as they run,
+so a rebinding sees each call.
 """
 
 from __future__ import annotations
@@ -34,24 +35,8 @@ from itertools import islice
 from operator import mul, sub
 from typing import Callable, Sequence
 
-from . import limits, mexcount, partitions, statistics
-
-# the series functions the requests name: read from this namespace by _build
-from .series import (  # noqa: F401
-    ResidueCondition,
-    TruncatedSeries,
-    alternating_theta,
-    cauchy_sums_specialized,
-    crank_generating_series,
-    euler_product,
-    jtp_specialized,
-    parts_parity_sums,
-    rank_generating_series,
-    residue_product,
-    second_crank_moment_series,
-    second_rank_moment_series,
-    symmetric_residues,
-)
+from . import limits, mexcount, partitions, series, statistics
+from .series import ResidueCondition, TruncatedSeries, symmetric_residues
 from .statistics import MexParams
 
 Value = int | tuple[int, ...]
@@ -142,8 +127,8 @@ _OPEN = sys.maxsize  # the last n of a column that holds from its first n on
 
 
 class _Column:
-    """The row of ``request`` (a builder key and its arguments, see :func:`_build`) at
-    first <= n <= last; ``pick`` takes one of the rows when the builder gives several."""
+    """The row of ``request`` (owner module, builder name, *leading arguments: :func:`_build`)
+    at first <= n <= last; ``pick`` takes one of the rows when the builder gives several."""
 
     __slots__ = ("request", "first", "last", "pick")
 
@@ -152,10 +137,12 @@ class _Column:
 
 
 def _mex(route: str, *terms: mexcount.Term, last: int = _OPEN) -> _Column:
-    return _Column("mex", route, terms, last=last)
+    return _Column(mexcount, "mex_row", route, terms, last=last)
 
 
-_stat, _series = partial(_Column, "statistics"), partial(_Column, "series")
+# the columns of a builder of this module, of statistics and of series
+_own = partial(_Column, sys.modules[__name__])
+_stat, _series = partial(_Column, statistics), partial(_Column, series)
 Member = tuple[_Column, _Column]  # the (lhs, rhs) columns of one component of a check
 
 
@@ -176,72 +163,75 @@ def _odd_weighted_row(
 
 def _residue_quotient(top, bottom, precision: int) -> TruncatedSeries:
     # the residue products of ``top`` times the inverses of those of ``bottom``
-    factors = [residue_product(c, precision) for c in top]
-    return reduce(mul, factors + [residue_product(c, precision).invert() for c in bottom])
+    factors = [series.residue_product(c, precision) for c in top]
+    return reduce(mul, factors + [series.residue_product(c, precision).invert() for c in bottom])
 
 
 def _theta_gap(c2: int, c1: int, precision: int) -> TruncatedSeries:
     # sum_{n>=1} (-1)^n (q^(c2*n^2-1) - q^(c1*n^2-1))
-    higher = alternating_theta((2 * c2, 0, -2), 1, precision)
-    return higher - alternating_theta((2 * c1, 0, -2), 1, precision)
+    higher = series.alternating_theta((2 * c2, 0, -2), 1, precision)
+    return higher - series.alternating_theta((2 * c1, 0, -2), 1, precision)
 
 
 def _cauchy_products(cases, precision: int) -> list[TruncatedSeries]:
     # 1/((1-t)(1-tq)...) at t = q^j, or t = -q when negated: 1/((1-q^j)(1-q^(j+1))...)
     # = (1-q)...(1-q^(j-1)) / (q)_inf, from 1/(q)_inf one shifted subtract per factor
     minus, plus = (ResidueCondition(1, frozenset({0}), sign=sign) for sign in ("minus", "plus"))
-    rows = [residue_product(minus, precision).invert()]
+    rows = [series.residue_product(minus, precision).invert()]
     for j in range(1, max(j for j, _ in cases)):
         row = rows[-1].coeffs
         rows.append(TruncatedSeries(map(sub, row, ((0,) * j + row)[: len(row)])))
-    all_plus = residue_product(plus, precision).invert()
+    all_plus = series.residue_product(plus, precision).invert()
     return [all_plus if negate else rows[j - 1] for j, negate in cases]
+
+
+def _restricted(*args) -> list[int]:
+    # count_parts_restricted_row(n_max, *conditions) of the request's (*conditions, n_max)
+    return partitions.count_parts_restricted_row(args[-1], *args[:-1])
+
+
+def _census(A_max: int, a_max: int, n_max: int) -> dict[tuple[int, int], list[int]]:
+    """The enumerated p_{A,a} rows of A <= A_max, a <= a_max, by (A, a)."""
+    grid = [(A, a) for A in range(1, A_max + 1) for a in range(1, a_max + 1)]
+    return {pair: p for pair, (p, _) in mexcount.mex_census_rows(n_max, grid).items()}
+
+
+def _diagonal(first: int, terms, n_max: int) -> list:
+    """Entry n >= first the sum of sign * p_{A+dA*n,a+da*n}(n) by recurrence over the
+    terms (sign, (A, dA), (a, da)); None at n < first."""
+    p_at = mexcount.p_mex_recurrence
+    return [None] * first + [
+        sum(s * p_at(MexParams(A + dA * n, a + da * n), n) for s, (A, dA), (a, da) in terms)
+        for n in range(first, n_max + 1)
+    ]
+
+
+def _p_plus(add: int, n_max: int) -> list[int]:
+    # p(n) + add read by p_count, the table grown by one call: the reads are list reads
+    p_count = partitions.p_count
+    p_count(n_max)
+    return [p_count(n) + add for n in range(n_max + 1)]
+
+
+def _constant(c: int, n_max: int) -> list[int]:
+    return [c] * (n_max + 1)
 
 
 def _build(request: tuple, first: int, last: int):
     """The row of ``request`` at n = 0..last, or the rows its columns pick from.
 
-    The closed set of builder keys, with their arguments: "mex" (route, terms), of
-    ``mexcount.mex_row``; "odd" (scale, last, terms), of :func:`_odd_weighted_row`;
-    "diagonal" (terms), entry n the sum of sign * p_{A+dA*n,a+da*n}(n) by recurrence
-    over the terms (sign, (A, dA), (a, da)); "dp" (conditions), a restricted-part row;
-    "parity", the two parts-parity rows; "census" (A', a'), the enumerated p_{A,a}
-    rows of A <= A', a <= a', by (A, a); "statistics" (name, *args), a census or
-    crank-series row, or the rows by m; "series" (name, *args), a series function of
-    this module's namespace, read as coefficients; "p" (add,), p(n) + add read by
-    ``p_count``, the table grown by one call; "constant" (c,).  Only "diagonal"
-    leaves out n < ``first``.
+    ``request`` is (owner module, builder name, *leading arguments): the builder, looked
+    up on its owner now, called with those arguments and ``last``; a series is read as
+    its coefficients, a list of series as theirs.  The one builder that leaves out
+    n < ``first``, :func:`_diagonal`, takes it among its leading arguments.
     """
-    key, *args = request
-    if key == "mex":
-        return mexcount.mex_row(*args, last)
-    if key == "odd":
-        return _odd_weighted_row(*args, last)
-    if key == "diagonal":
-        p_at = mexcount.p_mex_recurrence
-        return [None] * first + [
-            sum(s * p_at(MexParams(A + dA * n, a + da * n), n) for s, (A, dA), (a, da) in args)
-            for n in range(first, last + 1)
-        ]
-    if key == "dp":
-        return partitions.count_parts_restricted_row(last, *args)
-    if key == "parity":
-        return partitions.parts_parity_counts(last)
-    if key == "census":
-        grid = [(A, a) for A in range(1, args[0] + 1) for a in range(1, args[1] + 1)]
-        return {pair: p for pair, (p, _) in mexcount.mex_census_rows(last, grid).items()}
-    if key == "statistics":
-        return getattr(statistics, args[0])(*args[1:], last)
-    if key == "series":
-        out = globals()[args[0]](*args[1:], last)
-        return out.coeffs if isinstance(out, TruncatedSeries) else [s.coeffs for s in out]
-    if key == "p":
-        p_count = partitions.p_count
-        p_count(last)  # grows the table in one call; the reads below are list reads
-        return [p_count(n) + args[0] for n in range(last + 1)]
-    if key == "constant":
-        return [args[0]] * (last + 1)
-    raise ValueError(f"unknown row builder {key!r}")
+    owner, name, *args = request
+    out = getattr(owner, name)(*args, last)
+    if isinstance(out, TruncatedSeries):
+        return out.coeffs
+    if isinstance(out, list) and isinstance(out[0], TruncatedSeries):
+        return [s.coeffs for s in out]
+    return out
 
 
 def _evaluator(members, side: int, n_max: int) -> Evaluator:
@@ -297,7 +287,8 @@ def _crank_below(j: int) -> Member:  # Cor 3.7, the complement of crank >= j
 
 def _congruence(M: int, i: int) -> Member:  # Thm 3.10; (M, M - i) excludes the same
     excluded = ResidueCondition(M, frozenset({0, i, M - i}), mode="exclude")
-    return _mex("recurrence", (1, "p", M, M - i, 0), (-1, "pbar", M, i, 0)), _Column("dp", excluded)
+    lhs = _mex("recurrence", (1, "p", M, M - i, 0), (-1, "pbar", M, i, 0))
+    return lhs, _own("_restricted", excluded)
 
 
 def _jtp(parity: str, k: int, i: int) -> Member:  # (k, i), (k, M - i): the same product
@@ -311,13 +302,13 @@ def _shifted(A: int, a: int) -> Member:  # Thm 5.1
 
 
 def _enumerated(A: int, a: int) -> Member:  # Thm 3.2, read off the census of the whole sweep
-    census = _Column("census", max(A, SWEEP_A_MAX), max(a, SWEEP_a_MAX), pick=(A, a))
+    census = _own("_census", max(A, SWEEP_A_MAX), max(a, SWEEP_a_MAX), pick=(A, a))
     return census, _mex("recurrence", (1, "p", A, a, 0))
 
 
 def _a_above_n(A: int, a: int, barred: bool) -> Member:  # the lemma, at n < a
     lhs = _mex("series", (1, "pbar" if barred else "p", A, a, 0), last=a - 1)
-    return lhs, _Column("constant", 0, last=a - 1) if barred else _Column("p", 0, last=a - 1)
+    return lhs, _own("_constant" if barred else "_p_plus", 0, last=a - 1)
 
 
 def _signed_members(stat: str) -> list[Member]:
@@ -376,14 +367,15 @@ def build_registry() -> dict[str, IdentityCheck]:
     thm312 = [(1, "p", 2, 3, 0), (-1, "p", 6, 9, 2)]
     thm313 = [(1, "p", 2, 3, 0), (-1, "p", 10, 15, 4)]
     spt, goe = _stat("spt_row"), _stat("goe_row")
-    parity = [_Column("parity", pick=i) for i in (0, 1)]
+    odd, dp = partial(_own, "_odd_weighted_row"), partial(_own, "_restricted")
+    parity = [_Column(partitions, "parts_parity_counts", pick=i) for i in (0, 1)]
 
     # each check: id, description, valid_from, its (lhs, rhs) members, requires_enumeration, notes
     checks = [
         # -- direct counting relations ---------------------------------------
         IdentityCheck(
             "thm-3.1", "p_{3,1}(n) + p_{3,2}(n) = p(n) for n >= 1", 1,
-            *_sides((_mex("series", (1, "p", 3, 1, 0), (1, "p", 3, 2, 0)), _Column("p", 0))),
+            *_sides((_mex("series", (1, "p", 3, 1, 0), (1, "p", 3, 2, 0)), _own("_p_plus", 0))),
             notes="lhs: generating-series rows; rhs: pentagonal recurrence",
         ),
         IdentityCheck(
@@ -448,13 +440,13 @@ def build_registry() -> dict[str, IdentityCheck]:
         # -- second moments and spt --------------------------------------------
         IdentityCheck(
             "thm-3.8-rank", "sum_m m^2 N(m,n) = 2 * sum_{r=0}^{n-2} (2r+1) pbar_{3,r+2}(n)", 1,
-            *_sides((_stat("rank_moment_row", 2), _Column("odd", 2, 2, ((1, "pbar", 3, 2),)))),
+            *_sides((_stat("rank_moment_row", 2), odd(2, 2, ((1, "pbar", 3, 2),)))),
             requires_enumeration=True,
             notes="lhs: enumerated rank moment; rhs: recurrence-weighted sum",
         ),
         IdentityCheck(
             "thm-3.8-crank", "sum_m m^2 M(m,n) = 2 * sum_{r=0}^{n-1} (2r+1) pbar_{1,r+1}(n)", 1,
-            *_sides((_stat("crank_moment_row", 2), _Column("odd", 2, 1, ((1, "pbar", 1, 1),)))),
+            *_sides((_stat("crank_moment_row", 2), odd(2, 1, ((1, "pbar", 1, 1),)))),
             notes="lhs: crank series moment; rhs: recurrence-weighted sum",
         ),
         IdentityCheck(
@@ -462,8 +454,8 @@ def build_registry() -> dict[str, IdentityCheck]:
             "spt(n) = sum_r (2r+1)[pbar_{1,r+1}(n) - pbar_{3,r+2}(n)] "
             "= sum_r (2r+1)[p_{3,r+2}(n) - p_{1,r+1}(n)]", 1,
             *_sides([
-                (spt, _Column("odd", 1, 1, ((1, "pbar", 1, 1), (-1, "pbar", 3, 2)))),
-                (spt, _Column("odd", 1, 1, ((1, "p", 3, 2), (-1, "p", 1, 1)))),
+                (spt, odd(1, 1, ((1, "pbar", 1, 1), (-1, "pbar", 3, 2)))),
+                (spt, odd(1, 1, ((1, "p", 3, 2), (-1, "p", 1, 1)))),
             ]), requires_enumeration=True,
             notes="lhs: direct smallest-part tally; rhs: recurrence-weighted sums",
         ),
@@ -486,9 +478,7 @@ def build_registry() -> dict[str, IdentityCheck]:
         IdentityCheck(
             "psi-minus-q",
             "p_{4,1}(n) - pbar_{4,3}(n) counts partitions into parts == 2 (mod 4)", 0,
-            *_sides(
-                (_mex("recurrence", (1, "p", 4, 1, 0), (-1, "pbar", 4, 3, 0)), _Column("dp", c4))
-            ),
+            *_sides((_mex("recurrence", (1, "p", 4, 1, 0), (-1, "pbar", 4, 3, 0)), dp(c4))),
             notes="lhs: recurrence difference; rhs: restricted-part DP",
         ),
         # -- shifted identities, by recurrence and as series -------------------
@@ -496,14 +486,14 @@ def build_registry() -> dict[str, IdentityCheck]:
             "thm-3.11",
             "p_{2,3}(n) - p_{4,6}(n-1) counts partitions into parts == +-2, +-8, +-12, +-14 (mod 32)",
             0,
-            *_sides((_mex("recurrence", *thm311), _Column("dp", mod32))),
+            *_sides((_mex("recurrence", *thm311), dp(mod32))),
             notes="lhs: recurrence difference; rhs: restricted-part DP",
         ),
         IdentityCheck(
             "thm-3.12",
             "p_{2,3}(n) - p_{6,9}(n-2) counts partitions into parts == +-1, +-4, +-6, +-8, "
             "+-10, +-11 (mod 24)", 0,
-            *_sides((_mex("recurrence", *thm312), _Column("dp", mod24))),
+            *_sides((_mex("recurrence", *thm312), dp(mod24))),
             notes="lhs: recurrence difference; rhs: restricted-part DP",
         ),
         IdentityCheck(
@@ -511,21 +501,21 @@ def build_registry() -> dict[str, IdentityCheck]:
             "p_{2,3}(n) - p_{10,15}(n-4) counts partitions into parts outside "
             "0, +-3, +-4, +-7, +-10, +-13, +-17, 20 (mod 40) with extra distinct parts "
             "== +-8, +-12 (mod 40)", 0,
-            *_sides((_mex("recurrence", *thm313), _Column("dp", mod40_excluded, mod40_distinct))),
+            *_sides((_mex("recurrence", *thm313), dp(mod40_excluded, mod40_distinct))),
             notes="lhs: recurrence difference; rhs: mixed distinct/unrestricted DP",
         ),
         IdentityCheck(
             "thm-3.11-series",
             "series form: F_{2,3}(q) - q*F_{4,6}(q) equals 1/prod(1-q^n) over "
             "n == +-2, +-8, +-12, +-14 (mod 32)", 0,
-            *_sides((_mex("series", *thm311), _series("_residue_quotient", (), (mod32,)))),
+            *_sides((_mex("series", *thm311), _own("_residue_quotient", (), (mod32,)))),
             notes="lhs: theta-quotient rows; rhs: inverted congruence product",
         ),
         IdentityCheck(
             "thm-3.12-series",
             "series form: F_{2,3}(q) - q^2*F_{6,9}(q) equals 1/prod(1-q^n) over "
             "n == +-1, +-4, +-6, +-8, +-10, +-11 (mod 24)", 0,
-            *_sides((_mex("series", *thm312), _series("_residue_quotient", (), (mod24,)))),
+            *_sides((_mex("series", *thm312), _own("_residue_quotient", (), (mod24,)))),
             notes="lhs: theta-quotient rows; rhs: inverted congruence product",
         ),
         IdentityCheck(
@@ -535,7 +525,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "+-10, +-13, +-17, 20 (40)]", 0,
             *_sides((
                 _mex("series", *thm313),
-                _series("_residue_quotient", (mod40_distinct,), (mod40_excluded,)),
+                _own("_residue_quotient", (mod40_distinct,), (mod40_excluded,)),
             )),
             notes="lhs: theta-quotient rows; rhs: congruence-product quotient",
         ),
@@ -544,21 +534,21 @@ def build_registry() -> dict[str, IdentityCheck]:
             "thm-2.10a",
             "prod(1-q^n) over n not== +-2, +-8, +-12, +-14 (mod 32) equals "
             "sum_{n>=1} (-1)^n (q^{2n^2-1} - q^{n^2-1})", 0,
-            *_sides((_series("residue_product", off32), _series("_theta_gap", 2, 1))),
+            *_sides((_series("residue_product", off32), _own("_theta_gap", 2, 1))),
             notes="lhs: congruence product; rhs: alternating theta difference",
         ),
         IdentityCheck(
             "thm-2.10b",
             "prod(1-q^n) over n not== +-1, +-4, +-6, +-8, +-10, +-11 (mod 24) equals "
             "sum_{n>=1} (-1)^n (q^{3n^2-1} - q^{n^2-1})", 0,
-            *_sides((_series("residue_product", off24), _series("_theta_gap", 3, 1))),
+            *_sides((_series("residue_product", off24), _own("_theta_gap", 3, 1))),
             notes="lhs: congruence product; rhs: alternating theta difference",
         ),
         IdentityCheck(
             "thm-2.11",
             "prod(1-q^n)[n == 0, +-3 (10)] * prod(1-q^n)[n == +-4 (40)] * "
             "prod(1+q^n)[n == +-8 (20)] equals sum_{n>=1} (-1)^n (q^{5n^2-1} - q^{n^2-1})", 0,
-            *_sides((_series("_residue_quotient", thm211, ()), _series("_theta_gap", 5, 1))),
+            *_sides((_own("_residue_quotient", thm211, ()), _own("_theta_gap", 5, 1))),
             notes="lhs: three congruence products; rhs: alternating theta difference",
         ),
         # -- classical series-engine identities ----------------------------------
@@ -587,7 +577,7 @@ def build_registry() -> dict[str, IdentityCheck]:
             "sum_{n>=0} t^n/(q)_n = 1/((1-t)(1-tq)(1-tq^2)...) at t = q^j "
             f"(j = 1..{CAUCHY_T_EXPONENT_MAX}) and t = -q", 0,
             *_sides([(_series("cauchy_sums_specialized", cauchy, pick=i),
-                      _series("_cauchy_products", cauchy, pick=i)) for i in range(len(cauchy))]),
+                      _own("_cauchy_products", cauchy, pick=i)) for i in range(len(cauchy))]),
             notes="lhs: termwise sums with running 1/(q)_n; rhs: inverted products",
         ),
         IdentityCheck(
@@ -641,16 +631,17 @@ def build_registry() -> dict[str, IdentityCheck]:
         ),
         IdentityCheck(
             "thm-5.3", "p_{k,k}(k) = p_{k,k-1}(k) = p(k) - 1 for k >= 2 (checked at n = k)", 2,
-            *_sides([(_Column("diagonal", (1, (0, 1), (a, 1)), first=2), _Column("p", -1, first=2))
-                     for a in (0, -1)]),
+            *_sides([(_own("_diagonal", 2, ((1, (0, 1), (a, 1)),), first=2),
+                      _own("_p_plus", -1, first=2)) for a in (0, -1)]),
             notes="lhs: recurrence; rhs: pentagonal p(k) minus one",
         ),
         IdentityCheck(
             "thm-5.4",
             "p_{3,n}(n) - p_{1,n-1}(n) = 0 (n >= 2) and p_{3,n+1}(n) - p_{1,n}(n) = 1 (n >= 1)", 1,
             *_sides([
-                (_Column("diagonal", (1, (3, 0), (a, 1)), (-1, (1, 0), (a - 1, 1)), first=2 - a),
-                 _Column("constant", a, first=2 - a))
+                (_own("_diagonal", 2 - a, ((1, (3, 0), (a, 1)), (-1, (1, 0), (a - 1, 1))),
+                      first=2 - a),
+                 _own("_constant", a, first=2 - a))
                 for a in (0, 1)
             ]),
             notes="lhs: recurrence differences; rhs: stated constants",

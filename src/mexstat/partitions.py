@@ -10,8 +10,8 @@ for enumeration in ``statistics`` and ``mexcount`` -- runs on
 shared integer arithmetic, not a route, as no DP reads a series, a theta
 sum or the pentagonal p(n).  No library route walks partitions one by one.
 One recursive walk lists them: :func:`enumerate_partitions` (tables, tests)
-stops it at ``limits.ENUMERATION_CAP``, and :func:`ascending_partitions`
-yields it reversed, uncapped.  :func:`p_count` reads one shared p(n) table:
+and, each reversed, :func:`ascending_partitions`, both stopped at
+``limits.ENUMERATION_CAP``.  :func:`p_count` reads one shared p(n) table:
 it grows, under a lock, to the largest n asked so far and never shrinks,
 so every smaller n is a list read; it stops at ``limits.P_TABLE_CAP``.
 """
@@ -71,11 +71,12 @@ def ascending_partitions(n: int) -> Iterator[list[int]]:
     """All partitions of n as ascending lists, in no particular order.
 
     The partitions of :func:`enumerate_partitions`, each reversed into a
-    list, without its cap; the library's own aggregates come from counting
-    DPs instead.  Use :func:`enumerate_partitions` when order matters.
+    list, under its cap (CapacityError before the first item above it).
+    Use :func:`enumerate_partitions` when order matters.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    limits.check_enumeration(n)
     for parts in _descending_partitions(n, n or 1):
         yield list(reversed(parts))
 

@@ -36,9 +36,6 @@ def table1_rows() -> list[dict[str, str]]:
     return rows
 
 
-TABLE1_FIELDS = ["partition", "mex_2_3", "p_2_3", "pbar_2_3"]
-
-
 def table2_rows() -> list[dict[str, str]]:
     """For n = 1..8: the four counter columns plus the rank>=2 / crank>=2 partition lists."""
     counts = mexcount.mex_census_rows(TABLE2_N_MAX, [(3, 1), (3, 2), (3, 3), (1, 2)])
@@ -64,23 +61,6 @@ def table2_rows() -> list[dict[str, str]]:
     return rows
 
 
-TABLE2_FIELDS = ["n", "p_3_1", "p_3_2", "pbar_3_3", "pbar_1_2", "rank_ge_2", "crank_ge_2"]
-
-TABLE3_FIELDS = [
-    "n",
-    "p_3_2",
-    "p_1_1",
-    "p_3_3",
-    "p_1_2",
-    "p_3_4",
-    "p_1_3",
-    "p_3_5",
-    "p_1_4",
-    "p_3_6",
-    "p_1_5",
-    "spt",
-]
-
 _TABLE3_PARAMS = [(3, 2), (1, 1), (3, 3), (1, 2), (3, 4), (1, 3), (3, 5), (1, 4), (3, 6), (1, 5)]
 
 
@@ -97,18 +77,15 @@ def table3_rows() -> list[dict[str, str]]:
     return rows
 
 
-_TABLES = {
-    1: (TABLE1_FIELDS, table1_rows),
-    2: (TABLE2_FIELDS, table2_rows),
-    3: (TABLE3_FIELDS, table3_rows),
-}
+_TABLES = {1: table1_rows, 2: table2_rows, 3: table3_rows}
 
 
 def table_fields_and_rows(table_id: int) -> tuple[list[str], list[dict[str, str]]]:
+    """The column names of a table, in order, read off the keys of its rows, and the rows."""
     if table_id not in _TABLES:
         raise ValueError(f"table id must be 1, 2 or 3, got {table_id}")
-    fields, builder = _TABLES[table_id]
-    return fields, builder()
+    rows = _TABLES[table_id]()
+    return list(rows[0]), rows
 
 
 def render_csv(table_id: int) -> str:

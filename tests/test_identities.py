@@ -280,8 +280,6 @@ def test_the_product_route_reads_no_theta(monkeypatch):
         (series, "alternating_theta_bilateral"),
         (series, "euler_product"),
         (series, "partition_generating_series"),
-        (identities, "alternating_theta"),
-        (identities, "euler_product"),
         (partitions, "p_count"),
     ])
     monkeypatch.setattr(series, "_euler_transform", lambda *args: solved.append(args) or euler(*args))
@@ -352,12 +350,14 @@ BUILDERS = [
     (mexcount, "theta_quotient_at"),
     (series, "theta_quotient"),
     (series, "theta_quotient_at"),
+    (series, "alternating_theta"),
+    (series, "alternating_theta_bilateral"),
     (statistics, "_stat_census"),
     (statistics, "theta_quotient"),
     *[(statistics, name) for name in vars(statistics) if name.endswith(("_row", "_rows"))],
-    # the series functions that "series" requests name, bound in the identities namespace
-    *[(identities, name) for name, value in vars(identities).items()
-      if name.islower() and callable(value) and getattr(series, name, None) is value],
+    # every (owner, name) a declared column's request names, the series functions among them
+    *{column.request[:2] for check in REGISTRY.values() for side in ("lhs", "rhs")
+      for column in _declared(check, side, limits.ENUMERATION_CAP)},
 ]
 
 

@@ -4,13 +4,17 @@ A read of another module's underscore attribute (``partitions._p_table``), or
 an import of one (``from .series import _name``), ties the reader to that
 module's private layout, so the owner can no longer change it alone.  The
 sources are parsed, not imported: a name counts as a module of the package
-where ``from . import x`` or ``from mexstat import x`` binds it.
+where ``from . import x`` or ``from mexstat import x`` binds it.  The catalog
+names each row builder as a string beside its owner module, which no parse
+sees, so its declared requests are read off the registry instead.
 """
 
 import ast
+from functools import partial
 from pathlib import Path
 
 import mexstat
+from mexstat import identities, statistics
 
 SRC = Path(mexstat.__file__).resolve().parent
 MODULES = {path.stem for path in SRC.glob("*.py")}
@@ -80,3 +84,33 @@ def test_the_check_sees_a_private_read(tmp_path):
         "from .series import __doc__\n"
     )
     assert _private_reads(source) == ["reader.py:1 series._gather", "reader.py:2 series._gather"]
+
+
+def _private_requests(registry) -> list[str]:
+    # the builders on modules other than identities that the declared columns name
+    named = set()
+    for check in registry.values():
+        for members, side in (check.make_lhs.args, check.make_rhs.args):
+            scalar = isinstance(members[0], identities._Column)
+            columns = [members[side]] if scalar else [member[side] for member in members]
+            named |= {column.request[:2] for column in columns}
+    return sorted(
+        f"{owner.__name__.rsplit('.', 1)[1]}.{name}"
+        for owner, name in named
+        if owner is not identities and (_private(name) or not callable(getattr(owner, name)))
+    )
+
+
+def test_the_catalog_names_only_public_builders_of_other_modules():
+    assert _private_requests(identities.REGISTRY) == []
+
+
+def test_the_check_sees_a_private_builder():
+    column = partial(identities._Column, statistics)
+    planted = identities.IdentityCheck(
+        "planted", "a census row read by its private name", 0,
+        *identities._sides((column("_census_row", "rank"), column("spt_row"))),
+    )
+    assert _private_requests({**identities.REGISTRY, "planted": planted}) == [
+        "statistics._census_row"
+    ]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mexstat import partitions, series
-from mexstat.limits import P_TABLE_CAP
+from mexstat.limits import ENUMERATION_CAP, P_TABLE_CAP
 from mexstat.partitions import (
     CapacityError,
     PackedRows,
@@ -85,6 +85,11 @@ class TestEnumeration:
     def test_ascending_iterator_refuses_negative_n_on_first_item(self):
         items = ascending_partitions(-1)
         with pytest.raises(ValueError):
+            next(items)
+
+    def test_ascending_iterator_refuses_n_above_the_cap_on_first_item(self):
+        items = ascending_partitions(ENUMERATION_CAP + 1)
+        with pytest.raises(CapacityError):
             next(items)
 
 

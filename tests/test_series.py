@@ -1152,14 +1152,14 @@ JTP_CASES = [
 def _catalog_residue_conditions(monkeypatch):
     """Every ResidueCondition the catalog passes to residue_product, from building each side once."""
     seen = []
-    original = identities.residue_product
+    original = kernels.residue_product
 
     def record(cond, precision):
         if cond not in seen:
             seen.append(cond)
         return original(cond, precision)
 
-    monkeypatch.setattr(identities, "residue_product", record)
+    monkeypatch.setattr(kernels, "residue_product", record)
     for check in identities.REGISTRY.values():
         n = max(3, check.valid_from)
         check.make_lhs(n)
