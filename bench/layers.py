@@ -22,18 +22,23 @@ Layers:
 * ``packed.signed.1000.S`` and ``packed.pack.1000.S`` (S = 1..40) -- one
   ``PackedRows.signed`` decode and one ``pack`` of 1001 signed coefficients
   in S-byte slots (each time is a batch of 20 calls divided by 20); at
-  P = 1000 the triple products decode 6- to 8-byte slots and the Cauchy sums
-  and the products with the partition series 15-byte slots, and at P = 5000
+  P = 1000 the triple products decode 3-byte slots and the Cauchy sums and
+  the products with the partition series 15-byte slots, and at P = 5000
   the Cauchy sums take 34;
 * ``recurrence_inverse.5000`` -- the inverse of the Euler product at 5000,
   which takes the sparse recurrence: the partition generating series;
 * ``cauchy_sum.1000`` -- the sum of q^n/(q)_n over n, truncated at q^1000;
 * ``cauchy_sums.thm29.1000`` -- the thm-2.9 sum side at 1000: the six sums
   of t^n/(q)_n at t = q^j (j = 1..5) and t = -q;
+* ``cauchy_products.thm29.N`` (N = 1000, 5000) -- the thm-2.9 product side
+  at N: 1/(q)_inf by the sparse recurrence over prod (1 - q^n), the four
+  rows 1/((1-q^j)(1-q^(j+1))...) from it, and 1/((1+q)(1+q^2)...) as
+  (q)_inf times 1/(q)_inf at q^2;
 * ``parity_pair.1000`` -- the pe-po-genfun sum side at 1000: the sums of
   q^j/(q)_j over even and over odd j;
-* ``jtp_products.N`` (N = 1000, 2000) -- the product sides of thm-2.8 and
-  jtp-even-lemma at N, the 42 distinct Jacobi triple products with k <= 6;
+* ``jtp_products.N`` (N = 1000, 2000, 5000) -- the product sides of
+  thm-2.8 and jtp-even-lemma at N, the 42 distinct Jacobi triple products
+  with k <= 6;
 * ``jtp_sums.1000`` -- the sum sides of the same two checks at 1000, the
   78 bilateral theta sums with k <= 6;
 * ``parts_parity_counts.1000`` -- the even and odd part-count rows over
@@ -101,10 +106,11 @@ after one discarded start, each started with this process's environment,
 so on its ``PYTHONPATH``; with ``PYTHONDONTWRITEBYTECODE`` set, every start
 compiles the sources it imports.
 
-The three series-pass rows build the catalog sides through
-``identities.REGISTRY``, so they time whatever route a checkout takes for
-them.  A checkout timed this way must have every function named above, with
-the same signature.
+The series-pass rows (``cauchy_sums``, ``cauchy_products``,
+``parity_pair``, ``jtp_products`` and ``jtp_sums``) build the catalog sides
+through ``identities.REGISTRY``, so they time whatever route a checkout
+takes for them.  A checkout timed this way must have every function named
+above, with the same signature.
 """
 
 from __future__ import annotations
@@ -217,10 +223,10 @@ def factory_layers(repeats: int) -> dict:
     ``identities._build`` is put back afterwards."""
     build, held = identities._build, {}
 
-    def memoized(request, first, last):
-        if (request, first, last) not in held:
-            held[request, first, last] = build(request, first, last)
-        return held[request, first, last]
+    def memoized(request, last):
+        if (request, last) not in held:
+            held[request, last] = build(request, last)
+        return held[request, last]
 
     identities._build = memoized
     try:
@@ -323,8 +329,10 @@ def main() -> None:
     layers["cauchy_sum.1000"] = timed(lambda: cauchy_sum_specialized(1, False, 1000), repeats)
     checks = identities.REGISTRY
     layers["cauchy_sums.thm29.1000"] = timed(lambda: checks["thm-2.9"].make_lhs(1000), repeats)
+    for p in (1000, 5000):
+        layers[f"cauchy_products.thm29.{p}"] = timed(lambda: checks["thm-2.9"].make_rhs(p), repeats)
     layers["parity_pair.1000"] = timed(lambda: checks["pe-po-genfun"].make_lhs(1000), repeats)
-    for p in (1000, 2000):
+    for p in (1000, 2000, 5000):
         layers[f"jtp_products.{p}"] = timed(lambda: jtp_sides("make_rhs", p), repeats)
     layers["jtp_sums.1000"] = timed(lambda: jtp_sides("make_lhs", 1000), repeats)
     layers["parts_parity_counts.1000"] = timed(

@@ -175,13 +175,16 @@ def _theta_gap(c2: int, c1: int, precision: int) -> TruncatedSeries:
 
 def _cauchy_products(cases, precision: int) -> list[TruncatedSeries]:
     # 1/((1-t)(1-tq)...) at t = q^j, or t = -q when negated: 1/((1-q^j)(1-q^(j+1))...)
-    # = (1-q)...(1-q^(j-1)) / (q)_inf, from 1/(q)_inf one shifted subtract per factor
-    minus, plus = (ResidueCondition(1, frozenset({0}), sign=sign) for sign in ("minus", "plus"))
-    rows = [series.residue_product(minus, precision).invert()]
+    # = (1-q)...(1-q^(j-1)) / (q)_inf, from 1/(q)_inf one shifted subtract per factor;
+    # 1/((1+q)(1+q^2)...) = (q)_inf * [1/(q)_inf](q^2), as (1+q^n)(1-q^n) = 1-q^(2n)
+    euler = series.residue_product(ResidueCondition(1, frozenset({0})), precision)
+    rows = [euler.invert()]
     for j in range(1, max(j for j, _ in cases)):
         row = rows[-1].coeffs
         rows.append(TruncatedSeries(map(sub, row, ((0,) * j + row)[: len(row)])))
-    all_plus = series.residue_product(plus, precision).invert()
+    doubled = [0] * (precision + 1)
+    doubled[::2] = rows[0].coeffs[: precision // 2 + 1]
+    all_plus = euler * TruncatedSeries(doubled)
     return [all_plus if negate else rows[j - 1] for j, negate in cases]
 
 
@@ -217,13 +220,13 @@ def _constant(c: int, n_max: int) -> list[int]:
     return [c] * (n_max + 1)
 
 
-def _build(request: tuple, first: int, last: int):
+def _build(request: tuple, last: int):
     """The row of ``request`` at n = 0..last, or the rows its columns pick from.
 
     ``request`` is (owner module, builder name, *leading arguments): the builder, looked
     up on its owner now, called with those arguments and ``last``; a series is read as
-    its coefficients, a list of series as theirs.  The one builder that leaves out
-    n < ``first``, :func:`_diagonal`, takes it among its leading arguments.
+    its coefficients, a list of series as theirs.  The one builder that leaves out its
+    early n, :func:`_diagonal`, takes its first n among its leading arguments.
     """
     owner, name, *args = request
     out = getattr(owner, name)(*args, last)
@@ -240,11 +243,10 @@ def _evaluator(members, side: int, n_max: int) -> Evaluator:
     for n = 0..n_max, as a lookup of its values."""
     scalar = bool(members) and isinstance(members[0], _Column)
     columns = [members[side]] if scalar else [m[side] for m in members if m[side].first <= n_max]
-    spans: dict[tuple, tuple[int, int]] = {}  # each distinct request, over its columns' spans
+    lasts: dict[tuple, int] = {}  # each distinct request, to the last n of its columns
     for c in columns:
-        lo, hi = spans.get(c.request, (c.first, c.last))
-        spans[c.request] = min(lo, c.first), max(hi, c.last)
-    built = {r: _build(r, lo, min(hi, n_max)) for r, (lo, hi) in spans.items()}
+        lasts[c.request] = max(lasts.get(c.request, 0), c.last)
+    built = {r: _build(r, min(last, n_max)) for r, last in lasts.items()}
     rows = [built[c.request] if c.pick is None else built[c.request][c.pick] for c in columns]
     if scalar:
         return rows[0].__getitem__

@@ -33,7 +33,8 @@ bit flipped is the top byte of c in two's complement, and the sign fill of
 the word is a second ``bytes.translate`` of that byte.  A wider slot is
 read as one ``struct`` string each, by ``int.from_bytes`` through ``map``,
 and written by one ``to_bytes`` per slot, which splitting into words does
-not beat.  The width comes from one of four places:
+not beat; the Euler transform's slots follow its coefficients and so stay
+on the word path for a theta.  The width comes from one of four places:
 
 * a multiply of known operands: bitlen(max|a|) + bitlen(max|b|) +
   bitlen(nnz of the sparser operand) + 1, since no coefficient of the
@@ -69,9 +70,11 @@ not beat.  The width comes from one of four places:
   one at k = 6 (M = 13, P = 1000) takes 46 bits against the 86 of
   weight 1.
 * the Euler transform of a product of (1 - q^e)^(r_e) (see
-  :func:`_euler_transform`): the product's own slot plus bitlen(sum of
-  |c_k|) bits, since every partial sum sum_j F_j c_(n-j) it holds is at
-  most max|F| * sum_k |c_k|; this too reads only the factors.
+  :func:`_euler_transform`): bitlen(max |F_j| found so far) + bitlen(sum
+  of |c_k|) + 1, since every partial sum sum_j F_j c_(n-j) it holds is at
+  most max|F_j| * sum_k |c_k| over the F_j added; a coefficient that
+  outgrows the slots widens those ahead, and a theta with coefficients in
+  {-1, 0, 1} runs in 3-byte slots at P = 1000.
 
 A sum of s(n) q^(tn)/(q)_n with periodic signs, s(n) = pattern[n mod L],
 needs 1/(q)_n only while it still changes where the terms read it.  Term m
@@ -88,10 +91,11 @@ operand's nonzeros, or one Kronecker multiply.  Dense series invert by
 Newton iteration (Brent and Zimmermann, Modern Computer Arithmetic, 4.2)
 on that multiply; sparse ones by the O(P * nnz) recurrence.  A product of
 factors (1 +- q^e) takes one shifted add per factor, or, for sign -1 and
-many factors, the Euler transform: the logarithmic-derivative recurrence
-solved online, one packed pass per nonzero coefficient.  Jacobi triple
-products and prod (1 - q^n) are thetas with O(sqrt P) nonzeros; a product
-whose coefficients prove dense hands back to shifted adds.
+many factors above the catalog's precision, the Euler transform: the
+logarithmic-derivative recurrence solved online, one packed pass per
+nonzero coefficient.  Jacobi triple products and prod (1 - q^n) are thetas
+with O(sqrt P) nonzeros; a product whose coefficients prove dense hands
+back to shifted adds.
 
 Theta quotients.  Every count with a series route -- p_{A,a} and
 pbar_{A,a}, N(m, n), M(m, n), their second moments and the weighted crank
@@ -337,7 +341,7 @@ def symmetric_residues(modulus: int, values: Iterable[int]) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 # Crossovers between the routes, from timings of each route on CPython 3.11
-# (2-vCPU x86-64 VM) at P = 200..4000 with partition-sized coefficients:
+# (2-vCPU x86-64 VM) at P = 200..5000 with partition-sized coefficients:
 # - a loop over the nonzero pairs beats packing while there are at most
 #   _SCHOOLBOOK_PAIRS pairs per output coefficient (about 8-16 nonzeros
 #   against a dense operand);
@@ -350,17 +354,18 @@ def symmetric_residues(modulus: int, values: Iterable[int]) -> frozenset[int]:
 #   sqrt(_NEWTON_SCALE * P) nonzeros (the Euler product, with about
 #   1.6 * sqrt(P), stays on the recurrence);
 # - for a product of factors (1 - q^e), the Euler transform beats one
-#   shift-add per factor from _EULER_STEPS steps on: at P = 1000 the Jacobi
-#   triple products of 150 steps take 0.95 ms against 0.87 ms, those of 166
-#   steps about 1.05 ms on either route, those of 187 steps 1.15 ms against
-#   1.3 ms, and prod (1 - q^n), 500 steps, 1.55 ms against 4.5 ms; at
-#   P = 200 the even one with k = 1, 150 steps, takes 0.25 ms on either.  A
-#   dense product hands back after its first _BLOCK coefficients, which
-#   costs about 0.25 ms at P = 1000.
+#   shift-add per factor from _EULER_STEPS steps on at _EULER_PRECISION and
+#   above: at P = 1000 the triple products of 115 steps take 0.52 ms against
+#   0.68, those of 250 steps 0.72 against 2.1, prod (1 - q^n) 1.2 against 5.4;
+#   it wins from 113 steps at P = 300 and is even at 106 at P = 500; at P = 200
+#   only the product of 150 steps gains (0.25 ms against 0.31), and the 42
+#   triple products with k <= 6 take 1.5x as long, so the catalog stays on
+#   shift-adds.  A dense product hands back within its first _BLOCK coefficients.
 _SCHOOLBOOK_PAIRS = 8
 _SHIFT_ADD_SCALE = 6
 _NEWTON_SCALE = 16
-_EULER_STEPS = 180
+_EULER_STEPS = 115
+_EULER_PRECISION = 300
 _BLOCK = 64
 
 
@@ -638,21 +643,21 @@ def _binomial_product(
 
     ``classes``, if given, is (M, residues): the exponents are drawn from
     the classes of those residues mod M, each residue listed as often as
-    its class may repeat.  The slots hold the bound :func:`_slot_size`
-    picks.  Two routes, both from the factors alone: shift-adds
-    (:func:`_factor_shift_add`), one full-row pass per factor with 2e <=
-    precision, and for sign -1 with at least _EULER_STEPS such factors the
-    Euler transform (:func:`_euler_transform`), one pass per nonzero
-    coefficient, which hands back to shift-adds when the coefficients are
-    not sparse.
+    its class may repeat.  Two routes, both from the factors alone:
+    shift-adds (:func:`_factor_shift_add`), one full-row pass per factor with
+    2e <= precision in slots of the bound :func:`_slot_size` picks, and for
+    sign -1 with at least _EULER_STEPS such factors and a precision of at
+    least _EULER_PRECISION the Euler transform (:func:`_euler_transform`),
+    one pass per nonzero coefficient in slots sized from the coefficients
+    found, which hands back to shift-adds when they are not sparse.
     """
     if precision < 0:
         raise ValueError("precision must be non-negative")
     size = _slot_size(counts, precision, classes)
     steps = sum(r for e, r in counts.items() if 2 * e <= precision)
     coeffs = None
-    if sign < 0 and steps >= _EULER_STEPS:
-        coeffs = _euler_transform(counts, precision, 8 * size, steps)
+    if sign < 0 and steps >= _EULER_STEPS and precision >= _EULER_PRECISION:
+        coeffs = _euler_transform(counts, precision, steps, classes)
     if coeffs is None:
         coeffs = _factor_shift_add(counts, sign, precision, size)
     return TruncatedSeries._of_checked(tuple(coeffs))
@@ -677,75 +682,82 @@ def _factor_shift_add(
 
 
 def _euler_transform(
-    counts: Mapping[int, int], precision: int, bits: int, steps: int
+    counts: Mapping[int, int], precision: int, steps: int, classes: Classes | None = None
 ) -> list[int] | None:
     """The coefficients F_0..F_precision of prod (1 - q^e)^r over ``counts`` {e: r},
-    each 1 <= e <= precision, every |F_n| < 2^(bits - 1).  It returns None at the
-    end of a block where the nonzeros so far, projected to the precision at the
-    sqrt(n) growth of a theta, pass ``steps`` / 4: one pass per nonzero would
-    then cost about what ``steps`` shift-adds cost.
+    each 1 <= e <= precision, the e drawn from ``classes`` as in
+    :func:`_binomial_product`.  It returns None as soon as the nonzeros found,
+    projected from the end of their block to the precision at the sqrt(n) growth
+    of a theta, pass ``steps`` / 4: one pass per nonzero would then cost about what
+    ``steps`` shift-adds cost.
 
     The logarithmic derivative gives F_0 = 1 and n F_n = sum_{k=1}^n c_k F_(n-k)
     (see :func:`_log_derivative`), solved online: each nonzero F_j adds F_j times
     the packed c row, shifted j slots, into one accumulator, which is read _BLOCK
-    slots at a time; within the block being read, the terms of each new nonzero
-    are added by one list pass.  A finished block is dropped by one right shift,
-    plus 1 when its highest nonzero n F_n is negative (the floor of its low
-    slots), and the accumulator and c row are cut to the slots still ahead.  The
-    first block reads F_0 = 1 alone, so it needs only c below _BLOCK, and a dense
-    product falls back before the whole row is built.
+    slots at a time; within the block, each slot is read after the terms of the
+    nonzeros before it, added by one list pass each.  A finished block is dropped
+    by one right shift, plus 1 when its highest nonzero n F_n is negative (the
+    floor of its low slots), and the accumulator and c row are cut to the slots
+    still ahead.  The slots hold bitlen(max|F_j| found) + bitlen(sum |c_k|) + 1
+    bits (see the module docstring); a block whose F_j outgrow them first packs
+    the slots ahead wider.  The first block reads F_0 = 1 alone, so it needs only
+    c below _BLOCK, and a dense product falls back before the whole row is built.
     """
-    f, nonzero = [1] + [0] * precision, 1
-    c = _log_derivative(counts, min(precision, _BLOCK - 1))
+    f, largest, nonzero, rows = [1] + [0] * precision, 1, 1, None
+    w = [0] * (precision + 1)
+    for e, r in counts.items():
+        w[e] = r * e
+    c = _log_derivative(w, min(precision, _BLOCK - 1), classes)
     for start in range(0, precision + 1, _BLOCK):
         stop = min(_BLOCK, precision + 1 - start)
         sums = head.signed(acc & head.mask)[:stop] if start else c[:stop]
-        near, top = [], 0
-        for i in range(start == 0, stop):
-            s = sums[i]
-            if s:
-                n = start + i
-                f[n], rest = divmod(s, n)
-                if rest:
-                    raise ArithmeticError(f"n F_n = {s} at n = {n} is not a multiple of n")
-                sums[i + 1 :] = map(add, sums[i + 1 :], map(mul, c[1 : stop - i], repeat(f[n])))
-                near.append(n)
-                top = s
-        nonzero += len(near)
-        if 16 * nonzero * nonzero * (precision + 1) > (start + stop) * steps * steps:
-            return None
+        near, top = [] if start else [0], 0
+        for i in compress(range(stop), sums):  # each sums[i] read after the passes before it
+            s, n, nonzero = sums[i], start + i, nonzero + 1
+            if 16 * nonzero * nonzero * (precision + 1) > (start + stop) * steps * steps:
+                return None
+            f[n], rest = divmod(s, n)
+            if rest:
+                raise ArithmeticError(f"n F_n = {s} at n = {n} is not a multiple of n")
+            sums[i + 1 :] = map(add, sums[i + 1 :], map(mul, c[1 : stop - i], repeat(f[n])))
+            near.append(n)
+            largest, top = max(largest, abs(f[n])), s
         if not start:
-            c = _log_derivative(counts, precision)
-            # every partial sum is at most max|F| * sum|c_k| in absolute value
-            size = (bits + (-sum(c)).bit_length() + 7) // 8
-            rows, head = PackedRows.of_size(precision, size), PackedRows.of_size(_BLOCK - 1, size)
-            packed = acc = rows.pack(c)  # the F_0 = 1 term
-            ahead = rows.mask
+            c = _log_derivative(w, precision, classes)
+            spread = (-sum(c)).bit_length() + 1  # bitlen(sum |c_k|) and a sign bit
+        size = (largest.bit_length() + spread + 7) // 8
+        if rows is None or size > rows.size:
+            ahead = precision + 1 - start
+            held = rows.signed(acc)[:ahead] if rows else ()
+            rows, head = PackedRows.of_size(ahead - 1, size), PackedRows.of_size(_BLOCK - 1, size)
+            acc, packed, keep = rows.pack(held), rows.pack(c[:ahead]), rows.mask
         for j in near:
             acc += f[j] * packed << rows.width * (j - start)
         acc >>= rows.width * _BLOCK
         if top < 0:
             acc += 1
-        ahead >>= rows.width * _BLOCK
-        packed, acc = packed & ahead, acc & ahead
+        keep >>= rows.width * _BLOCK
+        packed, acc = packed & keep, acc & keep
     return f
 
 
-def _log_derivative(counts: Mapping[int, int], top: int) -> list[int]:
-    """c_0..c_top of q F'/F for F = prod (1 - q^e)^r over ``counts`` {e: r}:
-    c_k = -sum_{e | k} r_e e (Apostol, Introduction to Analytic Number Theory,
-    ch. 14).  Each pair e * m = k <= top is read once, by strided slice updates:
-    one per e <= sqrt(top) over its multiples, and one per m <= sqrt(top) over
-    the larger e."""
-    w, c, root = [0] * (top + 1), [0] * (top + 1), isqrt(top)
-    for e, r in counts.items():
-        if e <= top:
-            w[e] = r * e
-    for e in range(1, root + 1):
+def _log_derivative(w: Sequence[int], top: int, classes: Classes | None) -> list[int]:
+    """c_0..c_top of q F'/F for F = prod (1 - q^e)^r, given w_e = r_e e at each
+    e <= top: c_k = -sum_{e | k} w_e (Apostol, Introduction to Analytic Number
+    Theory, ch. 14).  Every e with w_e != 0 lies in a class of ``classes`` (M,
+    residues), as in :func:`_binomial_product` (any e when None, M = 1).  Each pair
+    e * m = k <= top of such an e is read once, by strided slice updates: one per
+    e <= sqrt(M * top) over its multiples, and one per m and class over its larger e."""
+    modulus, residues = classes or (1, (0,))
+    c, split = [0] * (top + 1), min(top, isqrt(modulus * top))
+    for e in range(1, split + 1):
         if w[e]:
             c[e::e] = map(sub, c[e::e], repeat(w[e]))
-    for m in range(1, root + 1):
-        c[m * (root + 1) :: m] = map(sub, c[m * (root + 1) :: m], w[root + 1 : top // m + 1])
+    for r in {r % modulus for r in residues}:
+        low = split + 1 + (r - split - 1) % modulus  # the least e > split in the class
+        for m in range(1, top // low + 1):
+            row = slice(m * low, None, m * modulus)
+            c[row] = map(sub, c[row], w[low : top // m + 1 : modulus])
     return c
 
 

@@ -264,7 +264,7 @@ def test_the_series_route_reads_no_pentagonal_table(monkeypatch):
 # the catalog sides that multiply out factors (1 - q^n), each checked against a theta
 PRODUCT_SIDES = [
     ("thm-2.1", "rhs"), ("thm-2.8", "rhs"), ("jtp-even-lemma", "rhs"),
-    ("thm-2.10a", "lhs"), ("thm-2.10b", "lhs"), ("thm-2.11", "lhs"),
+    ("thm-2.10a", "lhs"), ("thm-2.10b", "lhs"), ("thm-2.11", "lhs"), ("thm-2.9", "rhs"),
 ]
 
 
@@ -289,6 +289,15 @@ def test_the_product_route_reads_no_theta(monkeypatch):
     for check_id, side in PRODUCT_SIDES:
         other = "rhs" if side == "lhs" else "lhs"
         assert values[check_id, side] == _side_values(check_id, other, n_max), check_id
+
+
+def test_the_minus_q_cauchy_product_is_the_inverse_of_prod_one_plus_q_n():
+    # thm-2.9's t = -q member, read as (q)_inf * [1/(q)_inf](q^2), against the literal
+    # product of every (1 + q^n) inverted
+    plus = series.ResidueCondition(1, frozenset({0}), sign="plus")
+    for precision in range(81):
+        (member,) = identities._cauchy_products(((1, True),), precision)
+        assert member == series.residue_product(plus, precision).invert(), precision
 
 
 @pytest.mark.parametrize("check_id", ["thm-3.8-crank", "thm-3.6"])
@@ -378,9 +387,9 @@ def test_each_side_builds_each_distinct_request_once(monkeypatch):
     built = []
     build = identities._build
 
-    def counted(request, first, last):
+    def counted(request, last):
         built.append(request)
-        return build(request, first, last)
+        return build(request, last)
 
     monkeypatch.setattr(identities, "_build", counted)
     for check_id, check in REGISTRY.items():

@@ -1050,24 +1050,58 @@ def exponent_counts(draw):
     return precision, draw(st.dictionaries(exponents, st.integers(1, 2), max_size=80))
 
 
+MOD24 = ResidueCondition(24, symmetric_residues(24, (1, 4, 6, 8, 10, 11)))
+# the include set of thm-3.12-series to q^300, whose coefficients outgrow the first slot
+MOD24_300 = (300, {e: 1 for e in range(1, 301) if MOD24.admits(e)})
+
+
 @given(exponent_counts())
 @example((0, {}))
 @example((40, {}))
 @example((300, dict.fromkeys(range(1, 301), 2)))
+@example(MOD24_300)
 @settings(max_examples=60, deadline=None)
 def test_euler_transform_matches_factor_loop(case):
     precision, counts = case
     expected = literal_factors([e for e, r in counts.items() for _ in range(r)], -1, precision)
-    # the slot bound of the product, and the tightest one its coefficients admit: the
-    # kernel widens either for its partial sums
-    tight = kernels._bit_length(expected) + 1
-    for bits in (8 * kernels._slot_size(counts, precision, None), tight):
-        # a step count that no nonzero count can outrun, so the route never hands back
-        coeffs = kernels._euler_transform(counts, precision, bits, 4 * (precision + 1))
-        assert coeffs == expected, bits
+    # a step count that no nonzero count can outrun, so the route never hands back
+    assert kernels._euler_transform(counts, precision, 4 * (precision + 1)) == expected
 
 
-MOD24 = ResidueCondition(24, symmetric_residues(24, (1, 4, 6, 8, 10, 11)))
+@given(
+    st.integers(1, 12),
+    st.lists(st.integers(0, 12), min_size=1, max_size=4),
+    st.integers(0, 200),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_log_derivative_by_classes_matches_the_divisor_sums(modulus, residues, top, rng):
+    # weights r_e * e, r_e in 0..2, on the exponents of the classes only
+    classes = {r % modulus for r in residues}
+    w = [rng.randint(0, 2) * e if e % modulus in classes else 0 for e in range(top + 1)]
+    expected = [-sum(w[e] for e in range(1, k + 1) if k % e == 0) for k in range(top + 1)]
+    assert kernels._log_derivative(w, top, (modulus, residues)) == expected
+    assert kernels._log_derivative(w, top, None) == expected
+
+
+@pytest.mark.parametrize(
+    "case, sizes",
+    [
+        # prod (1 - q^e)^2, e <= 300: every |F_n| <= 2, so the first slot holds to the end
+        ((300, dict.fromkeys(range(1, 301), 2)), [3]),
+        # |F_n| reaches 2^18, so the slots ahead are packed wider twice
+        (MOD24_300, [3, 4, 5]),
+    ],
+)
+def test_euler_transform_slots_follow_the_coefficients_found(monkeypatch, case, sizes):
+    precision, counts = case
+    seen, of_size = [], kernels.PackedRows.of_size
+    record = lambda cls, n_max, size: seen.append(size) or of_size(n_max, size)  # noqa: E731
+    monkeypatch.setattr(kernels.PackedRows, "of_size", classmethod(record))
+    coeffs = kernels._euler_transform(counts, precision, 4 * (precision + 1))
+    monkeypatch.undo()
+    assert sorted(set(seen)) == sizes
+    assert coeffs == literal_factors([e for e, r in counts.items() for _ in range(r)], -1, precision)
 
 
 def _recorded(calls, name, original, *args):
@@ -1078,17 +1112,19 @@ def _recorded(calls, name, original, *args):
 @pytest.mark.parametrize(
     "build, routes",
     [
-        # thm-2.8 at k = 6: 115 shift-add steps, below the crossover
-        (lambda: jtp_specialized(6, 1, "odd", "product", 1000), ["_factor_shift_add"]),
+        # thm-2.8 at k = 6 and P = 900: 103 shift-add steps, below the crossover
+        (lambda: jtp_specialized(6, 1, "odd", "product", 900), ["_factor_shift_add"]),
         # a Jacobi triple product with 750 steps: a theta, 32 nonzero coefficients
         (lambda: jtp_specialized(1, 1, "even", "product", 1000), ["_euler_transform"]),
         # the include set of thm-3.12-series: dense, so the Euler route hands back
         (lambda: residue_product(MOD24, 1000), ["_euler_transform", "_factor_shift_add"]),
-        # thm-2.9's prod (1 + q^n): sign +1 never takes the Euler route
+        # prod (1 + q^n): sign +1 never takes the Euler route
         (
             lambda: residue_product(ResidueCondition(1, frozenset({0}), sign="plus"), 1000),
             ["_factor_shift_add"],
         ),
+        # jtp-even-lemma at k = 1 in the catalog: 150 steps, but below the precision floor
+        (lambda: jtp_specialized(1, 1, "even", "product", 200), ["_factor_shift_add"]),
     ],
 )
 def test_each_product_route_is_taken(monkeypatch, build, routes):
