@@ -24,9 +24,8 @@ from .partitions import (
     p_even_parts,
     p_odd_parts,
 )
+from .arith import ResidueCondition, TruncatedSeries, symmetric_residues
 from .series import (
-    ResidueCondition,
-    TruncatedSeries,
     alternating_theta,
     alternating_theta_bilateral,
     euler_product,
@@ -34,7 +33,6 @@ from .series import (
     partition_generating_series,
     pochhammer_finite,
     residue_product,
-    symmetric_residues,
 )
 from .statistics import (
     MexParams,

@@ -32,9 +32,8 @@ import sys
 
 from . import mexcount, partitions, statistics
 from .limits import ENUMERATION_CAP, CapacityError, check_precision
+from .arith import ResidueCondition, TruncatedSeries
 from .series import (
-    ResidueCondition,
-    TruncatedSeries,
     alternating_theta,
     euler_product,
     jtp_specialized,

@@ -35,8 +35,8 @@ from itertools import islice
 from operator import mul, sub
 from typing import Callable, Sequence
 
-from . import limits, mexcount, partitions, series, statistics
-from .series import ResidueCondition, TruncatedSeries, symmetric_residues
+from . import census, limits, mexcount, partitions, series, statistics
+from .arith import ResidueCondition, TruncatedSeries, symmetric_residues
 from .statistics import MexParams
 
 Value = int | tuple[int, ...]
@@ -196,7 +196,7 @@ def _restricted(*args) -> list[int]:
 def _census(A_max: int, a_max: int, n_max: int) -> dict[tuple[int, int], list[int]]:
     """The enumerated p_{A,a} rows of A <= A_max, a <= a_max, by (A, a)."""
     grid = [(A, a) for A in range(1, A_max + 1) for a in range(1, a_max + 1)]
-    return {pair: p for pair, (p, _) in mexcount.mex_census_rows(n_max, grid).items()}
+    return {pair: p for pair, (p, _) in census.mex_census_rows(n_max, grid).items()}
 
 
 def _diagonal(first: int, terms, n_max: int) -> list:

@@ -4,11 +4,8 @@ p_{A,a}(n) counts partitions whose mex over the progression a, a+A, ... is
 congruent to a mod 2A; pbar_{A,a}(n) counts those congruent to A+a mod 2A.
 Together they exhaust p(n).  Three independent routes are provided:
 
-* enumeration  - count partitions by where the chain a, a+A, ... first
-                 breaks: a counting automaton over the part sizes builds
-                 the rows 0..n_max at once, without listing partitions or
-                 supports (the name is kept; it is the per-partition
-                 definition, counted);
+* enumeration  - the rows 0..n_max of ``census.mex_census_rows``: the
+                 per-partition definition, counted without listing;
 * series       - the theta quotient of :func:`mex_numerator` over (q)_inf,
                  read as a row by ``series.theta_quotient`` or at n alone
                  by ``series.theta_quotient_at``;
@@ -20,16 +17,18 @@ Together they exhaust p(n).  Three independent routes are provided:
 A signed sum of shifted counts (a list of :data:`Term`) is one sparse
 numerator on either route, read as a row by :func:`mex_row`.
 The enumeration route keeps n <= ``limits.ENUMERATION_CAP`` (checked once,
-in :func:`mex_census_rows`); the recurrence checks the p(n) table cap first.
+in the census); the recurrence checks the p(n) table cap first.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from . import limits, partitions, series
-from .series import TruncatedSeries, prefix_cache, theta_quotient, theta_quotient_at, theta_terms
+from . import census, limits, partitions
+from .arith import TruncatedSeries, prefix_cache
+from .census import mex_census_rows  # noqa: F401  (re-exported: bench/layers.py reads it here)
+from .series import theta_quotient, theta_quotient_at, theta_terms
 from .statistics import MexParams
 
 # A signed, shifted mex count: (sign, kind, A, a, shift) is
@@ -136,62 +135,21 @@ def mex_row(route: str, terms: Sequence[Term], n_max: int) -> list[int]:
     return recurrence_row(numerator, n_max)
 
 
-def mex_census_rows(
-    n_max: int, pairs: Iterable[tuple[int, int]]
-) -> dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Rows (p_{A,a}(0..n_max), pbar_{A,a}(0..n_max)) for every (A, a) in ``pairs``.
-
-    A counting automaton per pair, on packed rows (:class:`series.PackedRows`).
-    It walks the part sizes upwards and keeps one row: the partitions whose
-    parts decided so far include every chain element a, a+A, ... passed.
-    A free part size j multiplies it by 1/(1-q^j).  At chain element c_k
-    the branch "c_k absent" fixes the mex at c_k: the row times the tail
-    T_{c_k} of free parts above c_k goes to p for even k and to pbar for odd
-    k; the branch "c_k present" goes on with the row times q^c_k/(1-q^c_k).
-    Past n_max (or once no partition of n <= n_max keeps the chain) the mex
-    is the next chain element.  The slots take the Apostol width of p(n_max)
-    and read no count, so the pentagonal p(n) stays an independent route.
-    ``n_max`` is capped at ``limits.ENUMERATION_CAP``.
-    """
-    if n_max < 0:
-        raise ValueError("n must be non-negative")
-    limits.check_enumeration(n_max)
-    pairs = list(dict.fromkeys(pairs))
-    if any(A < 1 or a < 1 for A, a in pairs):
-        raise ValueError("A and a must be positive integers")
-    rows = series.PackedRows(n_max)
-    tails = rows.tails()
-    out = {}
-    for A, a in pairs:
-        counts = [0, 0]  # packed p and pbar rows
-        chain = 1  # parts below `part` decided, every chain element among them present
-        part, c, k = 1, a, 0
-        while c <= n_max and chain:
-            for j in range(part, c):
-                chain = rows.stride(chain, j)
-            counts[k & 1] += rows.truncate(chain * tails[c])
-            chain = rows.stride(rows.shift(chain, c), c)
-            part, c, k = c + 1, c + A, k + 1
-        counts[k & 1] += rows.truncate(chain * tails[part - 1])
-        out[A, a] = (rows.unpack(counts[0]), rows.unpack(counts[1]))
-    return out
-
-
 def p_mex_enum(params: MexParams, n: int) -> int:
-    """p_{A,a}(n) on the enumeration route (entry n of :func:`mex_census_rows`)."""
-    return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][0][n]
+    """p_{A,a}(n) on the enumeration route (entry n of ``census.mex_census_rows``)."""
+    return census.mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][0][n]
 
 
 def pbar_mex_enum(params: MexParams, n: int) -> int:
-    """pbar_{A,a}(n) on the enumeration route (entry n of :func:`mex_census_rows`)."""
-    return mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][1][n]
+    """pbar_{A,a}(n) on the enumeration route (entry n of ``census.mex_census_rows``)."""
+    return census.mex_census_rows(n, [(params.A, params.a)])[params.A, params.a][1][n]
 
 
 @lru_cache(maxsize=1)
 def mex_census(n: int, a_max: int, big_a_max: int) -> dict[tuple[int, int], tuple[int, int]]:
     """Enumeration tallies (p_{A,a}(n), pbar_{A,a}(n)) for every A <= big_a_max, a <= a_max.
 
-    Entry n of :func:`mex_census_rows` over the whole grid; the last grid is kept.
+    Entry n of ``census.mex_census_rows`` over the whole grid; the last grid is kept.
     """
     grid = [(A, a) for a in range(1, a_max + 1) for A in range(1, big_a_max + 1)]
-    return {pair: (p[n], pbar[n]) for pair, (p, pbar) in mex_census_rows(n, grid).items()}
+    return {pair: (p[n], pbar[n]) for pair, (p, pbar) in census.mex_census_rows(n, grid).items()}

@@ -3,12 +3,11 @@
 A partition is represented as a plain tuple of positive ints in
 non-increasing (canonical) order.  Counting goes through the pentagonal
 recurrence and bounded dynamic programming, deliberately independent of
-the series engine so the two can cross-check each other.  Every counting
-DP -- the restricted-part and parity rows here and the rows that stand in
-for enumeration in ``statistics`` and ``mexcount`` -- runs on
-``series.PackedRows`` (re-exported here), whose slot width reads no p(n):
-shared integer arithmetic, not a route, as no DP reads a series, a theta
-sum or the pentagonal p(n).  No library route walks partitions one by one.
+the series engine so the two can cross-check each other: this module reads
+``arith`` and ``limits`` alone.  Every counting DP -- the restricted-part and
+parity rows here and the rows of ``census`` -- runs on ``arith.PackedRows``
+(re-exported here), whose slot width reads no p(n): shared integer
+arithmetic, not a route.  No library route walks partitions one by one.
 One recursive walk lists them: :func:`enumerate_partitions` (tables, tests)
 and, each reversed, :func:`ascending_partitions`, both stopped at
 ``limits.ENUMERATION_CAP``.  :func:`p_count` reads one shared p(n) table:
@@ -27,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import limits
 from .limits import CapacityError  # noqa: F401  (re-exported: callers import it from here)
-from .series import PackedRows, ResidueCondition, gather
+from .arith import PackedRows, ResidueCondition, gather
 
 Partition = tuple[int, ...]
 

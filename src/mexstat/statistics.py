@@ -2,16 +2,11 @@
 
 Aggregate counts come in two flavours wherever a generating function
 exists: a combinatorial one and a series one read off the corresponding
-generating series.  The combinatorial one counts the per-partition
-statistic without listing partitions: counting DPs build one census of the
-rank, crank and spt rows over all of n = 0..``limits.ENUMERATION_CAP``
-(the hook and Gaussian-binomial count of Ferrers diagrams for the rank,
-the split by the number of ones for the Andrews-Garvan crank, the
-smallest-part tally over tails for spt), once per process, and kept as plain
-int rows, one list per statistic: row functions read the rows |m| <= n_max cut
-to entries 0..n_max (weighted and summed for an aggregate), point functions
-entry n of the rows |m| <= n.  They share
-no code with the series engine or the pentagonal p(n).  The series flavour
+generating series.  The combinatorial one reads the rows of the counting DPs
+of ``census.stat_census``, which list no partition and share no code with
+the series engine or the pentagonal p(n): row functions read the rows
+|m| <= n_max cut to entries 0..n_max (weighted and summed for an aggregate),
+point functions entry n of the rows |m| <= n.  The series flavour
 is a theta quotient: N(m, n), M(m, n) and every weighted crank sum is a
 numerator from ``series.count_numerator`` over (q)_inf.  A crank moment or
 crank >= j / < j count has one route: the numerators of every m, weighted,
@@ -26,12 +21,13 @@ has no q^0 term (the crank flavours agree at n = 0).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Literal
 
-from . import limits
-from .series import FrozenRecord, PackedRows, count_numerator, theta_quotient, theta_quotient_at
+from . import census, limits
+from .arith import FrozenRecord
+from .census import stat_census as _stat_census  # noqa: F401  (for perfbench until ROADMAP 1b)
+from .series import count_numerator, theta_quotient, theta_quotient_at
 
 Method = Literal["combinatorial", "series"]
 
@@ -83,74 +79,6 @@ def crank(parts: Iterable[int]) -> int:
     return sum(1 for x in ps if x > ones) - ones
 
 
-# ---------------------------------------------------------------------------
-# the census: rank, crank and spt rows over the whole enumeration domain
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=1)
-def _stat_census() -> dict[str, list[tuple[int, ...]]]:
-    # one list of int rows per statistic, entry n of a row its count at n for
-    # n = 0..ENUMERATION_CAP: the rank and crank rows of m = -n_max..n_max in value
-    # order; spt is one row, read as m = 0, so its total is the zeroth moment.  Built
-    # packed, weight 4, as spt(n) <= p_2(n): lambda with k of its smallest parts s
-    # marked -> (lambda - s^k, s^k) is 1-1; each statistic is unpacked as soon as its
-    # DP ends, so no two statistics are held packed at once
-    n_max = limits.ENUMERATION_CAP
-    rows = PackedRows(n_max, 4)
-    census = {}
-
-    # Rank.  Largest part L and k parts: the hook has L + k - 1 = m + 1 cells
-    # and the rest fits a (k-1) x (L-1) box, so with j = k - 1 there are
-    # q^(m+1) [m choose j]_q of them, of rank m - 2j.  Row m of the Gaussian
-    # binomials comes from row m - 1 by [m, j] = [m-1, j-1] + q^j [m-1, j],
-    # kept to q^(n_max-m-1), the most that q^(m+1) leaves.
-    packed = dict.fromkeys(range(-n_max, n_max + 1), 0)
-    packed[0] = 1
-    binomials = [1]
-    for m in range(n_max):
-        if m:
-            kept = PackedRows.of_size(n_max - m - 1, rows.size)
-            binomials = [
-                kept.truncate(
-                    (binomials[j - 1] if j else 0) + (kept.lift(binomials[j], j) if j < m else 0)
-                )
-                for j in range(m + 1)
-            ]
-        for j, box in enumerate(binomials):
-            packed[m - 2 * j] += rows.shift(box, m + 1)
-    census["rank"] = list(map(rows.unpack, packed.values()))
-
-    # Crank.  q^w prod_{j=2..w} 1/(1-q^j) counts both the partitions with no
-    # ones and largest part w >= 2 (crank w) and w ones together with free
-    # parts in [2, w].  The latter take mu parts > w as well,
-    # q^(mu(w+1))/(q)_mu, and have crank mu - w.
-    packed = dict.fromkeys(range(-n_max, n_max + 1), 0)
-    packed[0] = 1
-    free = 1
-    for w in range(1, n_max + 1):
-        if w >= 2:
-            free = rows.stride(free, w)
-            packed[w] += rows.shift(free, w)
-        with_ones = rows.shift(free, w)
-        mu = 0
-        while with_ones:
-            packed[mu - w] += with_ones
-            mu += 1
-            with_ones = rows.stride(rows.shift(with_ones, w + 1), mu)
-    census["crank"] = list(map(rows.unpack, packed.values()))
-    del packed
-
-    # spt.  Smallest part s, t >= 1 times, adds t q^(st): q^s/(1-q^s)^2 times
-    # the tail T_s of parts above s.
-    tails = rows.tails()
-    spt = 0
-    for s in range(1, n_max + 1):
-        spt += rows.stride(rows.stride(rows.shift(tails[s], s), s), s)
-    census["spt"] = [rows.unpack(spt)]
-    return census
-
-
 def _census(stat: str, n: int, least: int) -> tuple[range, list[tuple[int, ...]]]:
     # the values m with |m| <= n and the census rows of ``stat`` that hold them (the rows
     # of |m| > n are zero at 0..n), once n is checked: at least ``least`` (0 or 1) and
@@ -158,7 +86,7 @@ def _census(stat: str, n: int, least: int) -> tuple[range, list[tuple[int, ...]]
     if n < least:
         raise ValueError("n must be at least 1" if least else "n must be non-negative")
     limits.check_enumeration(n)
-    rows = _stat_census()[stat]
+    rows = census.stat_census()[stat]
     middle = len(rows) // 2  # the row of m = 0
     top = min(n, middle)
     return range(-top, top + 1), rows[middle - top : middle + top + 1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 
-from . import mexcount, partitions, statistics
+from . import census, partitions, statistics
 from .statistics import MexParams
 
 TABLE2_N_MAX = 8
@@ -38,7 +38,7 @@ def table1_rows() -> list[dict[str, str]]:
 
 def table2_rows() -> list[dict[str, str]]:
     """For n = 1..8: the four counter columns plus the rank>=2 / crank>=2 partition lists."""
-    counts = mexcount.mex_census_rows(TABLE2_N_MAX, [(3, 1), (3, 2), (3, 3), (1, 2)])
+    counts = census.mex_census_rows(TABLE2_N_MAX, [(3, 1), (3, 2), (3, 3), (1, 2)])
     rows = []
     for n in range(1, TABLE2_N_MAX + 1):
         rank_list, crank_list = [], []
@@ -66,7 +66,7 @@ _TABLE3_PARAMS = [(3, 2), (1, 1), (3, 3), (1, 2), (3, 4), (1, 3), (3, 5), (1, 4)
 
 def table3_rows() -> list[dict[str, str]]:
     """For n = 1..5: the ten interleaved counter columns and spt(n)."""
-    counts = mexcount.mex_census_rows(TABLE3_N_MAX, _TABLE3_PARAMS)
+    counts = census.mex_census_rows(TABLE3_N_MAX, _TABLE3_PARAMS)
     rows = []
     for n in range(1, TABLE3_N_MAX + 1):
         row = {"n": str(n)}

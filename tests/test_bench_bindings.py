@@ -4,9 +4,11 @@
 ``perfbench/worker.py`` reads the ``cache_info()`` of a few caches in traced
 runs, the length of the p(n) table, the identity registry and the
 ``registry=`` keyword of ``verify`` and ``verify_all``; a rename in ``src/``
-breaks both without failing any other test.  The worker also checks that the
-catalog's reports hash to the digests ``perfbench/decisions.json`` records,
-so a changed byte of a report fails here before it fails a benchmark run.
+breaks both without failing any other test.  A name that moved to another
+module stays bound where they read it, to the very object of its new home.
+The worker also checks that the catalog's reports hash to the digests
+``perfbench/decisions.json`` records, so a changed byte of a report fails
+here before it fails a benchmark run.
 The tracer and the worker are loaded from their files, read only.
 """
 
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-from mexstat import identities, mexcount, partitions, series, statistics
+from mexstat import arith, census, identities, mexcount, partitions, series, statistics
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -63,6 +65,15 @@ def test_the_caches_the_worker_reads_keep_cache_info():
     ):
         info = fn.cache_info()
         assert info.hits >= 0 and info.misses >= 0
+
+
+def test_each_rebound_name_is_the_object_of_its_home():
+    # a pinned name that moved is bound to the object of the module that now holds it,
+    # so no reader forks a second cache or class
+    assert statistics._stat_census is census.stat_census
+    assert mexcount.mex_census_rows is census.mex_census_rows
+    assert series.TruncatedSeries is arith.TruncatedSeries
+    assert series.PackedRows is arith.PackedRows
 
 
 def test_the_names_the_worker_reads_outside_the_tracer_resolve():

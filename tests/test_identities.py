@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexstat import identities, limits, mexcount, partitions, series, statistics
+from mexstat import census, identities, limits, mexcount, partitions, series, statistics
 from mexstat.identities import (
     CSV_HEADER,
     IdentityCheck,
@@ -353,6 +353,8 @@ BUILDERS = [
     (mexcount, "recurrence_offsets"),
     (mexcount, "mex_numerator"),
     (mexcount, "mex_census_rows"),
+    (census, "mex_census_rows"),
+    (census, "stat_census"),
     (mexcount, "mex_row"),
     (mexcount, "recurrence_row"),
     (mexcount, "theta_quotient"),

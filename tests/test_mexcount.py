@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mexstat import mexcount, partitions, series, statistics
+from mexstat import arith, mexcount, partitions, series, statistics
 from mexstat.mexcount import (
     mex_census,
     mex_census_rows,
@@ -220,7 +220,8 @@ def test_census_rows_read_neither_pentagonal_table_nor_series(monkeypatch):
         (series, "crank_generating_series"),
         (series, "second_rank_moment_series"),
         (series, "second_crank_moment_series"),
-        (series.TruncatedSeries, "__init__"),
+        (arith, "_product"),
+        (arith.TruncatedSeries, "__init__"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
     statistics._stat_census.cache_clear()

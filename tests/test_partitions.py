@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mexstat import partitions, series
+from mexstat import arith, partitions, series
 from mexstat.limits import ENUMERATION_CAP, P_TABLE_CAP
 from mexstat.partitions import (
     CapacityError,
@@ -21,12 +21,8 @@ from mexstat.partitions import (
     p_odd_parts,
     parts_parity_counts,
 )
-from mexstat.series import (
-    ResidueCondition,
-    euler_product,
-    parts_parity_series,
-    symmetric_residues,
-)
+from mexstat.arith import ResidueCondition, symmetric_residues
+from mexstat.series import euler_product, parts_parity_series
 
 P_FIRST = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 
@@ -359,7 +355,7 @@ def test_packed_tails_match_literal_products():
 
 
 def test_packed_rows_keep_their_slot_size_on_the_series_bound():
-    # the size read off series._coefficient_bits is the literal 21/8 bound it replaced
+    # the size read off arith.coefficient_bits is the literal 21/8 bound it replaced
     for weight in range(1, 5):
         for n_max in range(5001):
             size = (21 * (isqrt(weight * n_max) + 1) // 8 + 8) // 8
@@ -446,19 +442,22 @@ def test_parts_parity_counts_reject_negative_n(count):
 
 def test_restricted_and_parity_rows_read_neither_series_nor_pentagonal_table(monkeypatch):
     # the rhs of thm-3.10..3.13, psi-minus-q, thm-1.3 and pe-po-genfun: the rows share
-    # series.PackedRows arithmetic with the series route, and nothing else
+    # arith.PackedRows arithmetic with the series route, and nothing else
     def forbidden(*args, **kwargs):
         raise AssertionError("the counting DPs must not use this route")
 
     parts_parity_counts.cache_clear()
     for module, name in [
-        (series, "_product"),
+        (arith, "_product"),
+        (arith, "recurrence_inverse"),
+        (arith, "_newton_inverse"),
         (series, "_binomial_product"),
         (series, "_cauchy_terms"),
         (series, "residue_product"),
+        (series, "theta_terms"),
         (series, "partition_generating_series"),
-        (series.TruncatedSeries, "__init__"),
-        (series.TruncatedSeries, "_of_checked"),
+        (arith.TruncatedSeries, "__init__"),
+        (arith.TruncatedSeries, "_of_checked"),
         (partitions, "p_count"),
     ]:
         monkeypatch.setattr(module, name, forbidden)

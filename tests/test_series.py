@@ -13,12 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mexstat.arith as arith
 import mexstat.series as kernels
 from mexstat import identities, mexcount
+from mexstat.arith import ResidueCondition, TruncatedSeries, symmetric_residues
 from mexstat.partitions import p_count
 from mexstat.series import (
-    ResidueCondition,
-    TruncatedSeries,
     alternating_theta,
     alternating_theta_bilateral,
     cauchy_sum_specialized,
@@ -35,7 +35,6 @@ from mexstat.series import (
     residue_product,
     second_crank_moment_series,
     second_rank_moment_series,
-    symmetric_residues,
     theta_quotient,
     theta_quotient_at,
     theta_terms,
@@ -553,14 +552,14 @@ class TestPrefixCaches:
 def _count_recurrence_coefficients(monkeypatch):
     """Record, per call of the sparse recurrence, (coefficients held, coefficients computed)."""
     calls = []
-    original = kernels._recurrence_inverse
+    original = kernels.recurrence_inverse
 
     def counted(terms, precision, known=()):
         row = original(terms, precision, known)
         calls.append((len(known), len(row) - len(known)))
         return row
 
-    monkeypatch.setattr(kernels, "_recurrence_inverse", counted)
+    monkeypatch.setattr(kernels, "recurrence_inverse", counted)
     return calls
 
 
@@ -581,13 +580,13 @@ class TestGrowingPartitionSeries:
     def test_a_row_grown_one_coefficient_at_a_time_equals_the_cold_build(self, monkeypatch):
         # each growth reads the O(sqrt(P)) pentagonal terms of (q)_inf, no dense row
         sizes = []
-        original = kernels._recurrence_inverse
+        original = kernels.recurrence_inverse
 
         def sized(terms, precision, known=()):
             sizes.append((len(terms), precision))
             return original(terms, precision, known)
 
-        monkeypatch.setattr(kernels, "_recurrence_inverse", sized)
+        monkeypatch.setattr(kernels, "recurrence_inverse", sized)
         partition_generating_series.cache_clear()
         for p in range(1201):
             grown = partition_generating_series(p)
@@ -736,10 +735,10 @@ def coefficient_rows(draw, length, big=HUGE, unit=False):
 
 
 def spy(monkeypatch, route):
-    """Record each call of the kernel ``route`` that the dispatch makes."""
+    """Record each call of the arithmetic kernel ``route`` that the dispatch makes."""
     called = []
-    original = getattr(kernels, route)
-    monkeypatch.setattr(kernels, route, lambda *args: called.append(route) or original(*args))
+    original = getattr(arith, route)
+    monkeypatch.setattr(arith, route, lambda *args: called.append(route) or original(*args))
     return called
 
 
@@ -818,7 +817,7 @@ def unit_rows(draw):
 @settings(max_examples=40, deadline=None)
 def test_invert_routes_agree_and_invert(a):
     one = [1] + [0] * (len(a) - 1)
-    newton, recurrence = kernels._newton_inverse(a), recurrence_inverse(a)
+    newton, recurrence = arith._newton_inverse(a), recurrence_inverse(a)
     assert newton == recurrence
     s = TruncatedSeries(a)
     assert list((s * s.invert()).coeffs) == one
@@ -827,7 +826,7 @@ def test_invert_routes_agree_and_invert(a):
 
 def recurrence_inverse(a, known=()):
     """The sparse recurrence on a dense row, its zeros among the terms it is given."""
-    return kernels._recurrence_inverse(dict(enumerate(a)), len(a) - 1, known)
+    return arith.recurrence_inverse(dict(enumerate(a)), len(a) - 1, known)
 
 
 def literal_recurrence_inverse(a):
@@ -854,7 +853,7 @@ def test_recurrence_inverse_matches_the_literal_loop(unit, rest, cut):
     assert recurrence_inverse(a, tuple(known)) == literal
 
 
-@pytest.mark.parametrize("route", ["_newton_inverse", "_recurrence_inverse"])
+@pytest.mark.parametrize("route", ["_newton_inverse", "recurrence_inverse"])
 def test_each_invert_route_is_taken(monkeypatch, route):
     called = spy(monkeypatch, route)
     # dense: a residue product; sparse: the Euler product
@@ -1019,12 +1018,12 @@ def test_coefficient_bits_hold_every_power_of_the_distinct_product(weight):
     largest = 0
     for precision, c in enumerate(coeffs):
         largest = max(largest, c)
-        assert kernels._coefficient_bits(weight, precision) >= largest.bit_length() + 1
+        assert arith.coefficient_bits(weight, precision) >= largest.bit_length() + 1
 
 
 def test_coefficient_bits_of_weight_two_hold_the_partition_count():
     for precision in range(5001):
-        assert kernels._coefficient_bits(2, precision) >= p_count(precision).bit_length() + 1
+        assert arith.coefficient_bits(2, precision) >= p_count(precision).bit_length() + 1
 
 
 @given(
@@ -1037,7 +1036,9 @@ def test_binomial_product_matches_factor_loop(exponent_repeats, sign, precision)
     exponents = [e for e, r in exponent_repeats for _ in range(r)]
     expected = literal_factors([e for e in exponents if e <= precision], sign, precision)
     counts = Counter(e for e in exponents if e <= precision)
-    assert list(kernels._binomial_product(counts, sign, precision).coeffs) == expected
+    # any exponent, as often as the largest count repeats it
+    classes = (1, (0,) * max(counts.values(), default=1))
+    assert list(kernels._binomial_product(counts, sign, precision, classes).coeffs) == expected
 
 
 @st.composite
@@ -1065,7 +1066,7 @@ def test_euler_transform_matches_factor_loop(case):
     precision, counts = case
     expected = literal_factors([e for e, r in counts.items() for _ in range(r)], -1, precision)
     # a step count that no nonzero count can outrun, so the route never hands back
-    assert kernels._euler_transform(counts, precision, 4 * (precision + 1)) == expected
+    assert kernels._euler_transform(counts, precision, 4 * (precision + 1), (1, (0,))) == expected
 
 
 @given(
@@ -1081,7 +1082,7 @@ def test_log_derivative_by_classes_matches_the_divisor_sums(modulus, residues, t
     w = [rng.randint(0, 2) * e if e % modulus in classes else 0 for e in range(top + 1)]
     expected = [-sum(w[e] for e in range(1, k + 1) if k % e == 0) for k in range(top + 1)]
     assert kernels._log_derivative(w, top, (modulus, residues)) == expected
-    assert kernels._log_derivative(w, top, None) == expected
+    assert kernels._log_derivative(w, top, (1, (0,))) == expected
 
 
 @pytest.mark.parametrize(
@@ -1095,10 +1096,10 @@ def test_log_derivative_by_classes_matches_the_divisor_sums(modulus, residues, t
 )
 def test_euler_transform_slots_follow_the_coefficients_found(monkeypatch, case, sizes):
     precision, counts = case
-    seen, of_size = [], kernels.PackedRows.of_size
+    seen, of_size = [], arith.PackedRows.of_size
     record = lambda cls, n_max, size: seen.append(size) or of_size(n_max, size)  # noqa: E731
-    monkeypatch.setattr(kernels.PackedRows, "of_size", classmethod(record))
-    coeffs = kernels._euler_transform(counts, precision, 4 * (precision + 1))
+    monkeypatch.setattr(arith.PackedRows, "of_size", classmethod(record))
+    coeffs = kernels._euler_transform(counts, precision, 4 * (precision + 1), (1, (0,)))
     monkeypatch.undo()
     assert sorted(set(seen)) == sizes
     assert coeffs == literal_factors([e for e, r in counts.items() for _ in range(r)], -1, precision)
@@ -1123,8 +1124,9 @@ def _recorded(calls, name, original, *args):
             lambda: residue_product(ResidueCondition(1, frozenset({0}), sign="plus"), 1000),
             ["_factor_shift_add"],
         ),
-        # jtp-even-lemma at k = 1 in the catalog: 150 steps, but below the precision floor
-        (lambda: jtp_specialized(1, 1, "even", "product", 200), ["_factor_shift_add"]),
+        # jtp-even-lemma at k = 1 in the catalog: 150 steps, the one catalog product
+        # at 200 past the crossover, a theta
+        (lambda: jtp_specialized(1, 1, "even", "product", 200), ["_euler_transform"]),
     ],
 )
 def test_each_product_route_is_taken(monkeypatch, build, routes):
@@ -1257,7 +1259,7 @@ def test_per_class_slots_are_narrower_where_the_classes_are_sparse():
     # k = 6, M = 13, three classes: 46 bits against 86 at weight 1
     counts = Counter(e for s in (13, 1, 12) for e in range(s, 1001, 13))
     assert kernels._slot_size(counts, 1000, (13, (13, 1, 12))) == 6
-    assert kernels._slot_size(counts, 1000, None) == 11
+    assert kernels._slot_size(counts, 1000, (1, (0,))) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -1272,7 +1274,7 @@ def signed_rows(draw):
     top = (1 << 8 * size - 1) - 1
     edge = st.sampled_from([top, -top, 0, 1, -1])
     coeffs = draw(st.lists(st.integers(-top, top) | edge, min_size=n_max + 1, max_size=n_max + 1))
-    return kernels.PackedRows.of_size(n_max, size), coeffs
+    return arith.PackedRows.of_size(n_max, size), coeffs
 
 
 @given(signed_rows())
@@ -1312,7 +1314,7 @@ def literal_signed(rows, x):
 def test_packed_conversions_match_the_per_slot_literal_loops(size, n_max, rng, garbage):
     # every slot size, coefficients at the ends of the signed range among random ones,
     # and a signed int in the slots above n_max for ``signed`` to ignore
-    rows = kernels.PackedRows.of_size(n_max, size)
+    rows = arith.PackedRows.of_size(n_max, size)
     top = (1 << rows.width - 1) - 1
     edges = [top, -top, 0, 1, -1]
     coeffs = [
@@ -1332,7 +1334,7 @@ def test_packed_conversions_match_the_per_slot_literal_loops(size, n_max, rng, g
 def test_packed_signed_reads_the_extremes_at_both_signs(size):
     top = (1 << 8 * size - 1) - 1
     coeffs = [top, -top, -top, top, 0, -top, top]
-    rows = kernels.PackedRows.of_size(len(coeffs) - 1, size)
+    rows = arith.PackedRows.of_size(len(coeffs) - 1, size)
     assert rows.signed(rows.pack(coeffs)) == coeffs
     # a higher slot may hold anything: the low slots read the same
     assert rows.signed(rows.pack(coeffs) + (12345 << rows.width * len(coeffs))) == coeffs
@@ -1345,7 +1347,7 @@ def test_packed_signed_reads_the_extremes_at_both_signs(size):
 )
 @settings(max_examples=80, deadline=None)
 def test_packed_place_is_the_literal_sum_and_slot_reads_each_entry(size, n_max, terms):
-    rows = kernels.PackedRows.of_size(n_max, size)
+    rows = arith.PackedRows.of_size(n_max, size)
     terms = {e: c for e, c in terms.items() if e <= n_max}
     placed = rows.place(terms)
     assert placed == sum(c << rows.width * e for e, c in terms.items())
@@ -1363,7 +1365,7 @@ def test_packed_column_reads_slot_n_of_every_row_as_the_literal_shift(size, n_ma
     # unpack puts slot n of each row at index n; slots on both sides of the 8-byte word,
     # a full row and an empty one among random rows.  The rows take up to 190 kB of
     # random bits, more than Hypothesis draws for one example, so rng is only seeded by it
-    rows = kernels.PackedRows.of_size(n_max, size)
+    rows = arith.PackedRows.of_size(n_max, size)
     mask = (1 << 8 * size) - 1
     xs = [rng.getrandbits(8 * size * (n_max + 1)) for _ in range(count)]
     xs[rng.randrange(count)] = rows.mask
@@ -1378,7 +1380,7 @@ def test_narrower_rows_truncate_as_the_low_mask(case, keep, e):
     # the low masks the series kernels built by hand: 1 << w * slots, less one
     rows, coeffs = case
     keep, e, w = min(keep, rows.n_max), min(e, rows.n_max), 8 * rows.size
-    narrow = kernels.PackedRows.of_size(keep, rows.size)
+    narrow = arith.PackedRows.of_size(keep, rows.size)
     packed = rows.pack(coeffs)
     assert narrow.truncate(packed) == packed & (1 << w * (keep + 1)) - 1
     assert narrow.signed(packed) == coeffs[: keep + 1]
@@ -1390,4 +1392,4 @@ def test_narrower_rows_truncate_as_the_low_mask(case, keep, e):
 def test_packed_stride_refuses_a_non_positive_exponent(e):
     # 1/(1 - q^0) has no series, and a zero doubling step would never end
     with pytest.raises(ValueError, match="positive"):
-        kernels.PackedRows(10).stride(1, e)
+        arith.PackedRows(10).stride(1, e)

@@ -8,6 +8,11 @@
   or of the package itself.
 * ``requires-python = ">=3.10"``: every file parses with the 3.10 grammar and
   names none of a short list of standard-library additions of 3.11 and later.
+* Independent routes: the shared arithmetic (``arith``) imports no package
+  module but ``limits``, and the route modules -- the pentagonal table and
+  restricted DPs (``partitions``), the counting DPs (``census``), the thetas
+  and products (``series``) -- import only ``arith`` and ``limits``, so no
+  route reads another through the import graph.
 
 The sources are parsed, not imported, in the idiom of
 ``test_module_boundaries.py``; each gate also has a test that it catches a
@@ -39,6 +44,13 @@ NEWER_NAMES = {
     ("builtins", "ExceptionGroup"),
     ("builtins", "BaseExceptionGroup"),
     ("itertools", "batched"),
+}
+# the shared arithmetic and the route modules, with the package modules each may import
+ROUTE_IMPORTS = {
+    "arith": {"limits"},
+    "partitions": {"arith", "limits"},
+    "census": {"arith", "limits"},
+    "series": {"arith", "limits"},
 }
 
 
@@ -199,3 +211,69 @@ def test_the_version_gate_sees_newer_syntax_and_names(tmp_path):
         "planted.py:6 builtins.ExceptionGroup",
     ]
 
+
+
+def _package_imports(path: Path) -> list[tuple[int, str]]:
+    """Each (line, module) of the package that ``path`` imports, wherever the import
+    sits; ``import mexstat`` itself is the module ``__init__``."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [
+                (node.lineno, (alias.name + ".__init__").split(".")[1])
+                for alias in node.names
+                if alias.name.split(".")[0] == "mexstat"
+            ]
+        elif not isinstance(node, ast.ImportFrom):
+            continue
+        elif (node.level, node.module) in ((1, None), (0, "mexstat")):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif node.level == 1:
+            found.append((node.lineno, node.module.split(".")[0]))
+        elif node.level == 0 and node.module.startswith("mexstat."):
+            found.append((node.lineno, node.module.split(".")[1]))
+    return sorted(found)
+
+
+def _route_reads(path: Path, allowed: set[str]) -> list[str]:
+    """Each import by ``path`` of a package module outside ``allowed``, as 'file:line module'."""
+    imports = _package_imports(path)
+    return [f"{path.name}:{line} {module}" for line, module in imports if module not in allowed]
+
+
+def test_each_route_imports_only_the_arithmetic_and_the_limits():
+    assert {path.stem for path in _sources()} >= set(ROUTE_IMPORTS)
+    reads = [
+        read
+        for name, allowed in ROUTE_IMPORTS.items()
+        for read in _route_reads(SRC / f"{name}.py", allowed)
+    ]
+    assert reads == []
+    # the parse sees a reader's imports of the routes
+    readers = {module for _, module in _package_imports(SRC / "mexcount.py")}
+    assert readers >= {"census", "partitions", "series"}
+
+
+def test_the_route_gate_sees_a_route_reading_another(tmp_path):
+    source = tmp_path / "census.py"
+    source.write_text(
+        "from . import limits\n"
+        "from .arith import PackedRows\n"
+        "from .series import theta_terms\n"
+        "def f():\n"
+        "    from . import partitions\n"
+        "    import mexstat.identities\n"
+        "from mexstat import arith, statistics\n"
+        "from mexstat.mexcount import mex_row\n"
+        "from statistics import mean\n"  # the standard library's, not the package's
+        "import mexstat\n"
+    )
+    assert _route_reads(source, ROUTE_IMPORTS["census"]) == [
+        "census.py:3 series",
+        "census.py:5 partitions",
+        "census.py:6 identities",
+        "census.py:7 statistics",
+        "census.py:8 mexcount",
+        "census.py:10 __init__",
+    ]

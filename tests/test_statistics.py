@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mexstat import census
 from mexstat import series as mexstat_series
 from mexstat import statistics as mexstat_statistics
 from mexstat.limits import ENUMERATION_CAP
@@ -453,15 +454,17 @@ def test_a_cold_census_build_peaks_below_400_kib():
 
 
 def test_one_clear_frees_the_whole_census():
-    # after rows and points of every statistic, clearing the census leaves no cache holding
+    # after rows and points of every statistic, clearing the census leaves no cache holding,
+    # in statistics or in the census module it reads
     for read in (rank_count_rows, crank_count_rows, spt_row, rank_histogram, spt_direct):
         read(40)
     _stat_census.cache_clear()
+    modules = {mexstat_statistics.__name__: mexstat_statistics, census.__name__: census}
     cached = [
         value
-        for value in vars(mexstat_statistics).values()
-        if callable(getattr(value, "cache_info", None))
-        and value.__module__ == mexstat_statistics.__name__
+        for module in modules.values()
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_info", None)) and value.__module__ in modules
     ]
     assert cached and all(fn.cache_info().currsize == 0 for fn in cached)
 
